@@ -38,7 +38,6 @@ from .ideals import (
     normal_form,
     radical_step,
     root_order,
-    truncated,
 )
 from .kohn import (
     FiniteTypeReport,

@@ -2,7 +2,7 @@
 
 Scalar inputs arrive as flags; polynomial and curve data arrive through a
 single JSON config document: {variables: [...], h: [...], curve?: {...},
-family?: {...}, options?: {...}}.  Output is a JSON document (sorted keys,
+family?: {...}}.  Output is a JSON document (sorted keys,
 byte-stable) or a plain-text rendering.  Exit codes: 0 success, 1 domain or
 validation errors, 2 resource-cap exhaustion.
 """
@@ -39,12 +39,10 @@ EXIT_CAP = 2
 
 @dataclass(frozen=True)
 class JobSpec:
-    """Validated request: command, ring data, and positive option values."""
+    """Validated request: ring variables and defining polynomials."""
 
-    command: str
     variables: tuple[str, ...]
     h: tuple[str, ...]
-    options: dict
 
 
 def _load_config(path: str) -> dict:
@@ -60,19 +58,21 @@ def _load_config(path: str) -> dict:
     return doc
 
 
-def _jobspec(command: str, config: dict, **options) -> JobSpec:
+def _jobspec(config: dict, **options) -> JobSpec:
+    """Validate the config document and the command's option flags."""
+    if "options" in config:
+        flags = ", ".join("--" + key.replace("_", "-") for key in options) or "none"
+        raise ValidationError(f"config key 'options' is not supported; command flags: {flags}")
     variables = tuple(config.get("variables", ()))
     if not variables:
         raise ValidationError("config must list the ring variables")
     h = tuple(config.get("h", ()))
     for s in h:
         parse(s, variables)  # surfaces syntax errors with positions
-    merged = dict(config.get("options", {}))
-    merged.update(options)
-    for key, value in merged.items():
+    for key, value in options.items():
         if isinstance(value, int) and not isinstance(value, bool) and value <= 0:
             raise ValidationError(f"option {key} must be a positive integer")
-    return JobSpec(command, variables, h, merged)
+    return JobSpec(variables, h)
 
 
 def _emit(ctx, doc) -> None:
@@ -147,12 +147,12 @@ def multipliers():
 def multipliers_run(ctx, config_path, max_steps, truncation_cap, root_cap, row_cap, radical_mode):
     config = _load_config(config_path)
     spec = _jobspec(
-        "multipliers.run",
         config,
         max_steps=max_steps,
         truncation_cap=truncation_cap,
         root_cap=root_cap,
         row_cap=row_cap,
+        radical_mode=radical_mode,
     )
     domain = _kohn.SpecialDomain.from_strings(
         spec.h, spec.variables, config.get("label", "")
@@ -183,7 +183,7 @@ def triangular():
 @click.pass_context
 def triangular_run(ctx, config_path):
     config = _load_config(config_path)
-    spec = _jobspec("triangular.run", config)
+    spec = _jobspec(config)
     polys = [parse(s, spec.variables) for s in spec.h]
     system = _triangular.validate(polys, spec.variables)
     trace = _triangular.run_effective(system)
@@ -209,7 +209,7 @@ def ideal():
 @click.pass_context
 def ideal_colength(ctx, config_path, truncation_cap):
     config = _load_config(config_path)
-    spec = _jobspec("ideal.colength", config, truncation_cap=truncation_cap)
+    spec = _jobspec(config, truncation_cap=truncation_cap)
     ideal_obj = Ideal.from_strings(spec.h, spec.variables)
     report = germ_colength(ideal_obj, truncation_cap)
     _emit(ctx, report.to_dict())
@@ -225,7 +225,7 @@ def ideal_colength(ctx, config_path, truncation_cap):
 @click.pass_context
 def ideal_member(ctx, config_path, poly_text, germ_mode, truncation_cap):
     config = _load_config(config_path)
-    spec = _jobspec("ideal.member", config, truncation_cap=truncation_cap)
+    spec = _jobspec(config, truncation_cap=truncation_cap)
     ideal_obj = Ideal.from_strings(spec.h, spec.variables)
     f = parse(poly_text, spec.variables)
     if germ_mode:
@@ -247,7 +247,7 @@ def ideal_member(ctx, config_path, poly_text, germ_mode, truncation_cap):
 @click.pass_context
 def ideal_root_order(ctx, config_path, poly_text, root_cap, truncation_cap):
     config = _load_config(config_path)
-    spec = _jobspec("ideal.root-order", config, root_cap=root_cap)
+    spec = _jobspec(config, root_cap=root_cap)
     ideal_obj = Ideal.from_strings(spec.h, spec.variables)
     f = parse(poly_text, spec.variables)
     report = germ_colength(ideal_obj, truncation_cap)
@@ -270,7 +270,7 @@ def contact():
 @click.pass_context
 def contact_curve_cmd(ctx, config_path):
     config = _load_config(config_path)
-    spec = _jobspec("contact.curve", config)
+    spec = _jobspec(config)
     domain = _contact.AmbientDomain.from_strings(spec.h, spec.variables)
     curve_doc = config.get("curve")
     if not curve_doc:
@@ -286,7 +286,7 @@ def contact_curve_cmd(ctx, config_path):
 @click.pass_context
 def contact_family_cmd(ctx, config_path):
     config = _load_config(config_path)
-    spec = _jobspec("contact.family", config)
+    spec = _jobspec(config)
     domain = _contact.AmbientDomain.from_strings(spec.h, spec.variables)
     family_doc = config.get("family")
     if not family_doc:

@@ -269,20 +269,18 @@ def _series_mul(a: dict, b: dict) -> dict:
     return out
 
 
-def _series_pow(base: dict, e: int, cache: dict) -> dict:
-    if e in cache:
-        return cache[e]
-    if e == 0:
-        out = {(0, Fraction(0), Fraction(0)): GR_ONE}
-    else:
-        out = _series_mul(_series_pow(base, e - 1, cache), base)
-    cache[e] = out
-    return out
+def _series_pow(base: dict, e: int, cache: list) -> dict:
+    """base**e, filling cache[k] = base**k for every k <= e."""
+    if not cache:
+        cache.append({(0, Fraction(0), Fraction(0)): GR_ONE})
+    while len(cache) <= e:
+        cache.append(_series_mul(cache[-1], base))
+    return cache[e]
 
 
 def _pullback_series(poly: Polynomial, family: CurveFamily) -> dict:
     comps = [_series_from_component(c) for c in family.components]
-    caches = [dict() for _ in comps]
+    caches = [[] for _ in comps]
     out: dict[_FamKey, GaussianRational] = {}
     for mono, coeff in poly.terms.items():
         piece = {(0, Fraction(0), Fraction(0)): coeff}

@@ -26,6 +26,8 @@ from .poly import (
     Polynomial,
     _Infinity,
     _mono_divides,
+    divides,
+    least_power,
     monomials_of_degree,
     squarefree_part,
 )
@@ -267,12 +269,6 @@ def member(f: Polynomial, ideal: Ideal, order: MonomialOrder | None = None) -> b
     return normal_form(f, basis, order or ideal.default_order()).is_zero()
 
 
-def truncated(ideal: Ideal, degree: int) -> Ideal:
-    """The ideal plus all monomials of the given total degree."""
-    extra = [Polynomial.monomial(m) for m in monomials_of_degree(ideal.ring_dim, degree)]
-    return Ideal(ideal.ring_dim, list(ideal.generators) + extra)
-
-
 def truncated_basis(
     ideal: Ideal, degree: int, order: MonomialOrder | None = None
 ) -> tuple[Polynomial, ...]:
@@ -401,23 +397,7 @@ def root_order(
         raise ValidationError("root-order cap must be at least 1")
     if report is None:
         report = germ_colength(ideal)
-    power = f
-    for s in range(1, s_max + 1):
-        if germ_member(power, ideal, report):
-            return s
-        if s < s_max:
-            power = power * f
-    return None
-
-
-def _global_root_order(f: Polynomial, ideal: Ideal, s_max: int) -> int | None:
-    power = f
-    for s in range(1, s_max + 1):
-        if member(power, ideal):
-            return s
-        if s < s_max:
-            power = power * f
-    return None
+    return least_power(f, lambda p: germ_member(p, ideal, report), s_max)
 
 
 def is_germ_unit(ideal: Ideal) -> bool:
@@ -482,7 +462,7 @@ def radical_step(
     if len(basis) == 1:
         p = basis[0]
         q = squarefree_part(p)
-        s = _principal_root_order(p, q, root_cap)
+        s = least_power(q, lambda r: divides(p, r), root_cap)
         if s is None:
             return RadicalOutcome(
                 ideal.generators, "none", ((q, None),), True, 0, None
@@ -516,7 +496,7 @@ def radical_step(
         seen.add(key)
         if member(f, ideal):
             continue
-        s = _global_root_order(f, ideal, root_cap)
+        s = least_power(f, lambda p: member(p, ideal), root_cap)
         if s is not None:
             adjoin.append((f, s))
     if not adjoin:
@@ -530,18 +510,6 @@ def radical_step(
         max(s for _, s in adjoin),
         report,
     )
-
-
-def _principal_root_order(p: Polynomial, q: Polynomial, cap: int) -> int | None:
-    from .poly import divides
-
-    power = q
-    for s in range(1, cap + 1):
-        if divides(p, power):
-            return s
-        if s < cap:
-            power = power * q
-    return None
 
 
 def eliminant(ideal: Ideal, var_index: int) -> Polynomial | None:

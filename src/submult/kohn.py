@@ -23,16 +23,16 @@ from .ideals import (
     Ideal,
     MonomialOrder,
     RadicalOutcome,
-    _standard_monomial_count,
     canonical_generators,
     germ_colength,
     is_germ_unit,
+    member,
     normal_form,
     radical_step,
     root_order,
     truncated_basis,
 )
-from .poly import INF, Polynomial, PolyMatrix, _Infinity, det, format_poly, minor_dets, parse, scalar_ratio
+from .poly import INF, Polynomial, PolyMatrix, _Infinity, det, format_poly, least_power, minor_dets, parse, scalar_ratio
 
 DEFAULT_MAX_STEPS = 16
 DEFAULT_ROW_CAP = 12
@@ -240,36 +240,26 @@ def run(domain: SpecialDomain, options: KohnOptions = KohnOptions()) -> KohnTrac
     steps: list[KohnStepRecord] = []
     max_root = 0
     status = "step_cap"
-    prev_dim: int | None = None
-    prev_basis: tuple[Polynomial, ...] | None = None
     for _ in range(options.max_steps):
-        J = state.multipliers
-        if is_germ_unit(J):
-            one = Polynomial.constant(n, 1)
-            steps.append(KohnStepRecord(J.generators, "none", (), (one,)))
-            status = "unit_reached"
-            break
         state, record = step(state, options)
         steps.append(record)
+        if record.I_gens == (Polynomial.constant(n, 1),):
+            status = "unit_reached"
+            break
         if options.radical_mode == "full":
             for _, s in record.root_orders:
                 if s is not None:
                     max_root = max(max_root, s)
-        # Stall detection: the germ ideal stopped growing if the truncated
-        # colength is unchanged and no new generator is novel.
-        current = Ideal(n, record.I_gens)
-        basis = truncated_basis(current, options.truncation_cap, order)
-        dim = _standard_monomial_count(basis, n, options.truncation_cap, order)
-        if prev_basis is not None and prev_dim == dim:
-            novel = any(
-                not normal_form(g, prev_basis, order).is_zero()
-                for g in record.I_gens
-            )
-            if not novel:
+        # Stall test.  I_{k-1} <= J_k because the minors keep the previous
+        # stage, and J_k <= I_k in every radical branch (sqfree(p) divides p,
+        # a non-unit J lies in m, partial and none keep J's generators), so
+        # the stages only grow.  Hence dim R/(I_k + m^cap) equals
+        # dim R/(I_{k-1} + m^cap) exactly when I_k lies in I_{k-1} + m^cap.
+        if len(steps) > 1:
+            basis = truncated_basis(Ideal(n, steps[-2].I_gens), options.truncation_cap, order)
+            if all(normal_form(g, basis, order).is_zero() for g in record.I_gens):
                 status = "stalled"
                 break
-        prev_dim = dim
-        prev_basis = basis
     return KohnTrace(domain, tuple(steps), status, max_root)
 
 
@@ -305,9 +295,7 @@ def check_finite_type(
     if report.m_primary:
         orders = [root_order(v, ideal, root_cap, report) for v in variables]
     else:
-        from .ideals import _global_root_order
-
-        orders = [_global_root_order(v, ideal, root_cap) for v in variables]
+        orders = [least_power(v, lambda p: member(p, ideal), root_cap) for v in variables]
     radical_is_m = all(s is not None for s in orders)
     capped = report.capped or (report.m_primary and not radical_is_m)
     verdict = report.m_primary and radical_is_m

@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import DimensionMismatchError, ParseError, ValidationError
 
@@ -100,7 +100,8 @@ class GaussianRational:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value equals its int or Fraction, so it must hash like it
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def __add__(self, other):
         other = GaussianRational.coerce(other)
@@ -347,11 +348,11 @@ class Polynomial:
         if isinstance(value, (int, Fraction, GaussianRational)):
             value = Polynomial.constant(self.ring_dim, value)
         self._check_dim(value)
-        powers: dict[int, Polynomial] = {0: Polynomial.constant(self.ring_dim, 1)}
+        powers = [Polynomial.constant(self.ring_dim, 1)]
 
         def power(k: int) -> Polynomial:
-            if k not in powers:
-                powers[k] = power(k - 1) * value
+            while len(powers) <= k:
+                powers.append(powers[-1] * value)
             return powers[k]
 
         out = Polynomial.zero(self.ring_dim)
@@ -374,14 +375,12 @@ class Polynomial:
         for a in args:
             if a.ring_dim != out_dim:
                 raise DimensionMismatchError("composition arguments live in different rings")
-        powers: list[dict[int, Polynomial]] = [
-            {0: Polynomial.constant(out_dim, 1)} for _ in args
-        ]
+        powers = [[Polynomial.constant(out_dim, 1)] for _ in args]
 
         def power(i: int, k: int) -> Polynomial:
             cache = powers[i]
-            if k not in cache:
-                cache[k] = power(i, k - 1) * args[i]
+            while len(cache) <= k:
+                cache.append(cache[-1] * args[i])
             return cache[k]
 
         out = Polynomial.zero(out_dim)
@@ -754,6 +753,17 @@ def exact_div(f: Polynomial, g: Polynomial) -> Polynomial | None:
 
 def divides(g: Polynomial, f: Polynomial) -> bool:
     return exact_div(f, g) is not None
+
+
+def least_power(f: Polynomial, holds: Callable[[Polynomial], bool], cap: int) -> int | None:
+    """Least s <= cap with holds(f**s), else None; each power costs one product."""
+    power = f
+    for s in range(1, cap + 1):
+        if holds(power):
+            return s
+        if s < cap:
+            power = power * f
+    return None
 
 
 def _coeff_in(f: Polynomial, var: int, k: int) -> Polynomial:

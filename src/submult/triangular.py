@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .errors import CertificationError, ConsistencyError, ValidationError
 from .ideals import Ideal, germ_colength
-from .poly import GaussianRational, Polynomial, det, divides, format_poly, scalar_ratio
+from .poly import GaussianRational, Polynomial, det, divides, format_poly, least_power, scalar_ratio
 
 
 @dataclass(frozen=True)
@@ -145,16 +145,6 @@ def _derivative_ladder(system: TriangularSystem) -> list[list[Polynomial]]:
     return out
 
 
-def _min_dividing_power(B: Polynomial, A: Polynomial, n: int) -> int | None:
-    power = A
-    for e in range(1, n + 1):
-        if divides(B, power):
-            return e
-        if e < n:
-            power = power * A
-    return None
-
-
 def run_effective(system: TriangularSystem) -> EffectiveTrace:
     """Walk the exponent box, producing the certified multiplier ladder."""
     n = system.n
@@ -178,7 +168,7 @@ def run_effective(system: TriangularSystem) -> EffectiveTrace:
             prefix = prefix * D[i][a[i]]
         B = det([s.gradient() for s in sources])
         A = prefix  # product of the current derivatives D^{a_i} h_i
-        e = _min_dividing_power(B, A, n)
+        e = least_power(A, lambda p: divides(B, p), n)
         if e is None:
             raise CertificationError(
                 f"pair {index}: certified determinant does not divide any A power up to {n}",
@@ -291,7 +281,7 @@ def certify(trace: EffectiveTrace, system: TriangularSystem) -> CertifyReport:
                 "B is the determinant of the recorded allowable rows",
             )
         )
-        e = _min_dividing_power(pair.B, pair.A, n)
+        e = least_power(pair.A, lambda p: divides(pair.B, p), n)
         ok = e is not None and e <= n and e == pair.min_power
         checks.append(
             (

@@ -61,6 +61,18 @@ def test_missing_variables_rejected(tmp_path, capsys):
     assert "variables" in err
 
 
+def test_config_options_key_rejected(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path, {**ZW_CONFIG, "h": ["z^2", "w^3 + w*z^4"], "options": {"max_steps": 1}}
+    )
+    code, out, err = run_cli(capsys, "multipliers", "run", "--config", cfg)
+    assert code == 1
+    assert not out
+    assert "'options'" in err and "--max-steps" in err
+    code, _, err = run_cli(capsys, "triangular", "run", "--config", cfg)
+    assert code == 1 and "'options'" in err
+
+
 def test_unreadable_config(tmp_path, capsys):
     code, _, err = run_cli(
         capsys, "multipliers", "run", "--config", str(tmp_path / "missing.json")
@@ -122,6 +134,14 @@ def test_triangular_run(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["L"] == 4 and doc["certified"] and doc["multiplicity"] == 4
+
+
+def test_triangular_run_at_high_exponent(tmp_path, capsys):
+    cfg = write_config(tmp_path, {**ZW_CONFIG, "h": ["z", "w^2 + z^1500*w"]})
+    code, out, err = run_cli(capsys, "triangular", "run", "--config", cfg)
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["certified"] and doc["multiplicity"] == 2
 
 
 def test_triangular_run_rejects_bad_system(tmp_path, capsys):

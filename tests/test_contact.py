@@ -243,6 +243,16 @@ def test_two_exponent_family_cancels_first_generator():
     assert _pullback_series(domain.h[0], family) == {}
 
 
+def test_series_power_at_high_exponent():
+    from submult.contact import _series_pow
+
+    zeta = {(1, Fraction(0), Fraction(0)): GR_ONE}
+    cache = []
+    assert _series_pow(zeta, 1500, cache) == {(1500, Fraction(0), Fraction(0)): GR_ONE}
+    assert len(cache) == 1501
+    assert _series_pow(zeta, 2, cache) == {(2, Fraction(0), Fraction(0)): GR_ONE}
+
+
 def test_type_bound_rows():
     assert type_bound_check(Fraction(4), Fraction(8), 3)  # equality case
     assert not type_bound_check(Fraction(4), Fraction(9), 3)

@@ -20,7 +20,6 @@ from submult.ideals import (
     normal_form,
     radical_step,
     root_order,
-    truncated,
 )
 from submult.poly import INF, Polynomial, format_poly, monomials_of_degree, parse
 

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from submult.errors import ValidationError
-from submult.ideals import Ideal, germ_colength, germ_member
+from submult.ideals import Ideal, germ_colength, germ_member, member, truncated_basis
 from submult.kohn import (
     KohnOptions,
     SpecialDomain,
@@ -187,6 +187,42 @@ def test_runs_never_reach_unit_with_a_curve_inside():
         trace = run(domain(*h))
         assert trace.status != "unit_reached"
         assert curve_annihilation_check(trace, curve(*comps))
+
+
+@pytest.mark.parametrize(
+    "h, variables",
+    [
+        (("z*w",), ZW),
+        (("z^2", "z*w"), ZW),
+        (("w^2", "z^3*w"), ZW),
+        (("z", "w", "v^2"), ("z", "w", "v")),
+        (("z", "w^2 + z*v", "v"), ("z", "w", "v")),
+    ],
+)
+def test_stages_contain_their_predecessors(h, variables):
+    # the stall test relies on I_{k-1} <= I_k as polynomial ideals
+    trace = run(domain(*h, variables=variables))
+    assert len(trace.steps) >= 2
+    for earlier, later in zip(trace.steps, trace.steps[1:]):
+        bigger = Ideal(len(variables), later.I_gens)
+        assert all(member(g, bigger) for g in earlier.I_gens)
+
+
+def test_stall_check_builds_no_basis_before_a_second_stage(monkeypatch):
+    from submult import kohn
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return truncated_basis(*args, **kwargs)
+
+    monkeypatch.setattr(kohn, "truncated_basis", counting)
+    trace = run(domain("z^2", "z*w", "w^2"))
+    assert trace.status == "unit_reached" and len(trace.steps) == 2
+    assert calls == []
+    assert run(domain("z*w")).status == "stalled"
+    assert len(calls) == 1
 
 
 # -- finite type ----------------------------------------------------------------------

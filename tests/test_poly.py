@@ -134,6 +134,12 @@ def test_substitution_identity():
     assert q.subst(0, p("z")) == q
 
 
+def test_substitution_and_composition_at_high_exponent():
+    # the power caches are filled by a loop, not by one call per exponent
+    assert p("w^1500").subst(1, p("z")) == p("z^1500")
+    assert p("z*w^1500").compose([p("w"), p("z")]) == p("w*z^1500")
+
+
 @given(
     polynomials(max_degree=3, max_terms=4),
     st.integers(min_value=-3, max_value=3),
@@ -273,6 +279,14 @@ def test_squarefree_of_constructed_square():
 def test_squarefree_rejects_zero():
     with pytest.raises(ValidationError):
         squarefree_part(p("0"))
+
+
+def test_real_gaussian_rationals_hash_like_their_rationals():
+    assert GaussianRational(3) == 3
+    assert len({GaussianRational(3), 3}) == 1
+    half = Fraction(1, 2)
+    assert len({GaussianRational(half), half}) == 1
+    assert len({GaussianRational(3, 1), 3}) == 2
 
 
 def test_scalar_ratio():
