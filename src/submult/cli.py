@@ -136,7 +136,6 @@ def multipliers():
 @click.option("--max-steps", default=_kohn.DEFAULT_MAX_STEPS, show_default=True)
 @click.option("--truncation-cap", default=DEFAULT_TRUNCATION_CAP, show_default=True)
 @click.option("--root-cap", default=DEFAULT_ROOT_CAP, show_default=True)
-@click.option("--row-cap", default=_kohn.DEFAULT_ROW_CAP, show_default=True)
 @click.option(
     "--radical-mode",
     type=click.Choice(["full", "none"]),
@@ -144,14 +143,13 @@ def multipliers():
     show_default=True,
 )
 @click.pass_context
-def multipliers_run(ctx, config_path, max_steps, truncation_cap, root_cap, row_cap, radical_mode):
+def multipliers_run(ctx, config_path, max_steps, truncation_cap, root_cap, radical_mode):
     config = _load_config(config_path)
     spec = _jobspec(
         config,
         max_steps=max_steps,
         truncation_cap=truncation_cap,
         root_cap=root_cap,
-        row_cap=row_cap,
         radical_mode=radical_mode,
     )
     domain = _kohn.SpecialDomain.from_strings(
@@ -162,7 +160,6 @@ def multipliers_run(ctx, config_path, max_steps, truncation_cap, root_cap, row_c
         max_steps=max_steps,
         truncation_cap=truncation_cap,
         root_cap=root_cap,
-        row_cap=row_cap,
     )
     trace = _kohn.run(domain, options)
     _emit(ctx, trace.to_dict())

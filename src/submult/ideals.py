@@ -401,11 +401,12 @@ def root_order(
 
 
 def is_germ_unit(ideal: Ideal) -> bool:
-    """True iff the germ ideal at the origin is the whole local ring."""
-    if not ideal.generators:
-        return False
-    basis = truncated_basis(ideal, 1)
-    return len(basis) == 1 and basis[0].is_constant()
+    """True iff the germ ideal at the origin is the whole local ring.
+
+    That happens exactly when I is not inside m, that is, when some
+    generator is nonzero at the origin.
+    """
+    return any(g.constant_term() for g in ideal.generators)
 
 
 def canonical_generators(
@@ -435,12 +436,10 @@ class RadicalOutcome:
     root_orders: tuple[tuple[Polynomial, int | None], ...]
     stalled: bool
     max_root_order: int
-    report: GermReport | None = None
 
 
 def radical_step(
     ideal: Ideal,
-    candidates: Sequence[Polynomial] = (),
     root_cap: int = DEFAULT_ROOT_CAP,
     truncation_cap: int = DEFAULT_TRUNCATION_CAP,
 ) -> RadicalOutcome:
@@ -448,27 +447,28 @@ def radical_step(
 
     Principal ideals take squarefree parts.  Ideals whose colength
     stabilizes have radical equal to the maximal ideal, with per-variable
-    root orders recorded.  Otherwise the ideal is enriched by any candidate
-    with a bounded global root order; no qualifying candidate is a stall,
-    which is reported as data rather than raised.
+    root orders recorded.  Otherwise the ideal is enriched by any squarefree
+    part of a generator, or any variable, with a bounded global root order;
+    no qualifying candidate is a stall, which is reported as data rather
+    than raised.
     """
     n = ideal.ring_dim
     basis = ideal.groebner()
     if not basis:
-        return RadicalOutcome((), "none", (), True, 0, None)
+        return RadicalOutcome((), "none", (), True, 0)
     if is_germ_unit(ideal):
         one = Polynomial.constant(n, 1)
-        return RadicalOutcome((one,), "none", (), False, 0, None)
+        return RadicalOutcome((one,), "none", (), False, 0)
     if len(basis) == 1:
         p = basis[0]
         q = squarefree_part(p)
         s = least_power(q, lambda r: divides(p, r), root_cap)
         if s is None:
             return RadicalOutcome(
-                ideal.generators, "none", ((q, None),), True, 0, None
+                ideal.generators, "none", ((q, None),), True, 0
             )
         return RadicalOutcome(
-            canonical_generators([q]), "principal", ((q, s),), False, s, None
+            canonical_generators([q]), "principal", ((q, s),), False, s
         )
     report = germ_colength(ideal, truncation_cap)
     if report.m_primary:
@@ -478,11 +478,9 @@ def radical_step(
             orders.append((g, root_order(g, ideal, root_cap, report)))
         found = [s for _, s in orders if s is not None]
         return RadicalOutcome(
-            gens, "m-primary", tuple(orders), False, max(found, default=0), report
+            gens, "m-primary", tuple(orders), False, max(found, default=0)
         )
-    pool = list(candidates)
-    for g in ideal.generators:
-        pool.append(squarefree_part(g))
+    pool = [squarefree_part(g) for g in ideal.generators]
     for i in range(n):
         pool.append(Polynomial.variable(n, i))
     adjoin: list[tuple[Polynomial, int]] = []
@@ -500,7 +498,7 @@ def radical_step(
         if s is not None:
             adjoin.append((f, s))
     if not adjoin:
-        return RadicalOutcome(ideal.generators, "none", (), True, 0, report)
+        return RadicalOutcome(ideal.generators, "none", (), True, 0)
     gens = canonical_generators(list(ideal.generators) + [f for f, _ in adjoin])
     return RadicalOutcome(
         gens,
@@ -508,7 +506,6 @@ def radical_step(
         tuple(adjoin),
         False,
         max(s for _, s in adjoin),
-        report,
     )
 
 

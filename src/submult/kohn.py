@@ -2,10 +2,11 @@
 
 A special domain is cut out by Re(z_{n+1}) + sum |h_j(z)|^2 with the h_j
 holomorphic and vanishing at the origin; after the standard reduction the
-whole iteration happens in the n-variable ring.  Each step takes maximal
-minors of the accumulated gradient rows, closes the resulting ideal under
-the appropriate radical, and appends the gradients of the new generators as
-fresh rows.  The run terminates with a unit, a stall, or a step cap, and the
+whole iteration happens in the n-variable ring.  Each step closes the
+current minor ideal under the appropriate radical, then takes maximal minors
+of the gradient rows of the h_j together with the gradients of the reduced
+basis of the new stage.  Every minor ideal is carried as its reduced grevlex
+basis.  The run terminates with a unit, a stall, or a step cap, and the
 full step-by-step record is kept for serialization.
 """
 
@@ -15,6 +16,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import CapExceededError, ConsistencyError, ValidationError
 from .ideals import (
@@ -23,7 +25,6 @@ from .ideals import (
     Ideal,
     MonomialOrder,
     RadicalOutcome,
-    canonical_generators,
     germ_colength,
     is_germ_unit,
     member,
@@ -32,10 +33,9 @@ from .ideals import (
     root_order,
     truncated_basis,
 )
-from .poly import INF, Polynomial, PolyMatrix, _Infinity, det, format_poly, least_power, minor_dets, parse, scalar_ratio
+from .poly import INF, Polynomial, PolyMatrix, _Infinity, det, format_poly, least_power, parse
 
 DEFAULT_MAX_STEPS = 16
-DEFAULT_ROW_CAP = 12
 _HARD_MINOR_LIMIT = 200_000
 
 
@@ -83,7 +83,6 @@ class KohnOptions:
     max_steps: int = DEFAULT_MAX_STEPS
     truncation_cap: int = DEFAULT_TRUNCATION_CAP
     root_cap: int = DEFAULT_ROOT_CAP
-    row_cap: int = DEFAULT_ROW_CAP
 
     def __post_init__(self):
         if self.radical_mode not in ("full", "none"):
@@ -96,7 +95,7 @@ class KohnState:
 
     rows: PolyMatrix
     multipliers: Ideal
-    step_index: int
+    h_rows: tuple[tuple[Polynomial, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -139,97 +138,51 @@ class KohnTrace:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
-def _row_is_scalar_multiple(a, b) -> bool:
-    ratio = None
-    saw_nonzero = False
-    for p, q in zip(a, b):
-        if p.is_zero() != q.is_zero():
-            return False
-        if p.is_zero():
-            continue
-        saw_nonzero = True
-        r = scalar_ratio(p, q)
-        if r is None:
-            return False
-        if ratio is None:
-            ratio = r
-        elif r != ratio:
-            return False
-    return saw_nonzero
-
-
 def init_state(domain: SpecialDomain) -> KohnState:
     """Gradient rows of the h_j plus the ideal of their maximal minors."""
-    rows = PolyMatrix(tuple(h.gradient() for h in domain.h))
+    h_rows = tuple(h.gradient() for h in domain.h)
     n = domain.n
-    if rows.nrows >= n:
-        gens = canonical_generators(minor_dets(rows))
-    else:
-        gens = ()  # too few rows for any maximal minor
-    return KohnState(rows, Ideal(n, gens), 0)
+    J = Ideal(n, Ideal(n, _enumerate_minors(h_rows, n)).groebner())
+    return KohnState(PolyMatrix(h_rows), J, h_rows)
 
 
-def _enumerate_minors(
-    rows: list[tuple[Polynomial, ...]], new_from: int, row_cap: int, n: int
-) -> list[Polynomial]:
-    total = len(rows)
-    if total < n:
-        return []
-    full = math.comb(total, n)
-    if total <= row_cap:
-        if full > _HARD_MINOR_LIMIT:
-            raise CapExceededError(
-                f"{full} row subsets exceed the hard minor limit", cap="row_cap"
-            )
-        combos = itertools.combinations(range(total), n)
-    else:
-        # Past the row cap, only subsets touching a new row are enumerated;
-        # minors of old rows already sit inside the current multiplier ideal.
-        budget = full - math.comb(min(new_from, total), n)
-        if budget > _HARD_MINOR_LIMIT:
-            raise CapExceededError(
-                f"{budget} row subsets exceed the hard minor limit", cap="row_cap"
-            )
-        combos = (
-            c
-            for c in itertools.combinations(range(total), n)
-            if any(i >= new_from for i in c)
+def _enumerate_minors(rows: Sequence[tuple[Polynomial, ...]], n: int) -> list[Polynomial]:
+    """Maximal minors of every n-row subset; none when there are fewer rows."""
+    count = math.comb(len(rows), n)
+    if count > _HARD_MINOR_LIMIT:
+        raise CapExceededError(
+            f"{count} row subsets exceed the hard minor limit", cap="row_cap"
         )
-    return [det([rows[i] for i in combo]) for combo in combos]
+    return [det(list(combo)) for combo in itertools.combinations(rows, n)]
 
 
 def step(state: KohnState, options: KohnOptions = KohnOptions()) -> tuple[KohnState, KohnStepRecord]:
-    """One iteration: radical of the minor ideal, then new gradient rows."""
+    """One iteration: radical of the minor ideal, then the next minor ideal."""
     J = state.multipliers
     n = J.ring_dim
     if is_germ_unit(J):
         one = Polynomial.constant(n, 1)
         record = KohnStepRecord(J.generators, "none", (), (one,))
-        return KohnState(state.rows, Ideal(n, (one,)), state.step_index + 1), record
+        return KohnState(state.rows, Ideal(n, (one,)), state.h_rows), record
     if options.radical_mode == "none":
-        outcome = RadicalOutcome(
-            canonical_generators(J.generators), "none", (), False, 0, None
-        )
+        outcome = RadicalOutcome(J.generators, "none", (), False, 0)
     else:
         outcome = radical_step(
             J, root_cap=options.root_cap, truncation_cap=options.truncation_cap
         )
     record = KohnStepRecord(J.generators, outcome.method, outcome.root_orders, outcome.generators)
-    rows = list(state.rows.rows)
-    new_from = len(rows)
-    for g in outcome.generators:
+    # J_{k+1} = I_k + minors(dh, dGB(I_k)).  Minors are multilinear and
+    # d(a f) = a df + f da, so rows from any generating set of I_k, or from
+    # any earlier stage I_j <= I_k, give the same ideal modulo I_k; rows need
+    # not accumulate across steps.
+    rows = list(state.h_rows)
+    for g in Ideal(n, outcome.generators).groebner():
         grad = g.gradient()
-        if all(p.is_zero() for p in grad):
-            continue
-        if any(_row_is_scalar_multiple(grad, r) for r in rows):
-            continue
-        rows.append(grad)
-    minors = _enumerate_minors(rows, new_from, options.row_cap, n)
-    next_gens = canonical_generators(list(outcome.generators) + minors)
-    next_state = KohnState(
-        PolyMatrix(tuple(rows)), Ideal(n, next_gens), state.step_index + 1
-    )
-    return next_state, record
+        if any(not p.is_zero() for p in grad) and grad not in rows:
+            rows.append(grad)
+    minors = _enumerate_minors(rows, n)
+    next_J = Ideal(n, Ideal(n, outcome.generators + tuple(minors)).groebner())
+    return KohnState(PolyMatrix(tuple(rows)), next_J, state.h_rows), record
 
 
 def run(domain: SpecialDomain, options: KohnOptions = KohnOptions()) -> KohnTrace:

@@ -73,6 +73,14 @@ def test_config_options_key_rejected(tmp_path, capsys):
     assert code == 1 and "'options'" in err
 
 
+def test_row_cap_flag_removed(tmp_path, capsys):
+    cfg = write_config(tmp_path, {**ZW_CONFIG, "h": ["z^2", "w^3 + w*z^4"]})
+    code, out, err = run_cli(capsys, "multipliers", "run", "--config", cfg, "--row-cap", "12")
+    assert code == 1
+    assert not out
+    assert "no such option" in err.lower()
+
+
 def test_unreadable_config(tmp_path, capsys):
     code, _, err = run_cli(
         capsys, "multipliers", "run", "--config", str(tmp_path / "missing.json")

@@ -20,6 +20,7 @@ from submult.ideals import (
     normal_form,
     radical_step,
     root_order,
+    truncated_basis,
 )
 from submult.poly import INF, Polynomial, format_poly, monomials_of_degree, parse
 
@@ -277,6 +278,18 @@ def test_unit_germ_detection():
     outcome = radical_step(ideal("1 + z"))
     assert outcome.method == "none"
     assert [format_poly(g, ZW) for g in outcome.generators] == ["1"]
+
+
+@given(
+    st.lists(polynomials(max_degree=2, max_terms=3), max_size=3),
+    st.booleans(),
+)
+def test_unit_germ_detection_matches_degree_one_truncation(gens, keep_constants):
+    # the germ is the unit ideal exactly when I + m is the unit ideal
+    if not keep_constants:
+        gens = [Polynomial(2, {m: c for m, c in g.terms.items() if m != (0, 0)}) for g in gens]
+    I = Ideal(2, gens)
+    assert is_germ_unit(I) == (truncated_basis(I, 1) == (Polynomial.constant(2, 1),))
 
 
 # -- elimination -------------------------------------------------------------------------------

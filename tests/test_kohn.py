@@ -1,9 +1,10 @@
+import itertools
 import json
 
 import pytest
 
 from submult.errors import ValidationError
-from submult.ideals import Ideal, germ_colength, germ_member, member, truncated_basis
+from submult.ideals import Ideal, germ_colength, germ_member, is_germ_unit, member, truncated_basis
 from submult.kohn import (
     KohnOptions,
     SpecialDomain,
@@ -13,7 +14,7 @@ from submult.kohn import (
     run,
     step,
 )
-from submult.poly import INF, Polynomial, format_poly, parse
+from submult.poly import INF, Polynomial, det, format_poly, parse
 
 ZW = ("z", "w")
 
@@ -208,6 +209,57 @@ def test_stages_contain_their_predecessors(h, variables):
         assert all(member(g, bigger) for g in earlier.I_gens)
 
 
+REDUCED_BASIS_DOMAINS = [
+    ("z^3", "z*w"),
+    ("z*w",),
+    ("w^2", "z^3*w"),
+    ("z^2", "z*w", "w^2"),
+    ("z^2", "w^3 + w*z^4"),
+    ("z^2", "w^3 + w*z^7"),
+    ("z^3", "w^4 + w*z^6"),
+]
+
+
+@pytest.mark.parametrize("h", REDUCED_BASIS_DOMAINS)
+def test_steps_match_accumulated_rows(h):
+    # reference: every raw generator's gradient accumulates as a row across
+    # steps, and every row subset contributes its minor
+    d = domain(*h)
+    state = init_state(d)
+    ref_rows = [g.gradient() for g in d.h]
+    for _ in run(d).steps:
+        if is_germ_unit(state.multipliers):
+            break
+        after, record = step(state)
+        ref_rows += [g.gradient() for g in record.I_gens]
+        minors = [det(list(rows)) for rows in itertools.combinations(ref_rows, 2)]
+        J = after.multipliers
+        assert J.generators == Ideal(2, record.I_gens + tuple(minors)).groebner()
+        assert Ideal(2, J.generators).groebner() == J.generators
+        assert after.rows.nrows <= len(h) + len(Ideal(2, record.I_gens).groebner())
+        state = after
+
+
+@pytest.mark.parametrize(
+    "h, variables",
+    [(h, ZW) for h in REDUCED_BASIS_DOMAINS] + [(("z", "w", "v^2"), ("z", "w", "v"))],
+)
+def test_minor_ideals_are_sympy_reduced_bases(h, variables):
+    sympy = pytest.importorskip("sympy")
+    symbols = sympy.symbols(variables)
+
+    def to_sympy(p):
+        assert all(c.im == 0 for c in p.terms.values()), format_poly(p, variables)
+        coeffs = {m: sympy.Rational(c.re.numerator, c.re.denominator) for m, c in p.terms.items()}
+        return sympy.Poly.from_dict(coeffs, *symbols, domain=sympy.QQ)
+
+    for record in run(domain(*h, variables=variables)).steps:
+        mine = [to_sympy(g) for g in record.J_gens]
+        theirs = sympy.groebner([q.as_expr() for q in mine], *symbols, order="grevlex", domain=sympy.QQ)
+        assert len(mine) == len(theirs.polys)
+        assert set(mine) == set(theirs.polys)
+
+
 def test_stall_check_builds_no_basis_before_a_second_stage(monkeypatch):
     from submult import kohn
 
@@ -289,5 +341,5 @@ def test_minor_budget_cap_is_named():
     row = (parse("z", ZW), parse("w", ZW))
     rows = [row] * 700  # comb(700, 2) exceeds the hard subset limit
     with pytest.raises(CapExceededError) as err:
-        _enumerate_minors(rows, new_from=0, row_cap=12, n=2)
+        _enumerate_minors(rows, n=2)
     assert err.value.cap == "row_cap"
