@@ -3,7 +3,6 @@
 from .errors import (
     CapExceededError,
     CertificationError,
-    ConservativeFallbackWarning,
     ConsistencyError,
     DimensionMismatchError,
     ParseError,
@@ -34,6 +33,7 @@ from .ideals import (
     germ_member,
     groebner,
     is_germ_unit,
+    is_isolated,
     member,
     normal_form,
     radical_step,

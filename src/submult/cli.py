@@ -23,7 +23,6 @@ from . import triangular as _triangular
 from .errors import CapExceededError, SubmultError, ValidationError
 from .ideals import (
     DEFAULT_ROOT_CAP,
-    DEFAULT_TRUNCATION_CAP,
     Ideal,
     germ_colength,
     germ_member,
@@ -134,7 +133,6 @@ def multipliers():
 @multipliers.command("run")
 @_config_option
 @click.option("--max-steps", default=_kohn.DEFAULT_MAX_STEPS, show_default=True)
-@click.option("--truncation-cap", default=DEFAULT_TRUNCATION_CAP, show_default=True)
 @click.option("--root-cap", default=DEFAULT_ROOT_CAP, show_default=True)
 @click.option(
     "--radical-mode",
@@ -143,24 +141,13 @@ def multipliers():
     show_default=True,
 )
 @click.pass_context
-def multipliers_run(ctx, config_path, max_steps, truncation_cap, root_cap, radical_mode):
+def multipliers_run(ctx, config_path, max_steps, root_cap, radical_mode):
     config = _load_config(config_path)
-    spec = _jobspec(
-        config,
-        max_steps=max_steps,
-        truncation_cap=truncation_cap,
-        root_cap=root_cap,
-        radical_mode=radical_mode,
-    )
+    spec = _jobspec(config, max_steps=max_steps, root_cap=root_cap, radical_mode=radical_mode)
     domain = _kohn.SpecialDomain.from_strings(
         spec.h, spec.variables, config.get("label", "")
     )
-    options = _kohn.KohnOptions(
-        radical_mode=radical_mode,
-        max_steps=max_steps,
-        truncation_cap=truncation_cap,
-        root_cap=root_cap,
-    )
+    options = _kohn.KohnOptions(radical_mode=radical_mode, max_steps=max_steps, root_cap=root_cap)
     trace = _kohn.run(domain, options)
     _emit(ctx, trace.to_dict())
     if trace.status == "step_cap":
@@ -202,35 +189,26 @@ def ideal():
 
 @ideal.command("colength")
 @_config_option
-@click.option("--truncation-cap", default=DEFAULT_TRUNCATION_CAP, show_default=True)
 @click.pass_context
-def ideal_colength(ctx, config_path, truncation_cap):
+def ideal_colength(ctx, config_path):
     config = _load_config(config_path)
-    spec = _jobspec(config, truncation_cap=truncation_cap)
+    spec = _jobspec(config)
     ideal_obj = Ideal.from_strings(spec.h, spec.variables)
-    report = germ_colength(ideal_obj, truncation_cap)
-    _emit(ctx, report.to_dict())
-    if report.capped:
-        ctx.exit(EXIT_CAP)
+    _emit(ctx, germ_colength(ideal_obj).to_dict())
 
 
 @ideal.command("member")
 @_config_option
 @click.option("--poly", "poly_text", required=True, help="polynomial to test")
 @click.option("--germ", "germ_mode", is_flag=True, help="decide membership as germs")
-@click.option("--truncation-cap", default=DEFAULT_TRUNCATION_CAP, show_default=True)
 @click.pass_context
-def ideal_member(ctx, config_path, poly_text, germ_mode, truncation_cap):
+def ideal_member(ctx, config_path, poly_text, germ_mode):
     config = _load_config(config_path)
-    spec = _jobspec(config, truncation_cap=truncation_cap)
+    spec = _jobspec(config)
     ideal_obj = Ideal.from_strings(spec.h, spec.variables)
     f = parse(poly_text, spec.variables)
     if germ_mode:
-        report = germ_colength(ideal_obj, truncation_cap)
-        if report.m_primary:
-            doc = {"member": germ_member(f, ideal_obj, report), "mode": "germ"}
-        else:
-            doc = {"member": member(f, ideal_obj), "mode": "conservative"}
+        doc = {"member": germ_member(f, ideal_obj, germ_colength(ideal_obj)), "mode": "germ"}
     else:
         doc = {"member": member(f, ideal_obj), "mode": "global"}
     _emit(ctx, doc)
@@ -240,15 +218,12 @@ def ideal_member(ctx, config_path, poly_text, germ_mode, truncation_cap):
 @_config_option
 @click.option("--poly", "poly_text", required=True, help="polynomial to test")
 @click.option("--root-cap", default=DEFAULT_ROOT_CAP, show_default=True)
-@click.option("--truncation-cap", default=DEFAULT_TRUNCATION_CAP, show_default=True)
 @click.pass_context
-def ideal_root_order(ctx, config_path, poly_text, root_cap, truncation_cap):
+def ideal_root_order(ctx, config_path, poly_text, root_cap):
     config = _load_config(config_path)
     spec = _jobspec(config, root_cap=root_cap)
     ideal_obj = Ideal.from_strings(spec.h, spec.variables)
-    f = parse(poly_text, spec.variables)
-    report = germ_colength(ideal_obj, truncation_cap)
-    order = root_order(f, ideal_obj, root_cap, report) if report.m_primary else None
+    order = root_order(parse(poly_text, spec.variables), ideal_obj, root_cap)
     _emit(ctx, {"root_order": order})
     if order is None:
         ctx.exit(EXIT_CAP)

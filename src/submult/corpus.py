@@ -101,8 +101,8 @@ def _run_root_order(variables, h, poly, cap=32):
     return root_order(parse(poly, variables), ideal, cap)
 
 
-def _run_ideal_colength(variables, h, cap=64):
-    report = germ_colength(Ideal(len(variables), _polys(h, variables)), cap)
+def _run_ideal_colength(variables, h):
+    report = germ_colength(Ideal(len(variables), _polys(h, variables)))
     return "infinite" if report.colength == INF else report.colength
 
 

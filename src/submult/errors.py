@@ -1,4 +1,4 @@
-"""Shared exception and warning types."""
+"""Shared exception types."""
 
 
 class SubmultError(Exception):
@@ -39,7 +39,3 @@ class CertificationError(SubmultError):
     def __init__(self, message: str, index: int | None = None):
         super().__init__(message)
         self.index = index
-
-
-class ConservativeFallbackWarning(UserWarning):
-    """A germ-level query fell back to a conservative global computation."""

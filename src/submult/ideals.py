@@ -1,23 +1,24 @@
 """Groebner-basis kernel and germ-at-origin ideal computations.
 
 Global questions (membership, elimination) run over the polynomial ring with
-Buchberger's algorithm.  Local questions at the origin (colength, germ
-membership, root orders, radicals) are answered through truncation: the
-quotient dimensions of I + m^N are scanned until two consecutive values
-agree, which forces m^N into the germ ideal and makes every germ decision a
-finite Groebner computation.  Ideals whose colength never stabilizes within
-the cap produce flagged reports rather than exceptions.
+Buchberger's algorithm.  Local questions at the origin reduce to global ones
+exactly.  Saturations I : x_i^inf, computed by eliminating a Rabinowitsch
+variable, decide whether the origin is an isolated point of V(I); only then
+is the colength finite, and it is found by scanning the quotient dimensions
+of I + m^N until two consecutive values agree, which Nakayama's lemma
+guarantees to happen.  Germ membership is a normal form on the stabilized
+truncation when the germ is m-primary, and otherwise the test that the
+quotient I : f contains a unit at the origin.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .errors import ConservativeFallbackWarning, ValidationError
+from .errors import ValidationError
 from .poly import (
     INF,
     GR_ONE,
@@ -27,12 +28,12 @@ from .poly import (
     _Infinity,
     _mono_divides,
     divides,
+    exact_div,
     least_power,
     monomials_of_degree,
     squarefree_part,
 )
 
-DEFAULT_TRUNCATION_CAP = 64
 DEFAULT_ROOT_CAP = 32
 
 
@@ -308,6 +309,57 @@ def _standard_monomial_count(
     return count
 
 
+def _eliminate_t(gens: Sequence[Polynomial], ring_dim: int) -> Ideal:
+    """(gens) meet k[x], for gens in k[t, x] with t as variable 0.
+
+    Lex with t first is an elimination order, so the basis elements free of
+    t generate the intersection (Cox-Little-O'Shea, Sec. 3.1).
+    """
+    basis = _groebner_raw(gens, MonomialOrder.lex(ring_dim + 1))
+    return Ideal(
+        ring_dim,
+        [
+            Polynomial(ring_dim, {m[1:]: c for m, c in g.terms.items()})
+            for g in basis
+            if g.degree_in(0) == 0
+        ],
+    )
+
+
+def _lift_t(p: Polynomial) -> Polynomial:
+    """p in k[t, x], with t as variable 0."""
+    return p.lift(p.ring_dim + 1, range(1, p.ring_dim + 1))
+
+
+def _saturation(ideal: Ideal, f: Polynomial) -> Ideal:
+    """I : f^inf, as (I + (1 - t f)) meet k[x] (Cox-Little-O'Shea, Sec. 4.4)."""
+    t = Polynomial.variable(ideal.ring_dim + 1, 0)
+    gens = [_lift_t(g) for g in ideal.generators]
+    return _eliminate_t(gens + [1 - t * _lift_t(f)], ideal.ring_dim)
+
+
+def _quotient(ideal: Ideal, f: Polynomial) -> Ideal:
+    """I : f, as (I meet (f)) / f with I meet (f) = (t I + (1 - t) f) meet k[x]."""
+    t = Polynomial.variable(ideal.ring_dim + 1, 0)
+    gens = [t * _lift_t(g) for g in ideal.generators]
+    meet = _eliminate_t(gens + [(1 - t) * _lift_t(f)], ideal.ring_dim)
+    return Ideal(ideal.ring_dim, [exact_div(g, f) for g in meet.generators])
+
+
+def is_isolated(ideal: Ideal) -> bool:
+    """True iff the origin is not an accumulation point of V(I).
+
+    A pure-power lead in every variable makes I zero-dimensional.  Otherwise
+    V(I : x_i^inf) is the closure of V(I) off the hyperplane x_i = 0, so the
+    origin is isolated exactly when no such closure contains it.
+    """
+    n = ideal.ring_dim
+    leads = [leading_mono(g, ideal.default_order()) for g in ideal.groebner()]
+    if all(any(sum(lm) == lm[i] for lm in leads) for i in range(n)):
+        return True
+    return all(is_germ_unit(_saturation(ideal, Polynomial.variable(n, i))) for i in range(n))
+
+
 @dataclass(frozen=True)
 class GermReport:
     """Colength of the germ ideal at the origin, via truncation stabilization."""
@@ -315,7 +367,7 @@ class GermReport:
     colength: int | _Infinity
     stabilization_degree: int | None
     m_primary: bool
-    capped: bool
+    capped: bool  # always False: no cap bounds the scan
     basis: tuple[Polynomial, ...] | None = field(default=None, repr=False)
     order: MonomialOrder | None = field(default=None, repr=False)
 
@@ -328,62 +380,39 @@ class GermReport:
         }
 
 
-def germ_colength(ideal: Ideal, cap: int = DEFAULT_TRUNCATION_CAP) -> GermReport:
-    """Scan dim R/(I + m^N) for N = 1.. until two consecutive values agree.
+def germ_colength(ideal: Ideal) -> GermReport:
+    """Colength of the germ ideal; infinite unless the origin is isolated.
 
-    Agreement at (N, N+1) pins the colength: the quotient of consecutive
-    truncations is then annihilated by the maximal ideal, so the degree-N
-    truncation already contains m^N inside the germ ideal.
+    For an isolated origin, scan dim R/(I + m^N) for N = 1.. until two
+    consecutive values agree.  Agreement at (N, N+1) pins the colength: the
+    quotient of consecutive truncations is then annihilated by the maximal
+    ideal, so the degree-N truncation already contains m^N inside the germ
+    ideal.  Some m^N lies in the germ ideal, so the scan always stops.
     """
-    if cap < 2:
-        raise ValidationError("truncation cap must be at least 2")
+    if not is_isolated(ideal):
+        return GermReport(INF, None, False, False)
     order = ideal.default_order()
     prev: int | None = None
     prev_basis: tuple[Polynomial, ...] = ()
-    for n in range(1, cap + 1):
+    for n in itertools.count(1):
         basis = truncated_basis(ideal, n, order)
         d = _standard_monomial_count(basis, ideal.ring_dim, n, order)
-        if prev is not None and d == prev:
-            return GermReport(
-                colength=d,
-                stabilization_degree=n - 1,
-                m_primary=True,
-                capped=False,
-                basis=prev_basis,
-                order=order,
-            )
+        if d == prev:
+            return GermReport(d, n - 1, True, False, prev_basis, order)
         prev = d
         prev_basis = basis
-    return GermReport(
-        colength=INF,
-        stabilization_degree=None,
-        m_primary=False,
-        capped=True,
-        basis=None,
-        order=order,
-    )
 
 
-def germ_member(f: Polynomial, ideal: Ideal, report: GermReport) -> bool:
-    """Membership in the germ ideal at the origin.
+def germ_member(f: Polynomial, ideal: Ideal, report: GermReport | None = None) -> bool:
+    """Membership in the germ ideal at the origin, exact in both directions.
 
-    Certified in both directions once the colength has stabilized; for
-    non-m-primary reports the answer falls back to global membership, which
-    can only under-approximate the germ ideal.
+    An m-primary report answers by a normal form on its stabilized
+    truncation.  Otherwise f lies in the germ ideal exactly when u f lies in
+    I for some u with u(0) != 0, that is, when I : f is the unit germ.
     """
-    if report.m_primary:
-        basis = report.basis
-        order = report.order or ideal.default_order()
-        if basis is None:
-            basis = truncated_basis(ideal, report.stabilization_degree, order)
-        return normal_form(f, basis, order).is_zero()
-    warnings.warn(
-        "germ membership not certified (colength did not stabilize); "
-        "falling back to conservative global membership",
-        ConservativeFallbackWarning,
-        stacklevel=2,
-    )
-    return member(f, ideal)
+    if report is not None and report.m_primary:
+        return normal_form(f, report.basis, report.order).is_zero()
+    return member(f, ideal) or is_germ_unit(_quotient(ideal, f))
 
 
 def root_order(
@@ -438,15 +467,11 @@ class RadicalOutcome:
     max_root_order: int
 
 
-def radical_step(
-    ideal: Ideal,
-    root_cap: int = DEFAULT_ROOT_CAP,
-    truncation_cap: int = DEFAULT_TRUNCATION_CAP,
-) -> RadicalOutcome:
+def radical_step(ideal: Ideal, root_cap: int = DEFAULT_ROOT_CAP) -> RadicalOutcome:
     """One radical stage, by a three-way strategy.
 
-    Principal ideals take squarefree parts.  Ideals whose colength
-    stabilizes have radical equal to the maximal ideal, with per-variable
+    Principal ideals take squarefree parts.  Ideals with an isolated origin
+    have radical equal to the maximal ideal, with per-variable
     root orders recorded.  Otherwise the ideal is enriched by any squarefree
     part of a generator, or any variable, with a bounded global root order;
     no qualifying candidate is a stall, which is reported as data rather
@@ -470,7 +495,7 @@ def radical_step(
         return RadicalOutcome(
             canonical_generators([q]), "principal", ((q, s),), False, s
         )
-    report = germ_colength(ideal, truncation_cap)
+    report = germ_colength(ideal)
     if report.m_primary:
         gens = tuple(Polynomial.variable(n, i) for i in range(n))
         orders = []

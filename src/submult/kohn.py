@@ -21,17 +21,14 @@ from typing import Sequence
 from .errors import CapExceededError, ConsistencyError, ValidationError
 from .ideals import (
     DEFAULT_ROOT_CAP,
-    DEFAULT_TRUNCATION_CAP,
     Ideal,
-    MonomialOrder,
     RadicalOutcome,
     germ_colength,
+    germ_member,
     is_germ_unit,
     member,
-    normal_form,
     radical_step,
     root_order,
-    truncated_basis,
 )
 from .poly import INF, Polynomial, PolyMatrix, _Infinity, det, format_poly, least_power, parse
 
@@ -81,7 +78,6 @@ class SpecialDomain:
 class KohnOptions:
     radical_mode: str = "full"  # full | none
     max_steps: int = DEFAULT_MAX_STEPS
-    truncation_cap: int = DEFAULT_TRUNCATION_CAP
     root_cap: int = DEFAULT_ROOT_CAP
 
     def __post_init__(self):
@@ -167,9 +163,7 @@ def step(state: KohnState, options: KohnOptions = KohnOptions()) -> tuple[KohnSt
     if options.radical_mode == "none":
         outcome = RadicalOutcome(J.generators, "none", (), False, 0)
     else:
-        outcome = radical_step(
-            J, root_cap=options.root_cap, truncation_cap=options.truncation_cap
-        )
+        outcome = radical_step(J, root_cap=options.root_cap)
     record = KohnStepRecord(J.generators, outcome.method, outcome.root_orders, outcome.generators)
     # J_{k+1} = I_k + minors(dh, dGB(I_k)).  Minors are multilinear and
     # d(a f) = a df + f da, so rows from any generating set of I_k, or from
@@ -189,7 +183,6 @@ def run(domain: SpecialDomain, options: KohnOptions = KohnOptions()) -> KohnTrac
     """Iterate until a unit is reached, the ideal stops growing, or the cap."""
     state = init_state(domain)
     n = domain.n
-    order = MonomialOrder.grevlex(n)
     steps: list[KohnStepRecord] = []
     max_root = 0
     status = "step_cap"
@@ -206,11 +199,11 @@ def run(domain: SpecialDomain, options: KohnOptions = KohnOptions()) -> KohnTrac
         # Stall test.  I_{k-1} <= J_k because the minors keep the previous
         # stage, and J_k <= I_k in every radical branch (sqfree(p) divides p,
         # a non-unit J lies in m, partial and none keep J's generators), so
-        # the stages only grow.  Hence dim R/(I_k + m^cap) equals
-        # dim R/(I_{k-1} + m^cap) exactly when I_k lies in I_{k-1} + m^cap.
+        # the stages only grow, and the germ ideal stops growing exactly when
+        # I_k lies in the germ of I_{k-1}.
         if len(steps) > 1:
-            basis = truncated_basis(Ideal(n, steps[-2].I_gens), options.truncation_cap, order)
-            if all(normal_form(g, basis, order).is_zero() for g in record.I_gens):
+            prev = Ideal(n, steps[-2].I_gens)
+            if all(germ_member(g, prev) for g in record.I_gens):
                 status = "stalled"
                 break
     return KohnTrace(domain, tuple(steps), status, max_root)
@@ -236,21 +229,17 @@ class FiniteTypeReport:
         }
 
 
-def check_finite_type(
-    domain: SpecialDomain,
-    truncation_cap: int = DEFAULT_TRUNCATION_CAP,
-    root_cap: int = DEFAULT_ROOT_CAP,
-) -> FiniteTypeReport:
+def check_finite_type(domain: SpecialDomain, root_cap: int = DEFAULT_ROOT_CAP) -> FiniteTypeReport:
     """Check finite colength, radical equal to m, and point variety together."""
     ideal = Ideal(domain.n, domain.h)
-    report = germ_colength(ideal, truncation_cap)
+    report = germ_colength(ideal)
     variables = [Polynomial.variable(domain.n, i) for i in range(domain.n)]
     if report.m_primary:
         orders = [root_order(v, ideal, root_cap, report) for v in variables]
     else:
         orders = [least_power(v, lambda p: member(p, ideal), root_cap) for v in variables]
     radical_is_m = all(s is not None for s in orders)
-    capped = report.capped or (report.m_primary and not radical_is_m)
+    capped = report.m_primary and not radical_is_m  # the root cap fired
     verdict = report.m_primary and radical_is_m
     if not capped and radical_is_m != report.m_primary:
         raise ConsistencyError(

@@ -85,10 +85,7 @@ def validate(h_polys, variables) -> TriangularSystem:
 def multiplicity(system: TriangularSystem) -> int:
     """Product of the pure-power exponents, cross-checked against the colength."""
     expected = math.prod(system.exponents)
-    # the quotient can be spanned by powers of one variable, so stabilization
-    # may need truncation degree up to the full multiplicity
-    cap = expected + 2
-    report = germ_colength(Ideal(system.n, system.h), cap)
+    report = germ_colength(Ideal(system.n, system.h))
     if report.colength != expected:
         raise ConsistencyError(
             f"colength {report.colength} disagrees with exponent product {expected}"

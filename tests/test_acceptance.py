@@ -242,7 +242,7 @@ def test_criterion_09_property_suites():
             parse(f"w^{b}", ZW) + _random_tail(rng),
         ]
         ideal = Ideal(2, gens)
-        report = germ_colength(ideal, cap=24)
+        report = germ_colength(ideal)
         if not report.m_primary:
             continue
         found += 1

@@ -81,6 +81,19 @@ def test_row_cap_flag_removed(tmp_path, capsys):
     assert "no such option" in err.lower()
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["multipliers", "run"], ["ideal", "colength"], ["ideal", "member", "--poly", "z"],
+     ["ideal", "root-order", "--poly", "z"]],
+)
+def test_truncation_cap_flag_removed(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, {**ZW_CONFIG, "h": ["z^2", "w^3 + w*z^4"]})
+    code, out, err = run_cli(capsys, *command, "--config", cfg, "--truncation-cap", "12")
+    assert code == 1
+    assert not out
+    assert "no such option" in err.lower()
+
+
 def test_unreadable_config(tmp_path, capsys):
     code, _, err = run_cli(
         capsys, "multipliers", "run", "--config", str(tmp_path / "missing.json")
@@ -98,13 +111,16 @@ def test_ideal_colength_of_maximal_ideal(tmp_path, capsys):
     assert json.loads(out)["colength"] == 1
 
 
-def test_ideal_colength_cap_exit(tmp_path, capsys):
+def test_ideal_colength_of_curve_germ(tmp_path, capsys):
     cfg = write_config(tmp_path, {**ZW_CONFIG, "h": ["z^3", "z*w"]})
-    code, out, _ = run_cli(
-        capsys, "ideal", "colength", "--config", cfg, "--truncation-cap", "10"
-    )
-    assert code == 2
-    assert json.loads(out)["colength"] == "infinite"
+    code, out, _ = run_cli(capsys, "ideal", "colength", "--config", cfg)
+    assert code == 0
+    assert json.loads(out) == {
+        "capped": False,
+        "colength": "infinite",
+        "m_primary": False,
+        "stabilization_degree": None,
+    }
 
 
 def test_ideal_member_modes(tmp_path, capsys):
@@ -117,6 +133,12 @@ def test_ideal_member_modes(tmp_path, capsys):
     code, out, _ = run_cli(
         capsys, "ideal", "member", "--config", cfg, "--poly", "z^6", "--germ"
     )
+    assert code == 0 and json.loads(out) == {"member": True, "mode": "germ"}
+    # a germ that is not m-primary is answered exactly, in germ mode
+    cfg = write_config(tmp_path, {**ZW_CONFIG, "h": ["z - z*w"]})
+    code, out, _ = run_cli(capsys, "ideal", "member", "--config", cfg, "--poly", "z")
+    assert code == 0 and json.loads(out) == {"member": False, "mode": "global"}
+    code, out, _ = run_cli(capsys, "ideal", "member", "--config", cfg, "--poly", "z", "--germ")
     assert code == 0 and json.loads(out) == {"member": True, "mode": "germ"}
 
 
@@ -131,6 +153,9 @@ def test_ideal_root_order(tmp_path, capsys):
         capsys, "ideal", "root-order", "--config", cfg, "--poly", "z", "--root-cap", "3"
     )
     assert code == 2 and json.loads(out) == {"root_order": None}
+    cfg = write_config(tmp_path, {**ZW_CONFIG, "h": ["z^3", "z*w"]})
+    code, out, _ = run_cli(capsys, "ideal", "root-order", "--config", cfg, "--poly", "z")
+    assert code == 0 and json.loads(out) == {"root_order": 3}
 
 
 # -- triangular -----------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import itertools
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import polynomials
-from submult.errors import ConservativeFallbackWarning, ValidationError
+from submult import ideals
 from submult.ideals import (
     Ideal,
     MonomialOrder,
@@ -16,11 +17,13 @@ from submult.ideals import (
     germ_member,
     groebner,
     is_germ_unit,
+    is_isolated,
     member,
     normal_form,
     radical_step,
     root_order,
     truncated_basis,
+    _standard_monomial_count,
 )
 from submult.poly import INF, Polynomial, format_poly, monomials_of_degree, parse
 
@@ -123,16 +126,67 @@ def test_colength_monotone_under_more_generators():
     assert bigger.colength <= small.colength
 
 
-def test_colength_cap_produces_flagged_report():
-    report = germ_colength(ideal("z^3", "z*w"), cap=12)
-    assert report.colength == INF
-    assert report.capped and not report.m_primary
-    assert report.stabilization_degree is None
+def test_non_isolated_germs_report_infinite_colength_without_a_scan(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return truncated_basis(*args, **kwargs)
+
+    monkeypatch.setattr(ideals, "truncated_basis", counting)
+    for gens in [("z^3", "z*w"), ("z - z*w",), ("z*w",)]:
+        report = germ_colength(ideal(*gens))
+        assert report.colength == INF, gens
+        assert not report.m_primary and not report.capped, gens
+        assert report.stabilization_degree is None, gens
+    assert calls == []
 
 
-def test_colength_requires_cap_of_two():
-    with pytest.raises(ValidationError):
-        germ_colength(ideal("z"), cap=1)
+def test_isolated_origin_beside_a_curve():
+    # V(I) is the origin plus the line z = 1, so I is not zero-dimensional
+    for gens, colength in [(("z^2 - z", "z*w - w"), 1), (("z^3 - z^2", "z*w - w"), 2)]:
+        I = ideal(*gens)
+        assert is_isolated(I)
+        report = germ_colength(I)
+        assert (report.colength, report.m_primary) == (colength, True)
+        assert (report.colength, report.stabilization_degree, report.m_primary) == _scan(I)
+    assert germ_member(p("z"), ideal("z^2 - z", "z*w - w"))
+    assert not is_isolated(ideal("z^2 - z", "z*w"))
+
+
+def _scan(I, cap=24):
+    # the truncation scan on its own, up to a fixed degree
+    order = I.default_order()
+    prev = None
+    for n in range(1, cap + 1):
+        d = _standard_monomial_count(truncated_basis(I, n, order), I.ring_dim, n, order)
+        if d == prev:
+            return d, n - 1, True
+        prev = d
+    return INF, None, False
+
+
+def _random_low_degree_poly(rng):
+    out = Polynomial.zero(2)
+    for _ in range(rng.randint(1, 3)):
+        mono = (rng.randint(0, 4), rng.randint(0, 4))
+        if 1 <= sum(mono) <= 4:
+            out = out + Polynomial.monomial(mono, Fraction(rng.randint(-3, 3)))
+    return out
+
+
+def test_colength_matches_truncation_scan_on_random_ideals():
+    # two or three generators: a single one is never isolated in two
+    # variables, and the reference scan spends seconds per principal ideal
+    rng = random.Random(2009)
+    kinds = {True: 0, False: 0}
+    for _ in range(60):
+        I = Ideal(2, [_random_low_degree_poly(rng) for _ in range(rng.randint(2, 3))])
+        report = germ_colength(I)
+        got = (report.colength, report.stabilization_degree, report.m_primary)
+        assert got == _scan(I), [format_poly(g, ZW) for g in I.generators]
+        kinds[report.m_primary] += 1
+    assert min(kinds.values()) >= 10, kinds
 
 
 def _lattice_count(exponent_sets, bound):
@@ -169,13 +223,18 @@ def test_germ_membership_examples():
         assert germ_member(Polynomial.monomial(mono), J1, report)
 
 
-def test_germ_membership_conservative_fallback_warns():
+def test_germ_membership_of_non_isolated_germs_is_exact():
     I = ideal("z^3", "z*w")
-    report = germ_colength(I, cap=8)
-    with pytest.warns(ConservativeFallbackWarning):
+    report = germ_colength(I)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert germ_member(p("z^3"), I, report)
-    with pytest.warns(ConservativeFallbackWarning):
         assert not germ_member(p("z"), I, report)
+        assert not germ_member(p("z^2"), I)
+    # z = (z - z*w) / (1 - w) as germs, but z is no multiple of z - z*w
+    line = ideal("z - z*w")
+    assert germ_member(p("z"), line)
+    assert not member(p("z"), line)
 
 
 def test_root_orders_simple():
@@ -328,7 +387,7 @@ def test_nakayama_soundness_random_m_primary_ideals():
         tail1 = _random_tail(rng)
         tail2 = _random_tail(rng)
         I = Ideal(2, [p(f"z^{a}") + tail1, p(f"w^{b}") + tail2])
-        report = germ_colength(I, cap=24)
+        report = germ_colength(I)
         if not report.m_primary:
             continue
         found += 1

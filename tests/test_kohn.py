@@ -4,7 +4,7 @@ import json
 import pytest
 
 from submult.errors import ValidationError
-from submult.ideals import Ideal, germ_colength, germ_member, is_germ_unit, member, truncated_basis
+from submult.ideals import Ideal, germ_colength, germ_member, is_germ_unit, is_isolated, member
 from submult.kohn import (
     KohnOptions,
     SpecialDomain,
@@ -14,9 +14,10 @@ from submult.kohn import (
     run,
     step,
 )
-from submult.poly import INF, Polynomial, det, format_poly, parse
+from submult.poly import INF, Polynomial, det, format_poly, monomials_of_degree, parse
 
 ZW = ("z", "w")
+ZWV = ("z", "w", "v")
 
 
 def domain(*h, variables=ZW, label=""):
@@ -25,6 +26,13 @@ def domain(*h, variables=ZW, label=""):
 
 def curve(*components):
     return [parse(c, ("t",)) for c in components]
+
+
+def to_sympy(sympy, p, variables=ZW):
+    # sympy's cross-checks run over QQ, so the coefficients must be real
+    assert all(c.im == 0 for c in p.terms.values()), format_poly(p, variables)
+    coeffs = {m: sympy.Rational(c.re.numerator, c.re.denominator) for m, c in p.terms.items()}
+    return sympy.Poly.from_dict(coeffs, *sympy.symbols(variables), domain=sympy.QQ)
 
 
 def gens(step_record, variables=ZW):
@@ -122,6 +130,21 @@ def test_run_monomial_triple_both_modes():
     assert freed.status == "unit_reached"
     assert len(freed.steps) == 2
     assert freed.max_root_order == 2
+
+
+@pytest.mark.parametrize(
+    "h, methods, max_root",
+    [
+        (("z^2", "w^3 + w*z^4", "v^2"), ["principal", "partial", "partial", "m-primary", "none"], 6),
+        (("z^3", "w^2", "v^2 + z*w"), ["principal", "partial", "m-primary", "none"], 4),
+        (("z", "w^3 + w*z^4", "v^2"), ["principal", "partial", "m-primary", "none"], 4),
+    ],
+)
+def test_three_variable_domains_reach_the_unit(h, methods, max_root):
+    trace = run(domain(*h, variables=ZWV))
+    assert trace.status == "unit_reached"
+    assert [s.radical_method for s in trace.steps] == methods
+    assert trace.max_root_order == max_root
 
 
 def test_run_stalls_on_curve_domain():
@@ -247,17 +270,42 @@ def test_steps_match_accumulated_rows(h):
 def test_minor_ideals_are_sympy_reduced_bases(h, variables):
     sympy = pytest.importorskip("sympy")
     symbols = sympy.symbols(variables)
-
-    def to_sympy(p):
-        assert all(c.im == 0 for c in p.terms.values()), format_poly(p, variables)
-        coeffs = {m: sympy.Rational(c.re.numerator, c.re.denominator) for m, c in p.terms.items()}
-        return sympy.Poly.from_dict(coeffs, *symbols, domain=sympy.QQ)
-
     for record in run(domain(*h, variables=variables)).steps:
-        mine = [to_sympy(g) for g in record.J_gens]
+        mine = [to_sympy(sympy, g, variables) for g in record.J_gens]
         theirs = sympy.groebner([q.as_expr() for q in mine], *symbols, order="grevlex", domain=sympy.QQ)
         assert len(mine) == len(theirs.polys)
         assert set(mine) == set(theirs.polys)
+
+
+@pytest.mark.parametrize("mode", ["full", "none"])
+@pytest.mark.parametrize(
+    "h", [("z^3", "z*w"), ("w^2", "z^3*w"), ("z^2 - z*w", "z*w - w^2"), ("z^2*w", "z*w^2")]
+)
+def test_germ_membership_matches_sympy_local_ring(h, mode):
+    # every non-isolated stage met by the run, against sympy's local ring
+    sympy = pytest.importorskip("sympy")
+    ring = sympy.QQ.old_poly_ring(*sympy.symbols(ZW), order="igrevlex")
+    trace = run(domain(*h), KohnOptions(radical_mode=mode))
+    stages = []
+    for record in trace.steps:
+        for gens in (record.J_gens, record.I_gens):
+            if gens not in stages:
+                stages.append(gens)
+    candidates = [Polynomial.monomial(m) for d in range(1, 4) for m in monomials_of_degree(2, d)]
+    candidates += [g for gens in stages for g in gens]
+    # a unit multiple of each stage has the same germ but fewer global members
+    unit = parse("1 - w", ZW)
+    checked = 0
+    for gens in stages:
+        if not gens or is_isolated(Ideal(2, gens)):
+            continue
+        for stage in (gens, [unit * g for g in gens]):
+            local = ring.ideal(*[to_sympy(sympy, g).as_expr() for g in stage])
+            for f in candidates:
+                expected = local.contains(to_sympy(sympy, f).as_expr())
+                assert germ_member(f, Ideal(2, stage)) == expected, (stage, f)
+                checked += 1
+    assert checked
 
 
 def test_stall_check_builds_no_basis_before_a_second_stage(monkeypatch):
@@ -267,14 +315,15 @@ def test_stall_check_builds_no_basis_before_a_second_stage(monkeypatch):
 
     def counting(*args, **kwargs):
         calls.append(args)
-        return truncated_basis(*args, **kwargs)
+        return germ_member(*args, **kwargs)
 
-    monkeypatch.setattr(kohn, "truncated_basis", counting)
+    monkeypatch.setattr(kohn, "germ_member", counting)
     trace = run(domain("z^2", "z*w", "w^2"))
     assert trace.status == "unit_reached" and len(trace.steps) == 2
     assert calls == []
-    assert run(domain("z*w")).status == "stalled"
-    assert len(calls) == 1
+    trace = run(domain("z^3", "z*w"))
+    assert trace.status == "stalled" and trace.steps[-1].I_gens
+    assert len(calls) >= 1
 
 
 # -- finite type ----------------------------------------------------------------------
@@ -289,7 +338,7 @@ def test_finite_type_product_family():
 def test_finite_type_fails_on_curve_domain():
     report = check_finite_type(domain("z^3", "z*w"))
     assert not report.verdict and not report.radical_is_m
-    assert report.capped
+    assert not report.capped
     assert report.colength == INF
 
 
