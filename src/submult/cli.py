@@ -20,7 +20,7 @@ from . import contact as _contact
 from . import corpus as _corpus
 from . import kohn as _kohn
 from . import triangular as _triangular
-from .errors import CapExceededError, SubmultError, ValidationError
+from .errors import CapExceededError, ConsistencyError, SubmultError, ValidationError
 from .ideals import (
     DEFAULT_ROOT_CAP,
     Ideal,
@@ -172,8 +172,12 @@ def triangular_run(ctx, config_path):
     system = _triangular.validate(polys, spec.variables)
     trace = _triangular.run_effective(system)
     report = _triangular.certify(trace, system)
+    # certify has compared the colength with the ladder length L
+    colength_ok, detail = {name: (ok, d) for name, ok, d in report.checks}["colength"]
+    if not colength_ok:
+        raise ConsistencyError(detail)
     doc = trace.to_dict()
-    doc["multiplicity"] = _triangular.multiplicity(system)
+    doc["multiplicity"] = trace.L
     doc["certified"] = report.passed
     doc["failures"] = list(report.failures())
     _emit(ctx, doc)

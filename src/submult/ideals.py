@@ -4,11 +4,11 @@ Global questions (membership, elimination) run over the polynomial ring with
 Buchberger's algorithm.  Local questions at the origin reduce to global ones
 exactly.  Saturations I : x_i^inf, computed by eliminating a Rabinowitsch
 variable, decide whether the origin is an isolated point of V(I); only then
-is the colength finite, and it is found by scanning the quotient dimensions
-of I + m^N until two consecutive values agree, which Nakayama's lemma
-guarantees to happen.  Germ membership is a normal form on the stabilized
-truncation when the germ is m-primary, and otherwise the test that the
-quotient I : f contains a unit at the origin.
+is the colength finite.  It is read off the reduced basis of the local
+component Q, the m-primary component of I at the origin, which is I itself
+or one more saturation I : f^inf.  Germ membership is a normal form on that
+basis when the germ is m-primary, and otherwise the test that the quotient
+I : f contains a unit at the origin.
 """
 
 from __future__ import annotations
@@ -346,28 +346,95 @@ def _quotient(ideal: Ideal, f: Polynomial) -> Ideal:
     return Ideal(ideal.ring_dim, [exact_div(g, f) for g in meet.generators])
 
 
+def _zero_dimensional(leads: Sequence[Mono], ring_dim: int) -> bool:
+    # a pure-power lead in every variable leaves finitely many standard monomials
+    return all(any(sum(lm) == lm[i] for lm in leads) for i in range(ring_dim))
+
+
+def _isolating_witness(ideal: Ideal) -> Polynomial | None:
+    """f with f(0) != 0 vanishing on V(I) minus the origin, else None.
+
+    V(I : x_i^inf) is the closure of V(I) off the hyperplane x_i = 0, so the
+    origin is isolated exactly when no such closure contains it, that is,
+    when every saturation has a generator g_i with g_i(0) != 0.  Each g_i
+    vanishes on V(I) off x_i = 0, so their product vanishes on V(I) off the
+    origin.
+    """
+    n = ideal.ring_dim
+    f = Polynomial.constant(n, 1)
+    for i in range(n):
+        units = [
+            g
+            for g in _saturation(ideal, Polynomial.variable(n, i)).generators
+            if g.constant_term()
+        ]
+        if not units:
+            return None
+        # the smallest witness keeps the last saturation small
+        f = f * min(units, key=lambda g: (g.total_degree(), len(g.terms)))
+    return f
+
+
 def is_isolated(ideal: Ideal) -> bool:
     """True iff the origin is not an accumulation point of V(I).
 
-    A pure-power lead in every variable makes I zero-dimensional.  Otherwise
-    V(I : x_i^inf) is the closure of V(I) off the hyperplane x_i = 0, so the
-    origin is isolated exactly when no such closure contains it.
+    Either I is zero-dimensional, or every saturation I : x_i^inf has a
+    generator nonzero at the origin.
     """
-    n = ideal.ring_dim
     leads = [leading_mono(g, ideal.default_order()) for g in ideal.groebner()]
-    if all(any(sum(lm) == lm[i] for lm in leads) for i in range(n)):
-        return True
-    return all(is_germ_unit(_saturation(ideal, Polynomial.variable(n, i))) for i in range(n))
+    return _zero_dimensional(leads, ideal.ring_dim) or _isolating_witness(ideal) is not None
+
+
+def _local_algebra(
+    basis: Sequence[Polynomial], ring_dim: int, order: MonomialOrder
+) -> tuple[int, int] | None:
+    """(dim R/Q, least N >= 1 with m^N in Q) when V(Q) lies in the origin.
+
+    Q is the ideal with this reduced basis; None means V(Q) has a point off
+    the origin.  A zero-dimensional Q has finitely many standard monomials,
+    L of them.  V(Q) lies in the origin exactly when R/Q is local of length
+    L, so exactly when m^L lies in Q.  The normal forms of the degree-d
+    monomials come from those of degree d - 1 by
+    NF(x_j x^b) = NF(x_j NF(x^b)), and a monomial one of whose divisors is
+    in Q is in Q, so only nonzero normal forms are carried up.
+    """
+    leads = [leading_mono(g, order) for g in basis]
+    if not _zero_dimensional(leads, ring_dim):
+        return None
+    colength = 0
+    for d in itertools.count():
+        # standard monomials are closed under division: none lie above an empty degree
+        standard = sum(
+            1
+            for mono in monomials_of_degree(ring_dim, d)
+            if not any(_mono_divides(lm, mono) for lm in leads)
+        )
+        if not standard:
+            break
+        colength += standard
+    variables = [Polynomial.variable(ring_dim, j) for j in range(ring_dim)]
+    live = {(0,) * ring_dim: Polynomial.constant(ring_dim, 1)} if colength else {}
+    for degree in range(1, max(colength, 1) + 1):
+        forms: dict[Mono, Polynomial] = {}
+        for mono, r in live.items():
+            for j, x in enumerate(variables):
+                up = mono[:j] + (mono[j] + 1,) + mono[j + 1 :]
+                if up not in forms:
+                    forms[up] = normal_form(x * r, basis, order)
+        live = {mono: r for mono, r in forms.items() if not r.is_zero()}
+        if not live:
+            return colength, degree
+    return None
 
 
 @dataclass(frozen=True)
 class GermReport:
-    """Colength of the germ ideal at the origin, via truncation stabilization."""
+    """Colength of the germ ideal at the origin, read off its local component."""
 
     colength: int | _Infinity
     stabilization_degree: int | None
     m_primary: bool
-    capped: bool  # always False: no cap bounds the scan
+    capped: bool  # always False: no cap bounds the computation
     basis: tuple[Polynomial, ...] | None = field(default=None, repr=False)
     order: MonomialOrder | None = field(default=None, repr=False)
 
@@ -383,31 +450,32 @@ class GermReport:
 def germ_colength(ideal: Ideal) -> GermReport:
     """Colength of the germ ideal; infinite unless the origin is isolated.
 
-    For an isolated origin, scan dim R/(I + m^N) for N = 1.. until two
-    consecutive values agree.  Agreement at (N, N+1) pins the colength: the
-    quotient of consecutive truncations is then annihilated by the maximal
-    ideal, so the degree-N truncation already contains m^N inside the germ
-    ideal.  Some m^N lies in the germ ideal, so the scan always stops.
+    For an isolated origin the germ ideal is the local component Q, the
+    m-primary component of I at the origin: Q = I when V(I) is the origin
+    alone, and otherwise Q = I : f^inf for a witness f with f(0) != 0 that
+    vanishes on V(I) off the origin.  The colength is the number of standard
+    monomials of GB(Q) and the stabilization degree the least N with m^N in
+    Q.  Then I + m^N = Q, so the reported basis is also the reduced basis of
+    that truncation.
     """
-    if not is_isolated(ideal):
-        return GermReport(INF, None, False, False)
     order = ideal.default_order()
-    prev: int | None = None
-    prev_basis: tuple[Polynomial, ...] = ()
-    for n in itertools.count(1):
-        basis = truncated_basis(ideal, n, order)
-        d = _standard_monomial_count(basis, ideal.ring_dim, n, order)
-        if d == prev:
-            return GermReport(d, n - 1, True, False, prev_basis, order)
-        prev = d
-        prev_basis = basis
+    basis = ideal.groebner(order)
+    local = _local_algebra(basis, ideal.ring_dim, order)
+    if local is None:
+        f = _isolating_witness(ideal)
+        if f is None:
+            return GermReport(INF, None, False, False)
+        basis = _saturation(ideal, f).groebner(order)
+        local = _local_algebra(basis, ideal.ring_dim, order)
+    colength, degree = local
+    return GermReport(colength, degree, True, False, basis, order)
 
 
 def germ_member(f: Polynomial, ideal: Ideal, report: GermReport | None = None) -> bool:
     """Membership in the germ ideal at the origin, exact in both directions.
 
-    An m-primary report answers by a normal form on its stabilized
-    truncation.  Otherwise f lies in the germ ideal exactly when u f lies in
+    An m-primary report answers by a normal form on the basis of its local
+    component.  Otherwise f lies in the germ ideal exactly when u f lies in
     I for some u with u(0) != 0, that is, when I : f is the unit germ.
     """
     if report is not None and report.m_primary:

@@ -1,9 +1,10 @@
+import itertools
 from fractions import Fraction
 
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
-from submult.poly import GaussianRational, Polynomial
+from submult.poly import GaussianRational, Polynomial, format_poly, monomials_of_degree
 
 settings.register_profile(
     "exact",
@@ -34,3 +35,28 @@ def polynomials(dim: int = 2, max_degree: int = 4, max_terms: int = 5):
 
 def nonzero_polynomials(dim: int = 2, max_degree: int = 3, max_terms: int = 4):
     return polynomials(dim, max_degree, max_terms).filter(lambda p: not p.is_zero())
+
+
+def to_sympy(sympy, p, variables=("z", "w")):
+    # sympy's cross-checks run over QQ, so the coefficients must be real
+    assert all(c.im == 0 for c in p.terms.values()), format_poly(p, variables)
+    coeffs = {m: sympy.Rational(c.re.numerator, c.re.denominator) for m, c in p.terms.items()}
+    return sympy.Poly.from_dict(coeffs, *sympy.symbols(variables), domain=sympy.QQ)
+
+
+def sympy_local_colength(sympy, gens, variables=("z", "w")):
+    # standard monomials of the leads of sympy's local (igrevlex) standard basis
+    ring = sympy.QQ.old_poly_ring(*sympy.symbols(variables), order="igrevlex")
+    local = ring.ideal(*[to_sympy(sympy, g, variables).as_expr() for g in gens])
+    # each basis element lists its terms leading first, as (component, exponents...)
+    leads = [g[0][0][1:] for g in local._module._groebner()]
+    count = 0
+    for d in itertools.count():
+        standard = [
+            m
+            for m in monomials_of_degree(len(variables), d)
+            if not any(all(a >= b for a, b in zip(m, lead)) for lead in leads)
+        ]
+        if not standard:
+            return count
+        count += len(standard)

@@ -177,6 +177,37 @@ def test_triangular_run_at_high_exponent(tmp_path, capsys):
     assert doc["certified"] and doc["multiplicity"] == 2
 
 
+def test_triangular_run_computes_the_colength_once(tmp_path, capsys, monkeypatch):
+    from submult import triangular
+    from submult.ideals import germ_colength
+
+    reports = []
+
+    def counting(ideal):
+        reports.append(germ_colength(ideal))
+        return reports[-1]
+
+    monkeypatch.setattr(triangular, "germ_colength", counting)
+    cfg = write_config(tmp_path, {**ZW_CONFIG, "h": ["z^2", "w^3 + w*z^4"]})
+    code, out, _ = run_cli(capsys, "triangular", "run", "--config", cfg)
+    assert code == 0 and json.loads(out)["multiplicity"] == 6
+    assert len(reports) == 1
+
+
+def test_triangular_run_exits_on_a_colength_mismatch(tmp_path, capsys, monkeypatch):
+    from submult import triangular
+    from submult.ideals import germ_colength
+
+    def wrong(ideal):
+        return dataclasses.replace(germ_colength(ideal), colength=5)
+
+    monkeypatch.setattr(triangular, "germ_colength", wrong)
+    cfg = write_config(tmp_path, {**ZW_CONFIG, "h": ["z^2", "w^3 + w*z^4"]})
+    code, out, err = run_cli(capsys, "triangular", "run", "--config", cfg)
+    assert code == 1 and out == ""
+    assert "colength 5 disagrees with exponent product 6" in err
+
+
 def test_triangular_run_rejects_bad_system(tmp_path, capsys):
     cfg = write_config(tmp_path, {**ZW_CONFIG, "h": ["z*w", "w^2"]})
     code, _, err = run_cli(capsys, "triangular", "run", "--config", cfg)

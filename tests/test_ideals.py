@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import polynomials
+from conftest import polynomials, sympy_local_colength
 from submult import ideals
 from submult.ideals import (
     Ideal,
@@ -26,6 +26,7 @@ from submult.ideals import (
     _standard_monomial_count,
 )
 from submult.poly import INF, Polynomial, format_poly, monomials_of_degree, parse
+from submult.triangular import random_system
 
 ZW = ("z", "w")
 
@@ -142,6 +143,22 @@ def test_non_isolated_germs_report_infinite_colength_without_a_scan(monkeypatch)
     assert calls == []
 
 
+def test_isolated_germs_make_no_scan(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return truncated_basis(*args, **kwargs)
+
+    monkeypatch.setattr(ideals, "truncated_basis", counting)
+    triangular = ("z^3", "w^2 + (2 - i)*z*w + z^2", "v^2 + 3*w*v - z")
+    assert germ_colength(ideal(*triangular, variables=("z", "w", "v"))).colength == 12
+    for M, N, K in [(2, 3, 4), (3, 4, 6), (4, 2, 5)]:
+        assert germ_colength(ideal(f"z^{M}", f"w^{N} + w*z^{K}")).colength == M * N
+    assert germ_colength(ideal("z^2 - z", "w^2")).colength == 2  # through a saturation
+    assert calls == []
+
+
 def test_isolated_origin_beside_a_curve():
     # V(I) is the origin plus the line z = 1, so I is not zero-dimensional
     for gens, colength in [(("z^2 - z", "z*w - w"), 1), (("z^3 - z^2", "z*w - w"), 2)]:
@@ -175,6 +192,26 @@ def _random_low_degree_poly(rng):
     return out
 
 
+# zero-dimensional, with points of V(I) off the origin: generators, colength at 0
+OFF_ORIGIN_POINTS = [
+    (("z^2 - z", "w^2"), 2),
+    (("z^2 - z", "w^2 - w"), 1),
+    (("z^3 - z^2", "w^2 - z*w"), 4),
+    (("z*(z - 1)*(z - 2)", "w^2 - z"), 2),
+    (("z^2 - z*w", "w^3 - w^2"), 4),
+]
+
+
+def _assert_matches_scan(I, variables=ZW):
+    report = germ_colength(I)
+    got = (report.colength, report.stabilization_degree, report.m_primary)
+    gens = [format_poly(g, variables) for g in I.generators]
+    assert got == _scan(I), gens
+    if report.m_primary:
+        assert report.basis == truncated_basis(I, report.stabilization_degree), gens
+    return report
+
+
 def test_colength_matches_truncation_scan_on_random_ideals():
     # two or three generators: a single one is never isolated in two
     # variables, and the reference scan spends seconds per principal ideal
@@ -182,11 +219,34 @@ def test_colength_matches_truncation_scan_on_random_ideals():
     kinds = {True: 0, False: 0}
     for _ in range(60):
         I = Ideal(2, [_random_low_degree_poly(rng) for _ in range(rng.randint(2, 3))])
-        report = germ_colength(I)
-        got = (report.colength, report.stabilization_degree, report.m_primary)
-        assert got == _scan(I), [format_poly(g, ZW) for g in I.generators]
-        kinds[report.m_primary] += 1
+        kinds[_assert_matches_scan(I).m_primary] += 1
     assert min(kinds.values()) >= 10, kinds
+    for gens, colength in OFF_ORIGIN_POINTS:
+        assert _assert_matches_scan(ideal(*gens)).colength == colength
+    rng = random.Random(2009)
+    for _ in range(20):
+        system = random_system(rng, max_n=2)
+        assert _assert_matches_scan(Ideal(system.n, system.h), system.variables).m_primary
+
+
+@pytest.mark.parametrize("gens, colength", OFF_ORIGIN_POINTS)
+def test_off_origin_colength_matches_sympy_local_ring(gens, colength):
+    sympy = pytest.importorskip("sympy")
+    I = ideal(*gens)
+    assert germ_colength(I).colength == sympy_local_colength(sympy, I.generators) == colength
+
+
+def test_triangular_colengths_match_sympy_local_ring():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(2009)
+    checked = 0
+    while checked < 20:
+        system = random_system(rng)
+        if any(c.im for g in system.h for c in g.terms.values()):
+            continue  # sympy's local ring runs over QQ
+        report = germ_colength(Ideal(system.n, system.h))
+        assert report.colength == sympy_local_colength(sympy, system.h, system.variables)
+        checked += 1
 
 
 def _lattice_count(exponent_sets, bound):

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from conftest import sympy_local_colength, to_sympy
 from submult.errors import ValidationError
 from submult.ideals import Ideal, germ_colength, germ_member, is_germ_unit, is_isolated, member
 from submult.kohn import (
@@ -26,13 +27,6 @@ def domain(*h, variables=ZW, label=""):
 
 def curve(*components):
     return [parse(c, ("t",)) for c in components]
-
-
-def to_sympy(sympy, p, variables=ZW):
-    # sympy's cross-checks run over QQ, so the coefficients must be real
-    assert all(c.im == 0 for c in p.terms.values()), format_poly(p, variables)
-    coeffs = {m: sympy.Rational(c.re.numerator, c.re.denominator) for m, c in p.terms.items()}
-    return sympy.Poly.from_dict(coeffs, *sympy.symbols(variables), domain=sympy.QQ)
 
 
 def gens(step_record, variables=ZW):
@@ -132,19 +126,30 @@ def test_run_monomial_triple_both_modes():
     assert freed.max_root_order == 2
 
 
-@pytest.mark.parametrize(
-    "h, methods, max_root",
-    [
-        (("z^2", "w^3 + w*z^4", "v^2"), ["principal", "partial", "partial", "m-primary", "none"], 6),
-        (("z^3", "w^2", "v^2 + z*w"), ["principal", "partial", "m-primary", "none"], 4),
-        (("z", "w^3 + w*z^4", "v^2"), ["principal", "partial", "m-primary", "none"], 4),
-    ],
-)
+THREE_VARIABLE_RUNS = [
+    (("z^2", "w^3 + w*z^4", "v^2"), ["principal", "partial", "partial", "m-primary", "none"], 6),
+    (("z^3", "w^2", "v^2 + z*w"), ["principal", "partial", "m-primary", "none"], 4),
+    (("z", "w^3 + w*z^4", "v^2"), ["principal", "partial", "m-primary", "none"], 4),
+]
+
+
+@pytest.mark.parametrize("h, methods, max_root", THREE_VARIABLE_RUNS)
 def test_three_variable_domains_reach_the_unit(h, methods, max_root):
     trace = run(domain(*h, variables=ZWV))
     assert trace.status == "unit_reached"
     assert [s.radical_method for s in trace.steps] == methods
     assert trace.max_root_order == max_root
+
+
+@pytest.mark.parametrize("h", [h for h, _, _ in THREE_VARIABLE_RUNS])
+def test_m_primary_stage_colengths_match_sympy_local_ring(h):
+    sympy = pytest.importorskip("sympy")
+    steps = run(domain(*h, variables=ZWV)).steps
+    stages = [s.J_gens for s in steps if s.radical_method == "m-primary"]
+    assert stages
+    for gens in stages:
+        report = germ_colength(Ideal(3, gens))
+        assert report.colength == sympy_local_colength(sympy, gens, ZWV), gens
 
 
 def test_run_stalls_on_curve_domain():
