@@ -33,7 +33,6 @@ from .ideals import (
     germ_member,
     groebner,
     is_germ_unit,
-    is_isolated,
     member,
     normal_form,
     radical_step,

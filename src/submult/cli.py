@@ -21,14 +21,7 @@ from . import corpus as _corpus
 from . import kohn as _kohn
 from . import triangular as _triangular
 from .errors import CapExceededError, ConsistencyError, SubmultError, ValidationError
-from .ideals import (
-    DEFAULT_ROOT_CAP,
-    Ideal,
-    germ_colength,
-    germ_member,
-    member,
-    root_order,
-)
+from .ideals import Ideal, germ_colength, germ_member, member, root_order
 from .poly import INF, parse
 
 EXIT_OK = 0
@@ -57,15 +50,31 @@ def _load_config(path: str) -> dict:
     return doc
 
 
+def _strings(doc: dict, key: str, where: str) -> tuple[str, ...]:
+    value = doc.get(key, [])
+    if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
+        raise ValidationError(f"{where} key {key!r} must be a list of strings")
+    return tuple(value)
+
+
+def _document(config: dict, key: str) -> dict:
+    doc = config.get(key)
+    if not isinstance(doc, dict) or "components" not in doc:
+        raise ValidationError(f"config must carry a {key} document with components")
+    return doc
+
+
 def _jobspec(config: dict, **options) -> JobSpec:
     """Validate the config document and the command's option flags."""
     if "options" in config:
         flags = ", ".join("--" + key.replace("_", "-") for key in options) or "none"
         raise ValidationError(f"config key 'options' is not supported; command flags: {flags}")
-    variables = tuple(config.get("variables", ()))
+    variables = _strings(config, "variables", "config")
     if not variables:
         raise ValidationError("config must list the ring variables")
-    h = tuple(config.get("h", ()))
+    if len(set(variables)) != len(variables) or not all(v.isidentifier() for v in variables):
+        raise ValidationError("config variables must be distinct names")
+    h = _strings(config, "h", "config")
     for s in h:
         parse(s, variables)  # surfaces syntax errors with positions
     for key, value in options.items():
@@ -133,7 +142,6 @@ def multipliers():
 @multipliers.command("run")
 @_config_option
 @click.option("--max-steps", default=_kohn.DEFAULT_MAX_STEPS, show_default=True)
-@click.option("--root-cap", default=DEFAULT_ROOT_CAP, show_default=True)
 @click.option(
     "--radical-mode",
     type=click.Choice(["full", "none"]),
@@ -141,13 +149,13 @@ def multipliers():
     show_default=True,
 )
 @click.pass_context
-def multipliers_run(ctx, config_path, max_steps, root_cap, radical_mode):
+def multipliers_run(ctx, config_path, max_steps, radical_mode):
     config = _load_config(config_path)
-    spec = _jobspec(config, max_steps=max_steps, root_cap=root_cap, radical_mode=radical_mode)
+    spec = _jobspec(config, max_steps=max_steps, radical_mode=radical_mode)
     domain = _kohn.SpecialDomain.from_strings(
         spec.h, spec.variables, config.get("label", "")
     )
-    options = _kohn.KohnOptions(radical_mode=radical_mode, max_steps=max_steps, root_cap=root_cap)
+    options = _kohn.KohnOptions(radical_mode=radical_mode, max_steps=max_steps)
     trace = _kohn.run(domain, options)
     _emit(ctx, trace.to_dict())
     if trace.status == "step_cap":
@@ -221,16 +229,12 @@ def ideal_member(ctx, config_path, poly_text, germ_mode):
 @ideal.command("root-order")
 @_config_option
 @click.option("--poly", "poly_text", required=True, help="polynomial to test")
-@click.option("--root-cap", default=DEFAULT_ROOT_CAP, show_default=True)
 @click.pass_context
-def ideal_root_order(ctx, config_path, poly_text, root_cap):
+def ideal_root_order(ctx, config_path, poly_text):
     config = _load_config(config_path)
-    spec = _jobspec(config, root_cap=root_cap)
+    spec = _jobspec(config)
     ideal_obj = Ideal.from_strings(spec.h, spec.variables)
-    order = root_order(parse(poly_text, spec.variables), ideal_obj, root_cap)
-    _emit(ctx, {"root_order": order})
-    if order is None:
-        ctx.exit(EXIT_CAP)
+    _emit(ctx, {"root_order": root_order(parse(poly_text, spec.variables), ideal_obj)})
 
 
 # -- contact --------------------------------------------------------------------
@@ -248,11 +252,9 @@ def contact_curve_cmd(ctx, config_path):
     config = _load_config(config_path)
     spec = _jobspec(config)
     domain = _contact.AmbientDomain.from_strings(spec.h, spec.variables)
-    curve_doc = config.get("curve")
-    if not curve_doc:
-        raise ValidationError("config must carry a curve document")
-    components = [parse(s, ("zeta",)) for s in curve_doc["components"]]
-    base = [parse(str(s), []).constant_term() for s in curve_doc.get("base", [])]
+    curve_doc = _document(config, "curve")
+    components = [parse(s, ("zeta",)) for s in _strings(curve_doc, "components", "curve")]
+    base = [parse(s, []).constant_term() for s in _strings(curve_doc, "base", "curve")]
     value = _contact.contact_curve(domain, components, base or None)
     _emit(ctx, {"contact": "infinite" if value == INF else str(value)})
 
@@ -264,17 +266,17 @@ def contact_family_cmd(ctx, config_path):
     config = _load_config(config_path)
     spec = _jobspec(config)
     domain = _contact.AmbientDomain.from_strings(spec.h, spec.variables)
-    family_doc = config.get("family")
-    if not family_doc:
-        raise ValidationError("config must carry a family document")
+    family_doc = _document(config, "family")
     family = _contact.CurveFamily.from_config(family_doc["components"])
     doc = {}
     if family.has_free_exponent:
         alpha = family_doc.get("alpha")
         if alpha is None:
             alpha = _contact.balance_exponent(domain, family)
-        else:
+        elif type(alpha) in (str, int):
             alpha = Fraction(alpha)
+        else:
+            raise ValidationError("family key 'alpha' must be a string or an integer")
         family = family.fix_exponent(alpha)
         doc["alpha"] = str(alpha)
     result = _contact.contact_family(domain, family)

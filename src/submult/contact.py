@@ -137,13 +137,22 @@ class CurveFamily:
 
     @classmethod
     def from_config(cls, component_lists) -> "CurveFamily":
+        """Family from lists of {coeff, zeta_exp, t_exp?} term documents."""
+        if not isinstance(component_lists, list) or not all(
+            isinstance(entries, list) for entries in component_lists
+        ):
+            raise ValidationError("family components must be a list of term lists")
         comps = []
         for entries in component_lists:
             terms = []
             for entry in entries:
+                if not isinstance(entry, dict) or not {"coeff", "zeta_exp"} <= entry.keys():
+                    raise ValidationError("each family term needs 'coeff' and 'zeta_exp'")
+                if type(entry["zeta_exp"]) is not int:
+                    raise ValidationError("zeta_exp must be an integer")
                 coeff = parse(str(entry["coeff"]), []).constant_term()
                 tc, ta = _parse_exponent(entry.get("t_exp", 0))
-                terms.append(CurveTerm(coeff, int(entry["zeta_exp"]), tc, ta))
+                terms.append(CurveTerm(coeff, entry["zeta_exp"], tc, ta))
             comps.append(tuple(terms))
         return cls(tuple(comps))
 

@@ -90,17 +90,6 @@ def _run_ideal_member(variables, h, poly):
     return member(parse(poly, variables), ideal)
 
 
-def _run_germ_member(variables, h, poly):
-    ideal = Ideal(len(variables), _polys(h, variables))
-    report = germ_colength(ideal)
-    return germ_member(parse(poly, variables), ideal, report)
-
-
-def _run_root_order(variables, h, poly, cap=32):
-    ideal = Ideal(len(variables), _polys(h, variables))
-    return root_order(parse(poly, variables), ideal, cap)
-
-
 def _run_ideal_colength(variables, h):
     report = germ_colength(Ideal(len(variables), _polys(h, variables)))
     return "infinite" if report.colength == INF else report.colength
@@ -164,7 +153,7 @@ def _run_effectiveness(M, N, K):
     report = germ_colength(J1)
     z = parse("z", variables)
     excluded = not germ_member(parse(f"z^{K - 1}", variables), J1, report)
-    root = root_order(z, J1, 32, report)
+    root = root_order(z, J1, report)
     return {
         "power_K_minus_1_excluded": excluded,
         "root_at_least_K": root is not None and root >= K,
@@ -305,8 +294,6 @@ _RUNNERS = {
     "jacobian_minors": _run_jacobian_minors,
     "squarefree": _run_squarefree,
     "ideal_member": _run_ideal_member,
-    "germ_member": _run_germ_member,
-    "root_order": _run_root_order,
     "ideal_colength": _run_ideal_colength,
     "colength_grid": _run_colength_grid,
     "radical": _run_radical,

@@ -34,8 +34,6 @@ from .poly import (
     squarefree_part,
 )
 
-DEFAULT_ROOT_CAP = 32
-
 
 @dataclass(frozen=True)
 class MonomialOrder:
@@ -375,16 +373,6 @@ def _isolating_witness(ideal: Ideal) -> Polynomial | None:
     return f
 
 
-def is_isolated(ideal: Ideal) -> bool:
-    """True iff the origin is not an accumulation point of V(I).
-
-    Either I is zero-dimensional, or every saturation I : x_i^inf has a
-    generator nonzero at the origin.
-    """
-    leads = [leading_mono(g, ideal.default_order()) for g in ideal.groebner()]
-    return _zero_dimensional(leads, ideal.ring_dim) or _isolating_witness(ideal) is not None
-
-
 def _local_algebra(
     basis: Sequence[Polynomial], ring_dim: int, order: MonomialOrder
 ) -> tuple[int, int] | None:
@@ -483,18 +471,23 @@ def germ_member(f: Polynomial, ideal: Ideal, report: GermReport | None = None) -
     return member(f, ideal) or is_germ_unit(_quotient(ideal, f))
 
 
-def root_order(
-    f: Polynomial,
-    ideal: Ideal,
-    s_max: int = DEFAULT_ROOT_CAP,
-    report: GermReport | None = None,
-) -> int | None:
-    """Minimal s <= s_max with f^s in the germ ideal, else None."""
-    if s_max < 1:
-        raise ValidationError("root-order cap must be at least 1")
+def root_order(f: Polynomial, ideal: Ideal, report: GermReport | None = None) -> int | None:
+    """Least s with f^s in the germ ideal, or None when no power lies in it.
+
+    An m-primary germ ideal Q contains m^N, N the stabilization degree, so
+    f^N lies in Q for every f in m and the search stops at N.  Otherwise
+    some power of f is in the germ ideal exactly when the saturation
+    I : f^inf is the unit germ, and only then is the search begun.
+    """
     if report is None:
         report = germ_colength(ideal)
-    return least_power(f, lambda p: germ_member(p, ideal, report), s_max)
+    if report.m_primary:
+        bound = report.stabilization_degree
+    elif is_germ_unit(_saturation(ideal, f)):
+        bound = None
+    else:
+        return None
+    return least_power(f, lambda p: germ_member(p, ideal, report), bound)
 
 
 def is_germ_unit(ideal: Ideal) -> bool:
@@ -530,20 +523,21 @@ class RadicalOutcome:
 
     generators: tuple[Polynomial, ...]
     method: str  # principal | m-primary | partial | none
-    root_orders: tuple[tuple[Polynomial, int | None], ...]
+    root_orders: tuple[tuple[Polynomial, int], ...]
     stalled: bool
     max_root_order: int
 
 
-def radical_step(ideal: Ideal, root_cap: int = DEFAULT_ROOT_CAP) -> RadicalOutcome:
+def radical_step(ideal: Ideal) -> RadicalOutcome:
     """One radical stage, by a three-way strategy.
 
-    Principal ideals take squarefree parts.  Ideals with an isolated origin
-    have radical equal to the maximal ideal, with per-variable
-    root orders recorded.  Otherwise the ideal is enriched by any squarefree
-    part of a generator, or any variable, with a bounded global root order;
-    no qualifying candidate is a stall, which is reported as data rather
-    than raised.
+    Principal ideals take squarefree parts: p divides sqfree(p)^e with e at
+    most deg p.  Ideals with an isolated origin have radical equal to the
+    maximal ideal, with per-variable root orders recorded.  Otherwise the
+    ideal is enriched by the squarefree part of any generator g, whose
+    global root order is at most deg g, and by any variable with a power in
+    the ideal; no qualifying candidate is a stall, which is reported as data
+    rather than raised.
     """
     n = ideal.ring_dim
     basis = ideal.groebner()
@@ -555,40 +549,32 @@ def radical_step(ideal: Ideal, root_cap: int = DEFAULT_ROOT_CAP) -> RadicalOutco
     if len(basis) == 1:
         p = basis[0]
         q = squarefree_part(p)
-        s = least_power(q, lambda r: divides(p, r), root_cap)
-        if s is None:
-            return RadicalOutcome(
-                ideal.generators, "none", ((q, None),), True, 0
-            )
+        s = least_power(q, lambda r: divides(p, r), p.total_degree())
         return RadicalOutcome(
             canonical_generators([q]), "principal", ((q, s),), False, s
         )
     report = germ_colength(ideal)
     if report.m_primary:
         gens = tuple(Polynomial.variable(n, i) for i in range(n))
-        orders = []
-        for g in gens:
-            orders.append((g, root_order(g, ideal, root_cap, report)))
-        found = [s for _, s in orders if s is not None]
+        orders = tuple((g, root_order(g, ideal, report)) for g in gens)
         return RadicalOutcome(
-            gens, "m-primary", tuple(orders), False, max(found, default=0)
+            gens, "m-primary", orders, False, max(s for _, s in orders)
         )
-    pool = [squarefree_part(g) for g in ideal.generators]
-    for i in range(n):
-        pool.append(Polynomial.variable(n, i))
+    # (candidate, bound on its global root order, variable index)
+    pool = [(squarefree_part(g), g.total_degree(), None) for g in ideal.generators]
+    pool += [(Polynomial.variable(n, i), None, i) for i in range(n)]
     adjoin: list[tuple[Polynomial, int]] = []
     seen: set[frozenset] = set()
-    for f in pool:
-        if f.is_zero() or f.is_constant():
-            continue
+    for f, bound, var in pool:
         key = frozenset(order_monic(f, ideal.default_order()).terms.items())
         if key in seen:
             continue
         seen.add(key)
-        if member(f, ideal):
-            continue
-        s = least_power(f, lambda p: member(p, ideal), root_cap)
-        if s is not None:
+        if var is None:
+            s = least_power(f, lambda p: member(p, ideal), bound)
+        else:
+            s = variable_root_order(ideal, var)
+        if s is not None and s > 1:  # order 1: f is already in the ideal
             adjoin.append((f, s))
     if not adjoin:
         return RadicalOutcome(ideal.generators, "none", (), True, 0)
@@ -619,3 +605,15 @@ def eliminant(ideal: Ideal, var_index: int) -> Polynomial | None:
         return None
     hits.sort(key=lambda g: g.degree_in(var_index))
     return hits[0].monic()
+
+
+def variable_root_order(ideal: Ideal, var_index: int) -> int | None:
+    """Least k with x_i^k in I, else None.
+
+    x_i^s in I meet k[x_i] = (e) forces e = x_i^k with k <= s, so the
+    eliminant alone decides.
+    """
+    e = eliminant(ideal, var_index)
+    if e is None or not e.is_monomial():
+        return None
+    return e.degree_in(var_index)

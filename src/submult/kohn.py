@@ -20,17 +20,16 @@ from typing import Sequence
 
 from .errors import CapExceededError, ConsistencyError, ValidationError
 from .ideals import (
-    DEFAULT_ROOT_CAP,
     Ideal,
     RadicalOutcome,
     germ_colength,
     germ_member,
     is_germ_unit,
-    member,
     radical_step,
     root_order,
+    variable_root_order,
 )
-from .poly import INF, Polynomial, PolyMatrix, _Infinity, det, format_poly, least_power, parse
+from .poly import INF, Polynomial, PolyMatrix, _Infinity, det, format_poly, parse
 
 DEFAULT_MAX_STEPS = 16
 _HARD_MINOR_LIMIT = 200_000
@@ -78,7 +77,6 @@ class SpecialDomain:
 class KohnOptions:
     radical_mode: str = "full"  # full | none
     max_steps: int = DEFAULT_MAX_STEPS
-    root_cap: int = DEFAULT_ROOT_CAP
 
     def __post_init__(self):
         if self.radical_mode not in ("full", "none"):
@@ -98,7 +96,7 @@ class KohnState:
 class KohnStepRecord:
     J_gens: tuple[Polynomial, ...]
     radical_method: str
-    root_orders: tuple[tuple[Polynomial, int | None], ...]
+    root_orders: tuple[tuple[Polynomial, int], ...]
     I_gens: tuple[Polynomial, ...]
 
     def to_dict(self, variables) -> dict:
@@ -163,7 +161,7 @@ def step(state: KohnState, options: KohnOptions = KohnOptions()) -> tuple[KohnSt
     if options.radical_mode == "none":
         outcome = RadicalOutcome(J.generators, "none", (), False, 0)
     else:
-        outcome = radical_step(J, root_cap=options.root_cap)
+        outcome = radical_step(J)
     record = KohnStepRecord(J.generators, outcome.method, outcome.root_orders, outcome.generators)
     # J_{k+1} = I_k + minors(dh, dGB(I_k)).  Minors are multilinear and
     # d(a f) = a df + f da, so rows from any generating set of I_k, or from
@@ -192,10 +190,7 @@ def run(domain: SpecialDomain, options: KohnOptions = KohnOptions()) -> KohnTrac
         if record.I_gens == (Polynomial.constant(n, 1),):
             status = "unit_reached"
             break
-        if options.radical_mode == "full":
-            for _, s in record.root_orders:
-                if s is not None:
-                    max_root = max(max_root, s)
+        max_root = max([max_root] + [s for _, s in record.root_orders])
         # Stall test.  I_{k-1} <= J_k because the minors keep the previous
         # stage, and J_k <= I_k in every radical branch (sqfree(p) divides p,
         # a non-unit J lies in m, partial and none keep J's generators), so
@@ -217,7 +212,6 @@ class FiniteTypeReport:
     stabilization_degree: int | None
     radical_is_m: bool
     verdict: bool
-    capped: bool
 
     def to_dict(self) -> dict:
         return {
@@ -225,32 +219,31 @@ class FiniteTypeReport:
             "stabilization_degree": self.stabilization_degree,
             "radical_is_m": self.radical_is_m,
             "verdict": self.verdict,
-            "capped": self.capped,
         }
 
 
-def check_finite_type(domain: SpecialDomain, root_cap: int = DEFAULT_ROOT_CAP) -> FiniteTypeReport:
-    """Check finite colength, radical equal to m, and point variety together."""
+def check_finite_type(domain: SpecialDomain) -> FiniteTypeReport:
+    """Check finite colength, radical equal to m, and point variety together.
+
+    An m-primary germ decides the radical by germ root orders, and any other
+    by the global ones, which the eliminants give exactly; either way the
+    conditions must agree.
+    """
     ideal = Ideal(domain.n, domain.h)
     report = germ_colength(ideal)
-    variables = [Polynomial.variable(domain.n, i) for i in range(domain.n)]
     if report.m_primary:
-        orders = [root_order(v, ideal, root_cap, report) for v in variables]
+        variables = [Polynomial.variable(domain.n, i) for i in range(domain.n)]
+        orders = [root_order(v, ideal, report) for v in variables]
     else:
-        orders = [least_power(v, lambda p: member(p, ideal), root_cap) for v in variables]
+        orders = [variable_root_order(ideal, i) for i in range(domain.n)]
     radical_is_m = all(s is not None for s in orders)
-    capped = report.m_primary and not radical_is_m  # the root cap fired
-    verdict = report.m_primary and radical_is_m
-    if not capped and radical_is_m != report.m_primary:
-        raise ConsistencyError(
-            "finite-type conditions disagree without hitting any cap"
-        )
+    if radical_is_m != report.m_primary:
+        raise ConsistencyError("finite-type conditions disagree")
     return FiniteTypeReport(
         colength=report.colength,
         stabilization_degree=report.stabilization_degree,
         radical_is_m=radical_is_m,
-        verdict=verdict,
-        capped=capped,
+        verdict=radical_is_m,
     )
 
 

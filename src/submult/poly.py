@@ -755,15 +755,18 @@ def divides(g: Polynomial, f: Polynomial) -> bool:
     return exact_div(f, g) is not None
 
 
-def least_power(f: Polynomial, holds: Callable[[Polynomial], bool], cap: int) -> int | None:
-    """Least s <= cap with holds(f**s), else None; each power costs one product."""
+def least_power(f: Polynomial, holds: Callable[[Polynomial], bool], bound: int | None) -> int | None:
+    """Least s <= bound with holds(f**s), else None; each power costs one product.
+
+    A bound of None searches every s: the caller has shown that some power holds.
+    """
     power = f
-    for s in range(1, cap + 1):
+    for s in itertools.count(1):
         if holds(power):
             return s
-        if s < cap:
-            power = power * f
-    return None
+        if bound is not None and s >= bound:
+            return None
+        power = power * f
 
 
 def _coeff_in(f: Polynomial, var: int, k: int) -> Polynomial:

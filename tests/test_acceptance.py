@@ -88,7 +88,7 @@ def test_criterion_01b_effectiveness_root_order():
             f"in any germ combination of the generators kills z^{M}*w^{N - 2} and "
             f"leaves a multiple of z^{K + 1}, so z^s needs s >= K+1"
         )
-        order = root_order(z, J1, 32, report)
+        order = root_order(z, J1, report)
         sharp = SHARP_ROOT_ORDERS[(M, N, K)]
         assert order == sharp, (
             f"for (M,N,K)={(M, N, K)} the minimal s with z^s in the stage ideal "

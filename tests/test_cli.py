@@ -82,6 +82,17 @@ def test_row_cap_flag_removed(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "command", [["multipliers", "run"], ["ideal", "root-order", "--poly", "z"]]
+)
+def test_root_cap_flag_removed(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, {**ZW_CONFIG, "h": ["z^2", "w^3 + w*z^4"]})
+    code, out, err = run_cli(capsys, *command, "--config", cfg, "--root-cap", "3")
+    assert code == 1
+    assert not out
+    assert "no such option" in err.lower()
+
+
+@pytest.mark.parametrize(
     "command",
     [["multipliers", "run"], ["ideal", "colength"], ["ideal", "member", "--poly", "z"],
      ["ideal", "root-order", "--poly", "z"]],
@@ -92,6 +103,50 @@ def test_truncation_cap_flag_removed(tmp_path, capsys, command):
     assert code == 1
     assert not out
     assert "no such option" in err.lower()
+
+
+_CURVE_DOMAIN = {"variables": ["z1", "z2", "z3"], "h": ["z1^2 - z2*z3", "z2^2"]}
+_FAMILY_TERMS = [
+    [{"coeff": "1", "zeta_exp": 1, "t_exp": 0}],
+    [{"coeff": "-1", "zeta_exp": 2, "t_exp": "-2*alpha"}],
+    [{"coeff": "i", "zeta_exp": 0, "t_exp": "alpha"}],
+]
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        (["multipliers", "run"], {"variables": "zw", "h": ["z^2", "w^2"]}),
+        (["multipliers", "run"], {"variables": ["z", "w", "z"], "h": ["z^2", "w^2"]}),
+        (["multipliers", "run"], {"variables": ["z", 1], "h": ["z^2"]}),
+        (["ideal", "colength"], {"variables": ["z", "2"], "h": ["z^2", "2^3"]}),
+        (["multipliers", "run"], {**ZW_CONFIG, "h": "zw"}),
+        (["multipliers", "run"], {**ZW_CONFIG, "h": [3]}),
+        (["ideal", "colength"], {**ZW_CONFIG, "h": [["z"]]}),
+        (["contact", "curve"], {**_CURVE_DOMAIN, "curve": {"base": ["0", "0", "0"]}}),
+        (["contact", "curve"], {**_CURVE_DOMAIN, "curve": ["zeta", "0", "0"]}),
+        (["contact", "curve"], {**_CURVE_DOMAIN, "curve": {"components": "zeta"}}),
+        (["contact", "curve"], {**_CURVE_DOMAIN, "curve": {"components": [1, 0, 0]}}),
+        (["contact", "curve"],
+         {**_CURVE_DOMAIN, "curve": {"components": ["zeta", "0", "0"], "base": "000"}}),
+        (["contact", "family"], {**_CURVE_DOMAIN, "family": {"alpha": "1/2"}}),
+        (["contact", "family"], {**_CURVE_DOMAIN, "family": {"components": "zeta"}}),
+        (["contact", "family"], {**_CURVE_DOMAIN, "family": {"components": [{"coeff": "1"}]}}),
+        (["contact", "family"],
+         {**_CURVE_DOMAIN, "family": {"components": [[{"coeff": "1", "t_exp": 0}]]}}),
+        (["contact", "family"],
+         {**_CURVE_DOMAIN, "family": {"components": [
+             [{"coeff": "1", "zeta_exp": "1", "t_exp": 0}], *_FAMILY_TERMS[1:]]}}),
+        (["contact", "family"],
+         {**_CURVE_DOMAIN, "family": {"components": _FAMILY_TERMS, "alpha": [1]}}),
+    ],
+)
+def test_malformed_config_rejected(tmp_path, capsys, command, doc):
+    cfg = write_config(tmp_path, doc)
+    code, out, err = run_cli(capsys, *command, "--config", cfg)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_unreadable_config(tmp_path, capsys):
@@ -149,13 +204,12 @@ def test_ideal_root_order(tmp_path, capsys):
     )
     code, out, _ = run_cli(capsys, "ideal", "root-order", "--config", cfg, "--poly", "z")
     assert code == 0 and json.loads(out) == {"root_order": 6}
-    code, out, _ = run_cli(
-        capsys, "ideal", "root-order", "--config", cfg, "--poly", "z", "--root-cap", "3"
-    )
-    assert code == 2 and json.loads(out) == {"root_order": None}
     cfg = write_config(tmp_path, {**ZW_CONFIG, "h": ["z^3", "z*w"]})
     code, out, _ = run_cli(capsys, "ideal", "root-order", "--config", cfg, "--poly", "z")
     assert code == 0 and json.loads(out) == {"root_order": 3}
+    # no power of w lies in the germ ideal: an exact answer, not a capped one
+    code, out, _ = run_cli(capsys, "ideal", "root-order", "--config", cfg, "--poly", "w")
+    assert code == 0 and json.loads(out) == {"root_order": None}
 
 
 # -- triangular -----------------------------------------------------------------------

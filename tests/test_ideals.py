@@ -17,12 +17,12 @@ from submult.ideals import (
     germ_member,
     groebner,
     is_germ_unit,
-    is_isolated,
     member,
     normal_form,
     radical_step,
     root_order,
     truncated_basis,
+    variable_root_order,
     _standard_monomial_count,
 )
 from submult.poly import INF, Polynomial, format_poly, monomials_of_degree, parse
@@ -163,12 +163,12 @@ def test_isolated_origin_beside_a_curve():
     # V(I) is the origin plus the line z = 1, so I is not zero-dimensional
     for gens, colength in [(("z^2 - z", "z*w - w"), 1), (("z^3 - z^2", "z*w - w"), 2)]:
         I = ideal(*gens)
-        assert is_isolated(I)
+        assert germ_colength(I).m_primary
         report = germ_colength(I)
         assert (report.colength, report.m_primary) == (colength, True)
         assert (report.colength, report.stabilization_degree, report.m_primary) == _scan(I)
     assert germ_member(p("z"), ideal("z^2 - z", "z*w - w"))
-    assert not is_isolated(ideal("z^2 - z", "z*w"))
+    assert not germ_colength(ideal("z^2 - z", "z*w")).m_primary
 
 
 def _scan(I, cap=24):
@@ -302,7 +302,35 @@ def test_root_orders_simple():
     assert root_order(parse("z", ("z",)), line) == 1
     one_var = Ideal.from_strings(["z^3"], ("z",))
     assert root_order(parse("z", ("z",)), one_var) == 3
-    assert root_order(parse("z", ("z",)), one_var, s_max=2) is None
+
+
+def test_root_order_off_an_isolated_origin_is_exact():
+    # V(z^3, z*w) is the line z = 0: z lies in the radical of the germ, w does not
+    curve = ideal("z^3", "z*w")
+    assert root_order(p("z"), curve) == 3
+    assert root_order(p("w"), curve) is None
+    assert root_order(p("1 + z"), curve) is None
+    assert root_order(p("1 + z"), ideal("z^2", "w^2")) is None
+    assert root_order(p("z"), ideal("z - z*w")) == 1
+
+
+def test_variable_root_orders_come_from_the_eliminant():
+    # w^3 = w*(w^2 - z*w) + z*w^2, while the degree-2 part of I is spanned by w^2 - z*w
+    I = ideal("w^2 - z*w", "z*w^2")
+    assert variable_root_order(I, 1) == 3
+    assert variable_root_order(I, 0) is None
+    assert variable_root_order(ideal("z^35", "z*w"), 0) == 35
+
+
+def test_radical_step_orders_beyond_32():
+    principal = radical_step(ideal("z^40*w"))
+    assert principal.method == "principal" and principal.max_root_order == 40
+    partial = radical_step(ideal("z^35", "z*w"))
+    assert partial.method == "partial"
+    assert [(format_poly(g, ZW), s) for g, s in partial.root_orders] == [("z", 35)]
+    partial = radical_step(ideal("w^2 - z*w", "z*w^2"))
+    assert partial.method == "partial"
+    assert [(format_poly(g, ZW), s) for g, s in partial.root_orders] == [("z*w", 2), ("w", 3)]
 
 
 def test_root_order_in_second_stage_ideal():

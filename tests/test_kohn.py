@@ -4,8 +4,8 @@ import json
 import pytest
 
 from conftest import sympy_local_colength, to_sympy
-from submult.errors import ValidationError
-from submult.ideals import Ideal, germ_colength, germ_member, is_germ_unit, is_isolated, member
+from submult.errors import ConsistencyError, ValidationError
+from submult.ideals import GermReport, Ideal, germ_colength, germ_member, is_germ_unit, member
 from submult.kohn import (
     KohnOptions,
     SpecialDomain,
@@ -150,6 +150,33 @@ def test_m_primary_stage_colengths_match_sympy_local_ring(h):
     for gens in stages:
         report = germ_colength(Ideal(3, gens))
         assert report.colength == sympy_local_colength(sympy, gens, ZWV), gens
+
+
+# root orders above 32: the radical step bounds each search by the ideal itself
+UNBOUNDED_ROOT_RUNS = [
+    (("z^2", "w^3 + w*z^40"), ["principal", "m-primary", "none"], 42),
+    (("z^40", "w"), ["principal", "none"], 39),
+    (("z^34", "w^2"), ["principal", "m-primary", "none"], 34),
+]
+
+
+@pytest.mark.parametrize("h, methods, max_root", UNBOUNDED_ROOT_RUNS)
+def test_large_root_orders_are_exact(h, methods, max_root):
+    trace = run(domain(*h))
+    assert trace.status == "unit_reached"
+    assert [s.radical_method for s in trace.steps] == methods
+    assert trace.max_root_order == max_root
+
+
+def test_root_order_42_matches_sympy_local_ring():
+    sympy = pytest.importorskip("sympy")
+    stage = run(domain("z^2", "w^3 + w*z^40")).steps[1]
+    assert {format_poly(g, ZW): s for g, s in stage.root_orders} == {"z": 42, "w": 4}
+    ring = sympy.QQ.old_poly_ring(*sympy.symbols(ZW), order="igrevlex")
+    local = ring.ideal(*[to_sympy(sympy, g).as_expr() for g in stage.J_gens])
+    z = sympy.Symbol("z")
+    assert local.contains(z**42)
+    assert not local.contains(z**41)
 
 
 def test_run_stalls_on_curve_domain():
@@ -302,7 +329,7 @@ def test_germ_membership_matches_sympy_local_ring(h, mode):
     unit = parse("1 - w", ZW)
     checked = 0
     for gens in stages:
-        if not gens or is_isolated(Ideal(2, gens)):
+        if not gens or germ_colength(Ideal(2, gens)).m_primary:
             continue
         for stage in (gens, [unit * g for g in gens]):
             local = ring.ideal(*[to_sympy(sympy, g).as_expr() for g in stage])
@@ -336,14 +363,13 @@ def test_stall_check_builds_no_basis_before_a_second_stage(monkeypatch):
 
 def test_finite_type_product_family():
     report = check_finite_type(domain("z^2", "w^3 + w*z^4"))
-    assert report.verdict and report.radical_is_m and not report.capped
+    assert report.verdict and report.radical_is_m
     assert report.colength == 6
 
 
 def test_finite_type_fails_on_curve_domain():
     report = check_finite_type(domain("z^3", "z*w"))
     assert not report.verdict and not report.radical_is_m
-    assert not report.capped
     assert report.colength == INF
 
 
@@ -356,8 +382,16 @@ def test_finite_type_point():
 def test_finite_type_conditions_agree_when_uncapped():
     for h in [("z^2", "w^2"), ("z^3", "w^4 + w*z^5"), ("z", "w"), ("z^2", "z*w", "w^2")]:
         report = check_finite_type(domain(*h))
-        assert not report.capped
         assert report.verdict == report.radical_is_m == (report.colength != INF)
+
+
+def test_finite_type_cross_check_runs_on_every_germ(monkeypatch):
+    from submult import kohn
+
+    # a germ oracle that misses an isolated origin is caught by the eliminants
+    monkeypatch.setattr(kohn, "germ_colength", lambda ideal: GermReport(INF, None, False, False))
+    with pytest.raises(ConsistencyError):
+        check_finite_type(domain("z^2", "w^3 + w*z^4"))
 
 
 # -- curve annihilation ------------------------------------------------------------------
