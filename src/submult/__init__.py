@@ -31,7 +31,6 @@ from .ideals import (
     eliminant,
     germ_colength,
     germ_member,
-    groebner,
     is_germ_unit,
     member,
     normal_form,

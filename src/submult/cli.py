@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
 
 import click
 
@@ -27,14 +25,6 @@ from .poly import INF, parse
 EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_CAP = 2
-
-
-@dataclass(frozen=True)
-class JobSpec:
-    """Validated request: ring variables and defining polynomials."""
-
-    variables: tuple[str, ...]
-    h: tuple[str, ...]
 
 
 def _load_config(path: str) -> dict:
@@ -64,11 +54,14 @@ def _document(config: dict, key: str) -> dict:
     return doc
 
 
-def _jobspec(config: dict, **options) -> JobSpec:
-    """Validate the config document and the command's option flags."""
+def _jobspec(config: dict, *flags: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """Validated ring variables and defining polynomials of the config document.
+
+    The command's flags are named when the config carries an 'options' key.
+    """
     if "options" in config:
-        flags = ", ".join("--" + key.replace("_", "-") for key in options) or "none"
-        raise ValidationError(f"config key 'options' is not supported; command flags: {flags}")
+        named = ", ".join(flags) or "none"
+        raise ValidationError(f"config key 'options' is not supported; command flags: {named}")
     variables = _strings(config, "variables", "config")
     if not variables:
         raise ValidationError("config must list the ring variables")
@@ -77,10 +70,7 @@ def _jobspec(config: dict, **options) -> JobSpec:
     h = _strings(config, "h", "config")
     for s in h:
         parse(s, variables)  # surfaces syntax errors with positions
-    for key, value in options.items():
-        if isinstance(value, int) and not isinstance(value, bool) and value <= 0:
-            raise ValidationError(f"option {key} must be a positive integer")
-    return JobSpec(variables, h)
+    return variables, h
 
 
 def _emit(ctx, doc) -> None:
@@ -151,11 +141,9 @@ def multipliers():
 @click.pass_context
 def multipliers_run(ctx, config_path, max_steps, radical_mode):
     config = _load_config(config_path)
-    spec = _jobspec(config, max_steps=max_steps, radical_mode=radical_mode)
-    domain = _kohn.SpecialDomain.from_strings(
-        spec.h, spec.variables, config.get("label", "")
-    )
+    variables, h = _jobspec(config, "--max-steps", "--radical-mode")
     options = _kohn.KohnOptions(radical_mode=radical_mode, max_steps=max_steps)
+    domain = _kohn.SpecialDomain.from_strings(h, variables, config.get("label", ""))
     trace = _kohn.run(domain, options)
     _emit(ctx, trace.to_dict())
     if trace.status == "step_cap":
@@ -175,9 +163,8 @@ def triangular():
 @click.pass_context
 def triangular_run(ctx, config_path):
     config = _load_config(config_path)
-    spec = _jobspec(config)
-    polys = [parse(s, spec.variables) for s in spec.h]
-    system = _triangular.validate(polys, spec.variables)
+    variables, h = _jobspec(config)
+    system = _triangular.validate([parse(s, variables) for s in h], variables)
     trace = _triangular.run_effective(system)
     report = _triangular.certify(trace, system)
     # certify has compared the colength with the ladder length L
@@ -204,9 +191,8 @@ def ideal():
 @click.pass_context
 def ideal_colength(ctx, config_path):
     config = _load_config(config_path)
-    spec = _jobspec(config)
-    ideal_obj = Ideal.from_strings(spec.h, spec.variables)
-    _emit(ctx, germ_colength(ideal_obj).to_dict())
+    variables, h = _jobspec(config)
+    _emit(ctx, germ_colength(Ideal.from_strings(h, variables)).to_dict())
 
 
 @ideal.command("member")
@@ -216,9 +202,9 @@ def ideal_colength(ctx, config_path):
 @click.pass_context
 def ideal_member(ctx, config_path, poly_text, germ_mode):
     config = _load_config(config_path)
-    spec = _jobspec(config)
-    ideal_obj = Ideal.from_strings(spec.h, spec.variables)
-    f = parse(poly_text, spec.variables)
+    variables, h = _jobspec(config)
+    ideal_obj = Ideal.from_strings(h, variables)
+    f = parse(poly_text, variables)
     if germ_mode:
         doc = {"member": germ_member(f, ideal_obj, germ_colength(ideal_obj)), "mode": "germ"}
     else:
@@ -232,9 +218,9 @@ def ideal_member(ctx, config_path, poly_text, germ_mode):
 @click.pass_context
 def ideal_root_order(ctx, config_path, poly_text):
     config = _load_config(config_path)
-    spec = _jobspec(config)
-    ideal_obj = Ideal.from_strings(spec.h, spec.variables)
-    _emit(ctx, {"root_order": root_order(parse(poly_text, spec.variables), ideal_obj)})
+    variables, h = _jobspec(config)
+    ideal_obj = Ideal.from_strings(h, variables)
+    _emit(ctx, {"root_order": root_order(parse(poly_text, variables), ideal_obj)})
 
 
 # -- contact --------------------------------------------------------------------
@@ -250,8 +236,8 @@ def contact():
 @click.pass_context
 def contact_curve_cmd(ctx, config_path):
     config = _load_config(config_path)
-    spec = _jobspec(config)
-    domain = _contact.AmbientDomain.from_strings(spec.h, spec.variables)
+    variables, h = _jobspec(config)
+    domain = _contact.AmbientDomain.from_strings(h, variables)
     curve_doc = _document(config, "curve")
     components = [parse(s, ("zeta",)) for s in _strings(curve_doc, "components", "curve")]
     base = [parse(s, []).constant_term() for s in _strings(curve_doc, "base", "curve")]
@@ -264,8 +250,8 @@ def contact_curve_cmd(ctx, config_path):
 @click.pass_context
 def contact_family_cmd(ctx, config_path):
     config = _load_config(config_path)
-    spec = _jobspec(config)
-    domain = _contact.AmbientDomain.from_strings(spec.h, spec.variables)
+    variables, h = _jobspec(config)
+    domain = _contact.AmbientDomain.from_strings(h, variables)
     family_doc = _document(config, "family")
     family = _contact.CurveFamily.from_config(family_doc["components"])
     doc = {}
@@ -274,7 +260,7 @@ def contact_family_cmd(ctx, config_path):
         if alpha is None:
             alpha = _contact.balance_exponent(domain, family)
         elif type(alpha) in (str, int):
-            alpha = Fraction(alpha)
+            alpha = _contact.rational(alpha, "family key 'alpha'")
         else:
             raise ValidationError("family key 'alpha' must be a string or an integer")
         family = family.fix_exponent(alpha)
@@ -296,7 +282,7 @@ def contact_formula(ctx, m1, m2, lam, limit_zero):
     if limit_zero:
         value = _contact.sharp_T_limit(m1, m2)
     else:
-        value = _contact.sharp_T(m1, m2, Fraction(lam))
+        value = _contact.sharp_T(m1, m2, _contact.rational(lam, "--lambda"))
     _emit(ctx, {"T": str(value), "epsilon_bound": str(_contact.epsilon_bound(value))})
 
 
@@ -306,10 +292,9 @@ def contact_formula(ctx, m1, m2, lam, limit_zero):
 @click.option("--dim", type=int, required=True)
 @click.pass_context
 def contact_bound(ctx, t_base, t_nearby, dim):
-    base, nearby = Fraction(t_base), Fraction(t_nearby)
-    ok = _contact.type_bound_check(base, nearby, dim)
-    limit = base ** (dim - 1) / Fraction(2) ** (dim - 2)
-    _emit(ctx, {"ok": ok, "limit": str(limit)})
+    base = _contact.rational(t_base, "--base")
+    ok = _contact.type_bound_check(base, _contact.rational(t_nearby, "--nearby"), dim)
+    _emit(ctx, {"ok": ok, "limit": str(_contact.type_bound_limit(base, dim))})
 
 
 # -- reproduce --------------------------------------------------------------------

@@ -157,6 +157,18 @@ class CurveFamily:
         return cls(tuple(comps))
 
 
+def rational(value, name: str) -> Fraction:
+    """An input rational, read as Fraction reads it.
+
+    A malformed value or a zero denominator is a ValidationError naming the
+    input.
+    """
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValidationError(f"{name}: {value!r} is not a rational number") from exc
+
+
 def _parse_exponent(value) -> tuple[Fraction, Fraction]:
     """Affine t-exponent: a rational, 'alpha', or e.g. '1/2 - 3*alpha'."""
     if isinstance(value, int):
@@ -185,9 +197,9 @@ def _parse_exponent(value) -> tuple[Fraction, Fraction]:
             piece = piece[1:]
         if piece.endswith("alpha"):
             head = piece[: -len("alpha")].rstrip("*")
-            slope += sign * (Fraction(head) if head else Fraction(1))
+            slope += sign * (rational(head, "t_exp") if head else Fraction(1))
         else:
-            const += sign * Fraction(piece)
+            const += sign * rational(piece, "t_exp")
     return const, slope
 
 
@@ -479,14 +491,19 @@ def scaled_jump_family(l: int) -> CurveFamily:
     )
 
 
+def type_bound_limit(t_base: Fraction, dim: int) -> Fraction:
+    """The sharp jump bound t0^(n-1)/2^(n-2) on nearby contact orders."""
+    return Fraction(t_base) ** (dim - 1) / Fraction(2) ** (dim - 2)
+
+
 def type_bound_check(t_base: Fraction, t_nearby: Fraction, dim: int) -> bool:
-    """Nearby contact order against the sharp jump bound t0^(n-1)/2^(n-2)."""
+    """Nearby contact order against the sharp jump bound."""
     t_base, t_nearby = Fraction(t_base), Fraction(t_nearby)
     if t_base <= 0 or t_nearby <= 0:
         raise ValidationError("contact orders must be positive")
     if dim < 2:
         raise ValidationError("dimension must be at least 2")
-    return t_nearby <= t_base ** (dim - 1) / Fraction(2) ** (dim - 2)
+    return t_nearby <= type_bound_limit(t_base, dim)
 
 
 def epsilon_bound(eta: Fraction) -> Fraction:

@@ -279,10 +279,9 @@ def _run_epsilon_bound(eta):
 
 
 def _run_type_bound(t_base, t_nearby, dim):
-    limit = Fraction(t_base) ** (dim - 1) / Fraction(2) ** (dim - 2)
     return {
         "ok": _contact.type_bound_check(Fraction(t_base), Fraction(t_nearby), dim),
-        "limit": str(limit),
+        "limit": str(_contact.type_bound_limit(Fraction(t_base), dim)),
     }
 
 

@@ -37,36 +37,22 @@ from .poly import (
 
 @dataclass(frozen=True)
 class MonomialOrder:
-    """Total monomial order: lex or graded-reverse-lex, with a variable permutation."""
+    """Total monomial order, lex or graded-reverse-lex, with x_0 > x_1 > ..."""
 
     kind: str
-    perm: tuple[int, ...]
 
     def __post_init__(self):
         if self.kind not in ("lex", "grevlex"):
             raise ValidationError(f"unknown monomial order kind {self.kind!r}")
-        if sorted(self.perm) != list(range(len(self.perm))):
-            raise ValidationError("perm must be a permutation of variable indices")
-
-    @classmethod
-    def grevlex(cls, ring_dim: int, perm: Sequence[int] | None = None) -> "MonomialOrder":
-        return cls("grevlex", tuple(perm) if perm else tuple(range(ring_dim)))
-
-    @classmethod
-    def lex(cls, ring_dim: int, perm: Sequence[int] | None = None) -> "MonomialOrder":
-        return cls("lex", tuple(perm) if perm else tuple(range(ring_dim)))
-
-    @classmethod
-    def elimination(cls, ring_dim: int, keep: int) -> "MonomialOrder":
-        """Lex order making the kept variable smallest, for elimination."""
-        others = tuple(i for i in range(ring_dim) if i != keep)
-        return cls.lex(ring_dim, others + (keep,))
 
     def key(self, mono: Mono) -> tuple:
-        permuted = tuple(mono[i] for i in self.perm)
         if self.kind == "lex":
-            return permuted
-        return (sum(mono), tuple(-e for e in reversed(permuted)))
+            return mono
+        return (sum(mono), tuple(-e for e in reversed(mono)))
+
+
+LEX = MonomialOrder("lex")
+GREVLEX = MonomialOrder("grevlex")
 
 
 def leading_mono(p: Polynomial, order: MonomialOrder) -> Mono:
@@ -244,7 +230,7 @@ class Ideal:
         return cls(len(variables), [parse(s, variables) for s in strings])
 
     def default_order(self) -> MonomialOrder:
-        return MonomialOrder.grevlex(self.ring_dim)
+        return GREVLEX
 
     def groebner(self, order: MonomialOrder | None = None) -> tuple[Polynomial, ...]:
         order = order or self.default_order()
@@ -255,17 +241,11 @@ class Ideal:
         return cached
 
 
-def groebner(ideal: Ideal, order: MonomialOrder | None = None) -> tuple[Polynomial, ...]:
-    """Reduced Groebner basis, deterministic for fixed input and order."""
-    return ideal.groebner(order)
-
-
-def member(f: Polynomial, ideal: Ideal, order: MonomialOrder | None = None) -> bool:
+def member(f: Polynomial, ideal: Ideal) -> bool:
     """Membership in the polynomial ideal (normal form vanishes)."""
     if f.ring_dim != ideal.ring_dim:
         raise ValidationError("polynomial lives in the wrong ring")
-    basis = ideal.groebner(order)
-    return normal_form(f, basis, order or ideal.default_order()).is_zero()
+    return normal_form(f, ideal.groebner(), ideal.default_order()).is_zero()
 
 
 def truncated_basis(
@@ -307,19 +287,19 @@ def _standard_monomial_count(
     return count
 
 
-def _eliminate_t(gens: Sequence[Polynomial], ring_dim: int) -> Ideal:
-    """(gens) meet k[x], for gens in k[t, x] with t as variable 0.
+def _eliminate(gens: Sequence[Polynomial], ring_dim: int, drop: int) -> Ideal:
+    """(gens) meet k[x], for gens in k[t, x] with t the first drop variables.
 
     Lex with t first is an elimination order, so the basis elements free of
     t generate the intersection (Cox-Little-O'Shea, Sec. 3.1).
     """
-    basis = _groebner_raw(gens, MonomialOrder.lex(ring_dim + 1))
+    basis = _groebner_raw(gens, LEX)
     return Ideal(
         ring_dim,
         [
-            Polynomial(ring_dim, {m[1:]: c for m, c in g.terms.items()})
+            Polynomial(ring_dim, {m[drop:]: c for m, c in g.terms.items()})
             for g in basis
-            if g.degree_in(0) == 0
+            if not any(g.degree_in(i) for i in range(drop))
         ],
     )
 
@@ -333,14 +313,14 @@ def _saturation(ideal: Ideal, f: Polynomial) -> Ideal:
     """I : f^inf, as (I + (1 - t f)) meet k[x] (Cox-Little-O'Shea, Sec. 4.4)."""
     t = Polynomial.variable(ideal.ring_dim + 1, 0)
     gens = [_lift_t(g) for g in ideal.generators]
-    return _eliminate_t(gens + [1 - t * _lift_t(f)], ideal.ring_dim)
+    return _eliminate(gens + [1 - t * _lift_t(f)], ideal.ring_dim, 1)
 
 
 def _quotient(ideal: Ideal, f: Polynomial) -> Ideal:
     """I : f, as (I meet (f)) / f with I meet (f) = (t I + (1 - t) f) meet k[x]."""
     t = Polynomial.variable(ideal.ring_dim + 1, 0)
     gens = [t * _lift_t(g) for g in ideal.generators]
-    meet = _eliminate_t(gens + [(1 - t) * _lift_t(f)], ideal.ring_dim)
+    meet = _eliminate(gens + [(1 - t) * _lift_t(f)], ideal.ring_dim, 1)
     return Ideal(ideal.ring_dim, [exact_div(g, f) for g in meet.generators])
 
 
@@ -499,21 +479,15 @@ def is_germ_unit(ideal: Ideal) -> bool:
     return any(g.constant_term() for g in ideal.generators)
 
 
-def canonical_generators(
-    polys: Iterable[Polynomial], order: MonomialOrder | None = None
-) -> tuple[Polynomial, ...]:
+def canonical_generators(polys: Iterable[Polynomial]) -> tuple[Polynomial, ...]:
     """Monic, de-duplicated, canonically sorted generator list."""
-    polys = [p for p in polys if not p.is_zero()]
-    if not polys:
-        return ()
-    order = order or MonomialOrder.grevlex(polys[0].ring_dim)
     seen = {}
     for p in polys:
-        q = order_monic(p, order)
-        key = frozenset(q.terms.items())
-        seen.setdefault(key, q)
+        if not p.is_zero():
+            q = order_monic(p, GREVLEX)
+            seen.setdefault(frozenset(q.terms.items()), q)
     out = list(seen.values())
-    out.sort(key=lambda p: (order.key(leading_mono(p, order)), sorted(p.terms)))
+    out.sort(key=lambda p: (GREVLEX.key(leading_mono(p, GREVLEX)), sorted(p.terms)))
     return tuple(out)
 
 
@@ -524,8 +498,19 @@ class RadicalOutcome:
     generators: tuple[Polynomial, ...]
     method: str  # principal | m-primary | partial | none
     root_orders: tuple[tuple[Polynomial, int], ...]
-    stalled: bool
-    max_root_order: int
+
+    @property
+    def unit(self) -> bool:
+        """The generators give the unit germ: one of them is nonzero at the origin."""
+        return any(g.constant_term() for g in self.generators)
+
+    @property
+    def stalled(self) -> bool:
+        return self.method == "none" and not self.unit
+
+    @property
+    def max_root_order(self) -> int:
+        return max((s for _, s in self.root_orders), default=0)
 
 
 def radical_step(ideal: Ideal) -> RadicalOutcome:
@@ -540,26 +525,21 @@ def radical_step(ideal: Ideal) -> RadicalOutcome:
     rather than raised.
     """
     n = ideal.ring_dim
+    if is_germ_unit(ideal):
+        return RadicalOutcome((Polynomial.constant(n, 1),), "none", ())
     basis = ideal.groebner()
     if not basis:
-        return RadicalOutcome((), "none", (), True, 0)
-    if is_germ_unit(ideal):
-        one = Polynomial.constant(n, 1)
-        return RadicalOutcome((one,), "none", (), False, 0)
+        return RadicalOutcome((), "none", ())
     if len(basis) == 1:
         p = basis[0]
         q = squarefree_part(p)
         s = least_power(q, lambda r: divides(p, r), p.total_degree())
-        return RadicalOutcome(
-            canonical_generators([q]), "principal", ((q, s),), False, s
-        )
+        return RadicalOutcome(canonical_generators([q]), "principal", ((q, s),))
     report = germ_colength(ideal)
     if report.m_primary:
         gens = tuple(Polynomial.variable(n, i) for i in range(n))
         orders = tuple((g, root_order(g, ideal, report)) for g in gens)
-        return RadicalOutcome(
-            gens, "m-primary", orders, False, max(s for _, s in orders)
-        )
+        return RadicalOutcome(gens, "m-primary", orders)
     # (candidate, bound on its global root order, variable index)
     pool = [(squarefree_part(g), g.total_degree(), None) for g in ideal.generators]
     pool += [(Polynomial.variable(n, i), None, i) for i in range(n)]
@@ -577,34 +557,23 @@ def radical_step(ideal: Ideal) -> RadicalOutcome:
         if s is not None and s > 1:  # order 1: f is already in the ideal
             adjoin.append((f, s))
     if not adjoin:
-        return RadicalOutcome(ideal.generators, "none", (), True, 0)
+        return RadicalOutcome(ideal.generators, "none", ())
     gens = canonical_generators(list(ideal.generators) + [f for f, _ in adjoin])
-    return RadicalOutcome(
-        gens,
-        "partial",
-        tuple(adjoin),
-        False,
-        max(s for _, s in adjoin),
-    )
+    return RadicalOutcome(gens, "partial", tuple(adjoin))
 
 
 def eliminant(ideal: Ideal, var_index: int) -> Polynomial | None:
-    """Monic generator of the intersection with one coordinate subring."""
-    if not 0 <= var_index < ideal.ring_dim:
+    """Monic generator of I meet k[x_i], or None when that is zero.
+
+    With x_i moved last, lex eliminates every other variable.
+    """
+    n = ideal.ring_dim
+    if not 0 <= var_index < n:
         raise ValidationError("variable index out of range")
-    if not ideal.generators:
-        return None
-    order = MonomialOrder.elimination(ideal.ring_dim, var_index)
-    basis = ideal.groebner(order)
-    hits = [
-        g
-        for g in basis
-        if all(i == var_index or g.degree_in(i) == 0 for i in range(ideal.ring_dim))
-    ]
-    if not hits:
-        return None
-    hits.sort(key=lambda g: g.degree_in(var_index))
-    return hits[0].monic()
+    last = [j - (j > var_index) for j in range(n)]
+    last[var_index] = n - 1
+    meet = _eliminate([g.lift(n, last) for g in ideal.generators], 1, n - 1)
+    return meet.generators[0].lift(n, [var_index]) if meet.generators else None
 
 
 def variable_root_order(ideal: Ideal, var_index: int) -> int | None:

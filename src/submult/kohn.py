@@ -24,7 +24,6 @@ from .ideals import (
     RadicalOutcome,
     germ_colength,
     germ_member,
-    is_germ_unit,
     radical_step,
     root_order,
     variable_root_order,
@@ -81,6 +80,8 @@ class KohnOptions:
     def __post_init__(self):
         if self.radical_mode not in ("full", "none"):
             raise ValidationError("radical_mode must be 'full' or 'none'")
+        if self.max_steps < 1:
+            raise ValidationError("max_steps must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -134,10 +135,28 @@ class KohnTrace:
 
 def init_state(domain: SpecialDomain) -> KohnState:
     """Gradient rows of the h_j plus the ideal of their maximal minors."""
-    h_rows = tuple(h.gradient() for h in domain.h)
-    n = domain.n
-    J = Ideal(n, Ideal(n, _enumerate_minors(h_rows, n)).groebner())
-    return KohnState(PolyMatrix(h_rows), J, h_rows)
+    return _minor_state(tuple(h.gradient() for h in domain.h), ())
+
+
+def _minor_state(
+    h_rows: tuple[tuple[Polynomial, ...], ...], stage: tuple[Polynomial, ...]
+) -> KohnState:
+    """Rows from dh and dGB(stage), and stage + their maximal minors as a reduced basis.
+
+    J_{k+1} = I_k + minors(dh, dGB(I_k)).  Minors are multilinear and
+    d(a f) = a df + f da, so rows from any generating set of I_k, or from any
+    earlier stage I_j <= I_k, give the same ideal modulo I_k; rows need not
+    accumulate across steps.
+    """
+    n = len(h_rows[0])
+    rows = list(h_rows)
+    for g in Ideal(n, stage).groebner() if stage else ():
+        grad = g.gradient()
+        if any(not p.is_zero() for p in grad) and grad not in rows:
+            rows.append(grad)
+    minors = _enumerate_minors(rows, n)
+    J = Ideal(n, Ideal(n, stage + tuple(minors)).groebner())
+    return KohnState(PolyMatrix(tuple(rows)), J, h_rows)
 
 
 def _enumerate_minors(rows: Sequence[tuple[Polynomial, ...]], n: int) -> list[Polynomial]:
@@ -154,27 +173,17 @@ def step(state: KohnState, options: KohnOptions = KohnOptions()) -> tuple[KohnSt
     """One iteration: radical of the minor ideal, then the next minor ideal."""
     J = state.multipliers
     n = J.ring_dim
-    if is_germ_unit(J):
-        one = Polynomial.constant(n, 1)
-        record = KohnStepRecord(J.generators, "none", (), (one,))
-        return KohnState(state.rows, Ideal(n, (one,)), state.h_rows), record
     if options.radical_mode == "none":
-        outcome = RadicalOutcome(J.generators, "none", (), False, 0)
+        outcome = RadicalOutcome(J.generators, "none", ())
     else:
         outcome = radical_step(J)
-    record = KohnStepRecord(J.generators, outcome.method, outcome.root_orders, outcome.generators)
-    # J_{k+1} = I_k + minors(dh, dGB(I_k)).  Minors are multilinear and
-    # d(a f) = a df + f da, so rows from any generating set of I_k, or from
-    # any earlier stage I_j <= I_k, give the same ideal modulo I_k; rows need
-    # not accumulate across steps.
-    rows = list(state.h_rows)
-    for g in Ideal(n, outcome.generators).groebner():
-        grad = g.gradient()
-        if any(not p.is_zero() for p in grad) and grad not in rows:
-            rows.append(grad)
-    minors = _enumerate_minors(rows, n)
-    next_J = Ideal(n, Ideal(n, outcome.generators + tuple(minors)).groebner())
-    return KohnState(PolyMatrix(tuple(rows)), next_J, state.h_rows), record
+    # a germ unit J, say (z + 1/2), is the unit stage: radical_step's unit
+    # branch gives (1,), and the none-mode pass-through is read as (1,)
+    stage = (Polynomial.constant(n, 1),) if outcome.unit else outcome.generators
+    record = KohnStepRecord(J.generators, outcome.method, outcome.root_orders, stage)
+    if outcome.unit:
+        return KohnState(state.rows, Ideal(n, stage), state.h_rows), record
+    return _minor_state(state.h_rows, stage), record
 
 
 def run(domain: SpecialDomain, options: KohnOptions = KohnOptions()) -> KohnTrace:

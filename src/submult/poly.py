@@ -673,38 +673,24 @@ class PolyMatrix:
         return len(self.rows[0])
 
 
-def _is_lower_triangular(rows: Sequence[Sequence[Polynomial]]) -> bool:
-    return all(rows[i][j].is_zero() for i in range(len(rows)) for j in range(i + 1, len(rows)))
-
-
-def _is_upper_triangular(rows: Sequence[Sequence[Polynomial]]) -> bool:
-    return all(rows[i][j].is_zero() for i in range(len(rows)) for j in range(i))
-
-
 def det(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
-    """Exact determinant; triangular matrices use the diagonal product."""
+    """Exact determinant by expansion along the first row.
+
+    Zero entries are skipped, so a lower-triangular matrix costs one product
+    per row, its diagonal product.
+    """
     n = len(rows)
     if n == 0 or any(len(r) != n for r in rows):
         raise ValidationError("determinant requires a non-empty square matrix")
-    dim = rows[0][0].ring_dim
-    if _is_lower_triangular(rows) or _is_upper_triangular(rows):
-        out = Polynomial.constant(dim, 1)
-        for i in range(n):
-            out = out * rows[i][i]
-        return out
     if n == 1:
         return rows[0][0]
-    out = Polynomial.zero(dim)
-    for i in range(n):
-        if rows[i][0].is_zero():
+    out = Polynomial.zero(rows[0][0].ring_dim)
+    for j in range(n):
+        if rows[0][j].is_zero():
             continue
-        minor = [
-            [rows[r][c] for c in range(1, n)]
-            for r in range(n)
-            if r != i
-        ]
-        term = rows[i][0] * det(minor)
-        out = out + (term if i % 2 == 0 else -term)
+        minor = [[row[c] for c in range(n) if c != j] for row in rows[1:]]
+        term = rows[0][j] * det(minor)
+        out = out + (term if j % 2 == 0 else -term)
     return out
 
 

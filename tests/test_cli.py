@@ -46,6 +46,17 @@ def test_multipliers_run_step_cap_exit(tmp_path, capsys):
     assert json.loads(out)["status"] == "step_cap"
 
 
+@pytest.mark.parametrize("steps", ["0", "-1"])
+def test_multipliers_run_rejects_max_steps_below_one(tmp_path, capsys, steps):
+    cfg = write_config(tmp_path, {**ZW_CONFIG, "h": ["z^2", "w^3 + w*z^4"]})
+    code, out, err = run_cli(
+        capsys, "multipliers", "run", "--config", cfg, "--max-steps", steps
+    )
+    assert code == 1
+    assert out == ""
+    assert "max_steps" in err
+
+
 def test_parse_error_goes_to_stderr_with_position(tmp_path, capsys):
     cfg = write_config(tmp_path, {**ZW_CONFIG, "h": ["z^2 + q"]})
     code, out, err = run_cli(capsys, "multipliers", "run", "--config", cfg)
@@ -328,6 +339,34 @@ def test_contact_bound_command(capsys):
     )
     assert code == 0
     assert json.loads(out) == {"ok": True, "limit": "8"}
+
+
+_ZERO_DENOMINATOR_TERMS = [
+    [{"coeff": "1", "zeta_exp": 1, "t_exp": "1/0"}],
+    *_FAMILY_TERMS[1:],
+]
+
+
+@pytest.mark.parametrize(
+    "argv, doc",
+    [
+        (["contact", "formula", "--m1", "2", "--m2", "3", "--lambda", "1/0"], None),
+        (["contact", "bound", "--base", "1/0", "--nearby", "2", "--dim", "3"], None),
+        (["contact", "bound", "--base", "2", "--nearby", "1/0", "--dim", "3"], None),
+        (["contact", "family"],
+         {**_CURVE_DOMAIN, "family": {"components": _FAMILY_TERMS, "alpha": "1/0"}}),
+        (["contact", "family"],
+         {**_CURVE_DOMAIN, "family": {"components": _ZERO_DENOMINATOR_TERMS}}),
+    ],
+)
+def test_zero_denominator_rejected(tmp_path, capsys, argv, doc):
+    if doc is not None:
+        argv = [*argv, "--config", write_config(tmp_path, doc)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "'1/0'" in err
+    assert "Traceback" not in err
 
 
 # -- reproduce -----------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import warnings
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import polynomials, sympy_local_colength
+from conftest import polynomials, sympy_local_colength, to_sympy
 from submult import ideals
 from submult.ideals import (
     Ideal,
@@ -15,7 +16,6 @@ from submult.ideals import (
     eliminant,
     germ_colength,
     germ_member,
-    groebner,
     is_germ_unit,
     member,
     normal_form,
@@ -427,6 +427,26 @@ def test_unit_germ_detection():
     assert [format_poly(g, ZW) for g in outcome.generators] == ["1"]
 
 
+@pytest.mark.parametrize("gens", [("1",), ("1 + z",), ("z", "1 - w")])
+def test_radical_step_on_a_unit_ideal(gens):
+    outcome = radical_step(ideal(*gens))
+    assert outcome.method == "none"
+    assert [format_poly(g, ZW) for g in outcome.generators] == ["1"]
+    assert outcome.root_orders == ()
+    assert not outcome.stalled
+    assert outcome.max_root_order == 0
+
+
+def test_radical_outcome_derives_stall_and_largest_order():
+    assert [f.name for f in dataclasses.fields(ideals.RadicalOutcome)] == [
+        "generators", "method", "root_orders"
+    ]
+    assert radical_step(Ideal(2, ())).stalled
+    outcome = radical_step(ideal("z^2", "z*w"))
+    assert outcome.max_root_order == max(s for _, s in outcome.root_orders)
+    assert not outcome.stalled
+
+
 @given(
     st.lists(polynomials(max_degree=2, max_terms=3), max_size=3),
     st.booleans(),
@@ -460,6 +480,46 @@ def test_eliminant_of_second_stage_ideal_exists():
     assert found.degree_in(1) == 0 and found.degree_in(0) >= 1
     report = germ_colength(J1)
     assert found.degree_in(0) <= report.colength
+
+
+def _three_variable_ideals():
+    from submult.kohn import SpecialDomain, init_state, step
+
+    names = ("z", "w", "v")
+    out = [Ideal.from_strings(["z - w^2", "w^2 - v + z*v", "v^3 - z"], names)]
+    for h in [
+        ("z^2", "w^3 + w*z^4", "v^2"),
+        ("z^3", "w^2", "v^2 + z*w"),
+        ("z", "w^2 + z*v", "v^2"),
+        ("z", "w", "v^2 + z*w"),
+    ]:
+        # the first three minor ideals of the Kohn iteration
+        state = init_state(SpecialDomain.from_strings(h, names))
+        for _ in range(3):
+            out.append(state.multipliers)
+            state = step(state)[0]
+    return out
+
+
+def test_eliminant_matches_sympy_lex_in_three_variables():
+    sympy = pytest.importorskip("sympy")
+    names = ("z", "w", "v")
+    found_any = 0
+    for J in _three_variable_ideals():
+        gens = [to_sympy(sympy, g, names).as_expr() for g in J.generators]
+        for i, name in enumerate(names):
+            # lex with x_i last eliminates the other two variables
+            order = [s for s in names if s != name] + [name]
+            basis = sympy.groebner(gens, *sympy.symbols(order), order="lex")
+            expected = [g for g in basis.exprs if g.free_symbols <= {sympy.Symbol(name)}]
+            found = eliminant(J, i)
+            if not expected:
+                assert found is None, (J.generators, name)
+                continue
+            found_any += 1
+            mine = to_sympy(sympy, found, names).as_expr()
+            assert sympy.expand(mine - expected[0]) == 0, (J.generators, name)
+    assert found_any >= 12
 
 
 # -- randomized Nakayama suite ------------------------------------------------------------------

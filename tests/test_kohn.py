@@ -45,6 +45,12 @@ def test_domain_validation():
         domain("0")
 
 
+@pytest.mark.parametrize("steps", [0, -1])
+def test_options_reject_max_steps_below_one(steps):
+    with pytest.raises(ValidationError):
+        KohnOptions(max_steps=steps)
+
+
 def test_init_state_effectiveness_domain():
     state = init_state(domain("z^2", "w^3 + w*z^4"))
     assert state.rows.nrows == 2
@@ -111,6 +117,19 @@ def test_run_unit_at_step_zero():
     assert trace.status == "unit_reached"
     assert len(trace.steps) == 1
     assert trace.max_root_order == 0
+
+
+@pytest.mark.parametrize(
+    "h, variables, J_gens",
+    [(("z", "w"), ZW, ["1"]), (("z + z^2",), ("z",), ["z + 1/2"])],
+)
+def test_none_mode_unit_first_minor_ideal(h, variables, J_gens):
+    # a germ unit that is not the global unit, such as (z + 1/2), ends the run too
+    trace = run(domain(*h, variables=variables), KohnOptions(radical_mode="none"))
+    assert trace.status == "unit_reached"
+    assert len(trace.steps) == 1
+    assert gens(trace.steps[0], variables) == ["1"]
+    assert [format_poly(g, variables) for g in trace.steps[0].J_gens] == J_gens
 
 
 def test_run_monomial_triple_both_modes():
