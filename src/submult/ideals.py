@@ -13,7 +13,6 @@ I : f contains a unit at the origin.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -98,10 +97,14 @@ def normal_form(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder
     return Polynomial(f.ring_dim, remainder)
 
 
+def _lcm(a: Mono, b: Mono) -> Mono:
+    return tuple(max(x, y) for x, y in zip(a, b))
+
+
 def _spoly(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
     fm = leading_mono(f, order)
     gm = leading_mono(g, order)
-    lcm = tuple(max(a, b) for a, b in zip(fm, gm))
+    lcm = _lcm(fm, gm)
     tf = Polynomial(f.ring_dim, {tuple(l - a for l, a in zip(lcm, fm)): GR_ONE / f.terms[fm]})
     tg = Polynomial(g.ring_dim, {tuple(l - b for l, b in zip(lcm, gm)): GR_ONE / g.terms[gm]})
     return tf * f - tg * g
@@ -165,39 +168,65 @@ def _reduced_basis(G: list[Polynomial], order: MonomialOrder) -> tuple[Polynomia
 
 
 def _groebner_raw(gens: Sequence[Polynomial], order: MonomialOrder) -> tuple[Polynomial, ...]:
+    """Buchberger's algorithm with the pair management of Gebauer-Moeller.
+
+    Becker-Weispfenning, *Groebner Bases*, p. 230 (UPDATE).  Pairs are taken
+    least lcm first, ties by index, and S-polynomials reduce against the
+    active set: the elements whose leads no later lead divides.
+    """
     basis = _interreduce([g for g in gens if not g.is_zero()], order)
     if not basis:
         return ()
     leads = [leading_mono(g, order) for g in basis]
+    active: list[int] = []
+    pairs: list[tuple[tuple, int, int, Mono]] = []  # (order key of lcm, i, j, lcm)
 
-    def coprime(i: int, j: int) -> bool:
-        return all(a == 0 or b == 0 for a, b in zip(leads[i], leads[j]))
+    def update(h: int) -> None:
+        mh = leads[h]
+        # one new pair per lcm; an lcm shared with a pair whose S-polynomial
+        # reduces to zero by itself (coprime leads, two monomials) gets none
+        new: dict[Mono, int | None] = {}
+        for g in active:
+            lcm = _lcm(leads[g], mh)
+            trivial = sum(lcm) == sum(mh) + sum(leads[g]) or (
+                basis[g].is_monomial() and basis[h].is_monomial()
+            )
+            if trivial:
+                new[lcm] = None
+            else:
+                new.setdefault(lcm, g)
+        # chain criterion: an lcm that another new lcm divides is redundant
+        fresh = [
+            (order.key(lcm), g, h, lcm)
+            for lcm, g in new.items()
+            if g is not None
+            and not any(m != lcm and _mono_divides(m, lcm) for m in new)
+        ]
+        pairs[:] = [
+            pair
+            for pair in pairs
+            if not _mono_divides(mh, pair[3])
+            or _lcm(leads[pair[1]], mh) == pair[3]
+            or _lcm(leads[pair[2]], mh) == pair[3]
+        ]
+        pairs.extend(fresh)
+        active[:] = [g for g in active if not _mono_divides(mh, leads[g])]
+        active.append(h)
 
-    def skip(i: int, j: int) -> bool:
-        # S-polynomials of two monomials vanish identically.
-        if basis[i].is_monomial() and basis[j].is_monomial():
-            return True
-        return coprime(i, j)
-
-    heap: list[tuple[tuple, int, int]] = []
-    for i, j in itertools.combinations(range(len(basis)), 2):
-        if not skip(i, j):
-            lcm = tuple(max(a, b) for a, b in zip(leads[i], leads[j]))
-            heapq.heappush(heap, (order.key(lcm), i, j))
-    while heap:
-        _, i, j = heapq.heappop(heap)
-        r = normal_form(_spoly(basis[i], basis[j], order), basis, order)
+    for h in range(len(basis)):
+        update(h)
+    while pairs:
+        pair = min(pairs)
+        pairs.remove(pair)
+        _, i, j, _ = pair
+        r = normal_form(_spoly(basis[i], basis[j], order), [basis[g] for g in active], order)
         if r.is_zero():
             continue
         r = order_monic(r, order)
         basis.append(r)
         leads.append(leading_mono(r, order))
-        k = len(basis) - 1
-        for i2 in range(k):
-            if not skip(i2, k):
-                lcm = tuple(max(a, b) for a, b in zip(leads[i2], leads[k]))
-                heapq.heappush(heap, (order.key(lcm), i2, k))
-    return _reduced_basis(basis, order)
+        update(len(basis) - 1)
+    return _reduced_basis([basis[g] for g in active], order)
 
 
 class Ideal:

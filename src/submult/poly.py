@@ -70,13 +70,24 @@ INF = _Infinity()
 
 
 class GaussianRational:
-    """Exact complex number a + b*i with rational a, b."""
+    """Exact complex number a + b*i with rational a, b.
+
+    Both parts are Fractions.  A zero imaginary part built here is the one
+    shared ``_ZERO``, so the arithmetic spots two real operands by identity
+    and takes a short path that skips the imaginary parts; any other zero
+    Fraction only sends a value down the general path.
+    """
 
     __slots__ = ("re", "im")
 
     def __init__(self, re: int | Fraction = 0, im: int | Fraction = 0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        if not isinstance(re, (int, Fraction)) or not isinstance(im, (int, Fraction)):
+            raise TypeError(
+                "GaussianRational parts must be int or Fraction, not "
+                f"{type(re).__name__} and {type(im).__name__}"
+            )
+        _set_re(self, Fraction(re))
+        _set_im(self, Fraction(im) or _ZERO)
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
@@ -104,37 +115,54 @@ class GaussianRational:
         return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def __add__(self, other):
-        other = GaussianRational.coerce(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        if type(other) is not GaussianRational:
+            other = GaussianRational.coerce(other)
+        if self.im is _ZERO and other.im is _ZERO:
+            return _exact(self.re + other.re, _ZERO)
+        return _exact(self.re + other.re, (self.im + other.im) or _ZERO)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        if self.im is _ZERO:
+            return _exact(-self.re, _ZERO)
+        return _exact(-self.re, (-self.im) or _ZERO)
 
     def __sub__(self, other):
-        return self + (-GaussianRational.coerce(other))
+        if type(other) is not GaussianRational:
+            other = GaussianRational.coerce(other)
+        if self.im is _ZERO and other.im is _ZERO:
+            return _exact(self.re - other.re, _ZERO)
+        return _exact(self.re - other.re, (self.im - other.im) or _ZERO)
 
     def __rsub__(self, other):
-        return GaussianRational.coerce(other) + (-self)
+        return GaussianRational.coerce(other) - self
 
     def __mul__(self, other):
-        other = GaussianRational.coerce(other)
-        return GaussianRational(
+        if type(other) is not GaussianRational:
+            other = GaussianRational.coerce(other)
+        if self.im is _ZERO and other.im is _ZERO:
+            return _exact(self.re * other.re, _ZERO)
+        return _exact(
             self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
+            (self.re * other.im + self.im * other.re) or _ZERO,
         )
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = GaussianRational.coerce(other)
+        if type(other) is not GaussianRational:
+            other = GaussianRational.coerce(other)
+        if self.im is _ZERO and other.im is _ZERO:
+            if not other.re:
+                raise ZeroDivisionError("division by zero GaussianRational")
+            return _exact(self.re / other.re, _ZERO)
         norm = other.re * other.re + other.im * other.im
         if norm == 0:
             raise ZeroDivisionError("division by zero GaussianRational")
-        return GaussianRational(
+        return _exact(
             (self.re * other.re + self.im * other.im) / norm,
-            (self.im * other.re - self.re * other.im) / norm,
+            ((self.im * other.re - self.re * other.im) / norm) or _ZERO,
         )
 
     def __pow__(self, n: int):
@@ -161,6 +189,19 @@ class GaussianRational:
         if not self.re:
             return f"{self.im}*i"
         return f"({self.re} + {self.im}*i)" if self.im > 0 else f"({self.re} - {-self.im}*i)"
+
+
+_ZERO = Fraction(0)
+_set_re = GaussianRational.re.__set__
+_set_im = GaussianRational.im.__set__
+
+
+def _exact(re: Fraction, im: Fraction) -> GaussianRational:
+    """re + im*i from two Fractions, stored as they are."""
+    z = object.__new__(GaussianRational)
+    _set_re(z, re)
+    _set_im(z, im)
+    return z
 
 
 GR_ZERO = GaussianRational(0)

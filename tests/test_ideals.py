@@ -25,7 +25,14 @@ from submult.ideals import (
     variable_root_order,
     _standard_monomial_count,
 )
-from submult.poly import INF, Polynomial, format_poly, monomials_of_degree, parse
+from submult.poly import (
+    INF,
+    GaussianRational,
+    Polynomial,
+    format_poly,
+    monomials_of_degree,
+    parse,
+)
 from submult.triangular import random_system
 
 ZW = ("z", "w")
@@ -73,6 +80,111 @@ def test_groebner_idempotence():
 
 def test_zero_ideal_has_empty_basis():
     assert Ideal(2, ()).groebner() == ()
+
+
+# -- the Groebner kernel against sympy over Q(i) -------------------------------------
+
+ZWV = ("z", "w", "v")
+# Two Groebner cliffs of the benchmark panel: draws of triangular.random_system's
+# distribution with exponents (3, 3, 1) and (3, 3, 3), whose grevlex bases
+# take 208 and 82 S-pairs under the coprime-leads criterion alone.
+CLIFFS = {
+    (3, 3, 1): ("z^3", "w^3 + (1 - i)*z^2 - z", "-w^2*v^2 + z*w^2*v + 3*w*v^2 + v - 2*w"),
+    (3, 3, 3): (
+        "z^3",
+        "z*w^3 + z^2*w^2 + w^3 - 2*z^2 - 2*z",
+        "(3 + i)*z*w^2*v - 2*z*w^3 + v^3 - 3*z*w*v",
+    ),
+}
+# Inputs on which each rule of the pair management fires under grevlex.
+CRITERION_INPUTS = [
+    ("z^2 + w", "w^2 + v"),  # coprime leads
+    ("z^2*w", "z*w^2", "v^2 - z"),  # two monomials
+    ("z^2*w - v", "z*w^2 - z"),  # chain criterion on new pairs, active-set removal
+    ("z^2", "z*w + w", "w*v^2"),  # an old pair dropped, active-set removal
+]
+
+
+def _gaussian_expr(sympy, p, variables=ZWV):
+    symbols = sympy.symbols(variables)
+    return sympy.Add(
+        *[
+            (sympy.Rational(c.re.numerator, c.re.denominator)
+             + sympy.I * sympy.Rational(c.im.numerator, c.im.denominator))
+            * sympy.Mul(*[s**e for s, e in zip(symbols, mono)])
+            for mono, c in p.terms.items()
+        ]
+    )
+
+
+def _from_sympy(sympy, poly, ring_dim=3):
+    return Polynomial(
+        ring_dim,
+        {
+            mono: GaussianRational(Fraction(str(sympy.re(c))), Fraction(str(sympy.im(c))))
+            for mono, c in poly.as_dict().items()
+        },
+    )
+
+
+def _monic_set(basis, order):
+    return {frozenset(ideals.order_monic(g, order).terms.items()) for g in basis}
+
+
+def _assert_kernel_matches_sympy(sympy, gens, kinds=("grevlex", "lex")):
+    for kind in kinds:
+        order = MonomialOrder(kind)
+        expected = sympy.groebner(
+            [_gaussian_expr(sympy, g) for g in gens],
+            *sympy.symbols(ZWV),
+            order=kind,
+            domain=sympy.QQ_I,
+        )
+        found = ideals._groebner_raw(gens, order)
+        assert _monic_set(found, order) == _monic_set(
+            [_from_sympy(sympy, g) for g in expected.polys], order
+        ), (kind, [format_poly(g, ZWV) for g in gens])
+
+
+def test_groebner_kernel_matches_sympy_on_random_gaussian_ideals():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(3)
+    for _ in range(25):
+        gens = []
+        for _ in range(3):
+            terms = {}
+            for _ in range(rng.randint(2, 3)):
+                mono = tuple(rng.randint(0, 2) for _ in range(3))
+                terms[mono] = GaussianRational(rng.randint(-2, 2), rng.randint(-1, 1))
+            gens.append(Polynomial(3, terms))
+        _assert_kernel_matches_sympy(sympy, gens)
+
+
+@pytest.mark.parametrize("gens", CRITERION_INPUTS)
+def test_groebner_kernel_matches_sympy_where_each_criterion_fires(gens):
+    sympy = pytest.importorskip("sympy")
+    _assert_kernel_matches_sympy(sympy, [p(g, ZWV) for g in gens])
+
+
+@pytest.mark.parametrize("exponents", sorted(CLIFFS))
+def test_groebner_kernel_matches_sympy_on_triangular_cliffs(exponents):
+    sympy = pytest.importorskip("sympy")
+    # grevlex only: the lex basis of the (3, 3, 3) cliff takes minutes
+    _assert_kernel_matches_sympy(sympy, [p(g, ZWV) for g in CLIFFS[exponents]], ("grevlex",))
+
+
+def test_cliff_basis_reduces_few_s_pairs(monkeypatch):
+    calls = []
+    spoly = ideals._spoly
+
+    def counting(*args):
+        calls.append(args)
+        return spoly(*args)
+
+    monkeypatch.setattr(ideals, "_spoly", counting)
+    basis = ideals._groebner_raw([p(g, ZWV) for g in CLIFFS[(3, 3, 1)]], ideals.GREVLEX)
+    assert len(basis) == 8
+    assert len(calls) <= 60
 
 
 # -- membership ---------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import itertools
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -287,6 +288,60 @@ def test_real_gaussian_rationals_hash_like_their_rationals():
     half = Fraction(1, 2)
     assert len({GaussianRational(half), half}) == 1
     assert len({GaussianRational(3, 1), 3}) == 2
+
+
+@pytest.mark.parametrize("part", [0.1, 1.0, 1j, "1", Decimal("0.1")])
+def test_gaussian_rational_parts_must_be_exact(part):
+    with pytest.raises(TypeError):
+        GaussianRational(part)
+    with pytest.raises(TypeError):
+        GaussianRational(1, part)
+
+
+def gaussian_parts():
+    q = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+    nonzero = q.filter(bool)
+    zero = st.just(Fraction(0))
+    return st.one_of(
+        st.tuples(nonzero, zero),  # real
+        st.tuples(zero, nonzero),  # imaginary
+        st.tuples(nonzero, nonzero),  # mixed
+        st.tuples(zero, zero),
+    )
+
+
+def _parts(z):
+    assert type(z.re) is Fraction and type(z.im) is Fraction
+    return z.re, z.im
+
+
+@given(gaussian_parts(), gaussian_parts())
+def test_coefficient_arithmetic_matches_the_textbook_formulas(x, y):
+    (a, b), (c, d) = x, y
+    u, v = GaussianRational(a, b), GaussianRational(c, d)
+    assert _parts(u) == (a, b)
+    assert _parts(u + v) == (a + c, b + d)
+    assert _parts(u - v) == (a - c, b - d)
+    assert _parts(u * v) == (a * c - b * d, a * d + b * c)
+    assert _parts(-u) == (-a, -b)
+    norm = c * c + d * d
+    if norm:
+        assert _parts(u / v) == ((a * c + b * d) / norm, (b * c - a * d) / norm)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            u / v
+    if not d:  # a plain rational operand, on either side
+        assert _parts(u + c) == _parts(c + u) == (a + c, b)
+        assert _parts(u - c) == (a - c, b)
+        assert _parts(c - u) == (c - a, -b)
+        assert _parts(u * c) == _parts(c * u) == (a * c, b * c)
+    if not b:  # a real value equals and hashes like its rational
+        assert u == a and hash(u) == hash(a)
+        if a.denominator == 1:
+            assert u == int(a) and hash(u) == hash(int(a))
+    for z in (u + v, u - v, u * v, -u):
+        if not z.im:
+            assert z == z.re and hash(z) == hash(z.re)
 
 
 def test_scalar_ratio():
