@@ -482,13 +482,7 @@ def type_jump_domain(l: int | None = None, m: int | None = None, variables=("z1"
 
 def scaled_jump_family(l: int) -> CurveFamily:
     """Family (zeta, zeta^2 / (i t^alpha)^l, i t^alpha) with free alpha."""
-    return CurveFamily(
-        (
-            (CurveTerm(GR_ONE, 1, Fraction(0)),),
-            (CurveTerm(GR_I ** (-l), 2, Fraction(0), Fraction(-l)),),
-            (CurveTerm(GR_I, 0, Fraction(0), Fraction(1)),),
-        )
-    )
+    return two_exponent_family(2, l)
 
 
 def type_bound_limit(t_base: Fraction, dim: int) -> Fraction:

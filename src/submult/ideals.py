@@ -79,7 +79,8 @@ def normal_form(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder
         coeff = work.pop(mono)
         for gm, g in leads:
             if _mono_divides(gm, mono):
-                scale = coeff / g.terms[gm]
+                # a one-term divisor only removes the term, so it needs no scale
+                scale = coeff / g.terms[gm] if len(g.terms) > 1 else None
                 shift = tuple(a - b for a, b in zip(mono, gm))
                 for m2, c2 in g.terms.items():
                     if m2 == gm:
@@ -110,61 +111,32 @@ def _spoly(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
     return tf * f - tg * g
 
 
-def _interreduce(polys: list[Polynomial], order: MonomialOrder) -> list[Polynomial]:
-    monos = [p for p in polys if not p.is_zero() and p.is_monomial()]
-    rest = [p for p in polys if not p.is_zero() and not p.is_monomial()]
-    # monomials only reduce one another by divisibility, lower degree first
-    monos.sort(key=lambda p: sum(next(iter(p.terms))))
-    kept_monos: list[Polynomial] = []
-    kept_leads: list[Mono] = []
-    for p in monos:
-        mono = next(iter(p.terms))
-        if not any(_mono_divides(lead, mono) for lead in kept_leads):
-            kept_monos.append(p)
-            kept_leads.append(mono)
-    basis = kept_monos + rest
+def _interreduce(polys: Iterable[Polynomial], order: MonomialOrder) -> tuple[Polynomial, ...]:
+    """Monic, sorted by lead, and no term of any element divisible by another's lead.
+
+    Each element is replaced in place by its normal form on the others, and
+    zeros are dropped.  A lead divides only monomials at or above it, so the
+    others that matter are those before it in lead order.  Whether an element
+    is reduced depends only on the other leads, and a drop only removes one,
+    so another pass runs only while a lead changed; a minimal Groebner basis
+    takes one pass to its reduced basis (Cox-Little-O'Shea, Ch. 2, Sec. 7).
+    """
+    basis = [p for p in polys if not p.is_zero()]
     changed = True
     while changed:
         changed = False
-        for i in range(len(kept_monos), len(basis)):
-            others = basis[:i] + basis[i + 1 :]
-            r = normal_form(basis[i], others, order)
-            if r != basis[i]:
-                changed = True
-                if r.is_zero():
-                    basis = others
-                    break
-                basis = others + [r]
-                break
-        if changed:
-            kept_monos = [p for p in basis if p.is_monomial()]
-            basis = kept_monos + [p for p in basis if not p.is_monomial()]
-    return [order_monic(p, order) for p in basis]
-
-
-def _reduced_basis(G: list[Polynomial], order: MonomialOrder) -> tuple[Polynomial, ...]:
-    # minimalize, then tail-reduce
-    leads = [leading_mono(g, order) for g in G]
-    keep = []
-    for i in range(len(G)):
-        dominated = False
-        for j in range(len(G)):
-            if j == i or not _mono_divides(leads[j], leads[i]):
+        basis.sort(key=lambda g: order.key(leading_mono(g, order)))
+        i = 0
+        while i < len(basis):
+            r = normal_form(basis[i], basis[:i], order)
+            if r.is_zero():
+                del basis[i]
                 continue
-            if leads[j] == leads[i] and j > i:
-                continue  # tie between equal leads: earlier entry survives
-            dominated = True
-            break
-        if not dominated:
-            keep.append(i)
-    minimal = [G[i] for i in keep]
-    reduced = []
-    for i, g in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1 :]
-        reduced.append(order_monic(normal_form(g, others, order), order))
-    reduced = [g for g in reduced if not g.is_zero()]
-    reduced.sort(key=lambda g: order.key(leading_mono(g, order)))
-    return tuple(reduced)
+            # the old lead survives in the normal form exactly when it stays the lead
+            changed = changed or leading_mono(basis[i], order) not in r.terms
+            basis[i] = r
+            i += 1
+    return tuple(order_monic(g, order) for g in basis)
 
 
 def _groebner_raw(gens: Sequence[Polynomial], order: MonomialOrder) -> tuple[Polynomial, ...]:
@@ -172,11 +144,10 @@ def _groebner_raw(gens: Sequence[Polynomial], order: MonomialOrder) -> tuple[Pol
 
     Becker-Weispfenning, *Groebner Bases*, p. 230 (UPDATE).  Pairs are taken
     least lcm first, ties by index, and S-polynomials reduce against the
-    active set: the elements whose leads no later lead divides.
+    active set: the elements whose leads no later lead divides.  At the end
+    the active set is a minimal basis, and interreducing it makes it reduced.
     """
-    basis = _interreduce([g for g in gens if not g.is_zero()], order)
-    if not basis:
-        return ()
+    basis = list(_interreduce(gens, order))
     leads = [leading_mono(g, order) for g in basis]
     active: list[int] = []
     pairs: list[tuple[tuple, int, int, Mono]] = []  # (order key of lcm, i, j, lcm)
@@ -226,7 +197,7 @@ def _groebner_raw(gens: Sequence[Polynomial], order: MonomialOrder) -> tuple[Pol
         basis.append(r)
         leads.append(leading_mono(r, order))
         update(len(basis) - 1)
-    return _reduced_basis([basis[g] for g in active], order)
+    return _interreduce([basis[g] for g in active], order)
 
 
 class Ideal:
@@ -432,8 +403,7 @@ class GermReport:
     stabilization_degree: int | None
     m_primary: bool
     capped: bool  # always False: no cap bounds the computation
-    basis: tuple[Polynomial, ...] | None = field(default=None, repr=False)
-    order: MonomialOrder | None = field(default=None, repr=False)
+    basis: tuple[Polynomial, ...] | None = field(default=None, repr=False)  # grevlex, of Q
 
     def to_dict(self) -> dict:
         return {
@@ -465,7 +435,7 @@ def germ_colength(ideal: Ideal) -> GermReport:
         basis = _saturation(ideal, f).groebner(order)
         local = _local_algebra(basis, ideal.ring_dim, order)
     colength, degree = local
-    return GermReport(colength, degree, True, False, basis, order)
+    return GermReport(colength, degree, True, False, basis)
 
 
 def germ_member(f: Polynomial, ideal: Ideal, report: GermReport | None = None) -> bool:
@@ -476,7 +446,7 @@ def germ_member(f: Polynomial, ideal: Ideal, report: GermReport | None = None) -
     I for some u with u(0) != 0, that is, when I : f is the unit germ.
     """
     if report is not None and report.m_primary:
-        return normal_form(f, report.basis, report.order).is_zero()
+        return normal_form(f, report.basis, GREVLEX).is_zero()
     return member(f, ideal) or is_germ_unit(_quotient(ideal, f))
 
 

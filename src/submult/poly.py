@@ -622,16 +622,16 @@ class _Parser:
 
 def parse(text: str, variables: Sequence[str]) -> Polynomial:
     """Parse an expression over the named variables into canonical form."""
-    return _Parser(text, variables).parse()
+    parser = _Parser(text, variables)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise ParseError("expression nested too deeply", parser.peek()[2]) from None
 
 
 # ---------------------------------------------------------------------------
 # printing
 # ---------------------------------------------------------------------------
-
-
-def _frac_str(q: Fraction) -> str:
-    return str(q)
 
 
 def _render_coeff(coeff: GaussianRational, has_vars: bool) -> tuple[int, str | None]:
@@ -642,16 +642,16 @@ def _render_coeff(coeff: GaussianRational, has_vars: bool) -> tuple[int, str | N
         mag = abs(re)
         if mag == 1 and has_vars:
             return sign, None
-        return sign, _frac_str(mag)
+        return sign, str(mag)
     if re == 0:
         sign = 1 if im > 0 else -1
         mag = abs(im)
         if mag == 1:
             return sign, "i"
-        return sign, f"{_frac_str(mag)}*i"
-    re_text = _frac_str(re)
+        return sign, str(mag) + "*i"
+    re_text = str(re)
     im_mag = abs(im)
-    im_text = "i" if im_mag == 1 else f"{_frac_str(im_mag)}*i"
+    im_text = "i" if im_mag == 1 else str(im_mag) + "*i"
     joiner = " + " if im > 0 else " - "
     return 1, f"({re_text}{joiner}{im_text})"
 

@@ -108,9 +108,6 @@ class EffectiveTrace:
     pairs: tuple[MultiplierPair, ...]
     L: int
 
-    def a_sequence(self) -> tuple[Polynomial, ...]:
-        return tuple(p.A for p in self.pairs)
-
     def to_dict(self) -> dict:
         vs = self.system.variables
         return {

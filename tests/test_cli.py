@@ -65,6 +65,24 @@ def test_parse_error_goes_to_stderr_with_position(tmp_path, capsys):
     assert "position 6" in err
 
 
+@pytest.mark.parametrize("depth, code", [(50, 0), (3000, 1)])
+def test_deeply_nested_input_is_an_error_line(tmp_path, capsys, depth, code):
+    nested = "(" * depth + "z" + ")" * depth
+    nested_cfg = write_config(tmp_path, {**ZW_CONFIG, "h": [nested, "w"]}, name="nested.json")
+    plain_cfg = write_config(tmp_path, {**ZW_CONFIG, "h": ["z", "w^2"]})
+    for argv in (
+        ["ideal", "colength", "--config", nested_cfg],
+        ["ideal", "member", "--config", plain_cfg, "--poly", nested],
+    ):
+        got, out, err = run_cli(capsys, *argv)
+        assert got == code
+        assert "Traceback" not in err
+        if code:
+            assert err.startswith("error: expression nested too deeply")
+        else:
+            assert out and not err
+
+
 def test_missing_variables_rejected(tmp_path, capsys):
     cfg = write_config(tmp_path, {"h": ["z^2"]})
     code, _, err = run_cli(capsys, "multipliers", "run", "--config", cfg)

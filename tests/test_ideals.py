@@ -96,12 +96,16 @@ CLIFFS = {
         "(3 + i)*z*w^2*v - 2*z*w^3 + v^3 - 3*z*w*v",
     ),
 }
-# Inputs on which each rule of the pair management fires under grevlex.
+# Inputs on which each rule of the pair management fires under grevlex, and
+# on which interreduction of the generators drops some and changes leads.
 CRITERION_INPUTS = [
     ("z^2 + w", "w^2 + v"),  # coprime leads
     ("z^2*w", "z*w^2", "v^2 - z"),  # two monomials
     ("z^2*w - v", "z*w^2 - z"),  # chain criterion on new pairs, active-set removal
     ("z^2", "z*w + w", "w*v^2"),  # an old pair dropped, active-set removal
+    ("z*w - v", "z*w - v", "w^2 + z"),  # a duplicate generator dropped
+    ("z*w - v", "(2 + i)*z*w - (2 + i)*v", "w^2 + z"),  # a multiple dropped
+    ("z^2", "z^3 + w", "w*v - z"),  # leads divided by other leads, then a drop
 ]
 
 
@@ -173,6 +177,31 @@ def test_groebner_kernel_matches_sympy_on_triangular_cliffs(exponents):
     _assert_kernel_matches_sympy(sympy, [p(g, ZWV) for g in CLIFFS[exponents]], ("grevlex",))
 
 
+@pytest.mark.parametrize("gens", CRITERION_INPUTS)
+def test_interreduced_generators_are_monic_sorted_and_reduced(gens):
+    polys = [p(g, ZWV) for g in gens]
+    for order in (ideals.GREVLEX, ideals.LEX):
+        out = ideals._interreduce(polys, order)
+        leads = [ideals.leading_mono(g, order) for g in out]
+        assert leads == sorted(leads, key=order.key)
+        for g, lead in zip(out, leads):
+            assert g.terms[lead] == 1
+            assert not any(
+                other != lead and ideals._mono_divides(other, mono)
+                for other in leads
+                for mono in g.terms
+            )
+        assert ideals._groebner_raw(out, order) == ideals._groebner_raw(polys, order)
+
+
+# The lex basis of the (3, 3, 1) cliff; sympy needs seconds to check it.
+CLIFF_331_LEX = (
+    "v^9",
+    "99/64*v^8 - 7/4*v^7 + 35/64*v^6 - 9/8*v^5 + 1/8*v^4 - 3/4*v^3 + w - 1/2*v",
+    "(141/256 + 9/64*i)*v^8 - 27/16*v^7 + (5/64 + 1/64*i)*v^6 - 9/16*v^5 - 1/8*v^3 + z",
+)
+
+
 def test_cliff_basis_reduces_few_s_pairs(monkeypatch):
     calls = []
     spoly = ideals._spoly
@@ -182,9 +211,14 @@ def test_cliff_basis_reduces_few_s_pairs(monkeypatch):
         return spoly(*args)
 
     monkeypatch.setattr(ideals, "_spoly", counting)
-    basis = ideals._groebner_raw([p(g, ZWV) for g in CLIFFS[(3, 3, 1)]], ideals.GREVLEX)
+    gens = [p(g, ZWV) for g in CLIFFS[(3, 3, 1)]]
+    basis = ideals._groebner_raw(gens, ideals.GREVLEX)
     assert len(basis) == 8
     assert len(calls) <= 60
+    calls.clear()
+    basis = ideals._groebner_raw(gens, ideals.LEX)
+    assert tuple(format_poly(g, ZWV) for g in basis) == CLIFF_331_LEX
+    assert len(calls) <= 100
 
 
 # -- membership ---------------------------------------------------------------------
