@@ -170,11 +170,9 @@ def rational(value, name: str) -> Fraction:
 
 
 def _parse_exponent(value) -> tuple[Fraction, Fraction]:
-    """Affine t-exponent: a rational, 'alpha', or e.g. '1/2 - 3*alpha'."""
-    if isinstance(value, int):
-        return Fraction(value), Fraction(0)
-    if isinstance(value, Fraction):
-        return value, Fraction(0)
+    """Affine t-exponent: an integer, or a string such as '1/2' or '1/2 - 3*alpha'."""
+    if type(value) not in (str, int):
+        raise ValidationError("family key 't_exp' must be a string or an integer")
     text = str(value).replace(" ", "")
     if not text:
         raise ValidationError("empty exponent")

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import ValidationError
 from .poly import (
@@ -34,30 +34,22 @@ from .poly import (
 )
 
 
-@dataclass(frozen=True)
-class MonomialOrder:
-    """Total monomial order, lex or graded-reverse-lex, with x_0 > x_1 > ..."""
-
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in ("lex", "grevlex"):
-            raise ValidationError(f"unknown monomial order kind {self.kind!r}")
-
-    def key(self, mono: Mono) -> tuple:
-        if self.kind == "lex":
-            return mono
-        return (sum(mono), tuple(-e for e in reversed(mono)))
+# A total monomial order with x_0 > x_1 > ..., given by its sort key.
+MonomialOrder = Callable[[Mono], tuple]
 
 
-LEX = MonomialOrder("lex")
-GREVLEX = MonomialOrder("grevlex")
+def LEX(mono: Mono) -> tuple:
+    return mono
+
+
+def GREVLEX(mono: Mono) -> tuple:
+    return (sum(mono), tuple(-e for e in reversed(mono)))
 
 
 def leading_mono(p: Polynomial, order: MonomialOrder) -> Mono:
     if p.is_zero():
         raise ValueError("zero polynomial has no leading monomial")
-    return max(p.terms, key=order.key)
+    return max(p.terms, key=order)
 
 
 def order_monic(p: Polynomial, order: MonomialOrder) -> Polynomial:
@@ -71,11 +63,10 @@ def normal_form(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder
     if f.is_zero() or not basis:
         return f
     leads = [(leading_mono(g, order), g) for g in basis if not g.is_zero()]
-    key = order.key
     work = dict(f.terms)
     remainder: dict[Mono, GaussianRational] = {}
     while work:
-        mono = max(work, key=key)
+        mono = max(work, key=order)
         coeff = work.pop(mono)
         for gm, g in leads:
             if _mono_divides(gm, mono):
@@ -125,7 +116,7 @@ def _interreduce(polys: Iterable[Polynomial], order: MonomialOrder) -> tuple[Pol
     changed = True
     while changed:
         changed = False
-        basis.sort(key=lambda g: order.key(leading_mono(g, order)))
+        basis.sort(key=lambda g: order(leading_mono(g, order)))
         i = 0
         while i < len(basis):
             r = normal_form(basis[i], basis[:i], order)
@@ -168,7 +159,7 @@ def _groebner_raw(gens: Sequence[Polynomial], order: MonomialOrder) -> tuple[Pol
                 new.setdefault(lcm, g)
         # chain criterion: an lcm that another new lcm divides is redundant
         fresh = [
-            (order.key(lcm), g, h, lcm)
+            (order(lcm), g, h, lcm)
             for lcm, g in new.items()
             if g is not None
             and not any(m != lcm and _mono_divides(m, lcm) for m in new)
@@ -239,6 +230,13 @@ class Ideal:
             cached = _groebner_raw(self.generators, order)
             self._cache[order] = cached
         return cached
+
+    def reduced(self) -> "Ideal":
+        """The same ideal generated by its reduced basis, which it keeps cached."""
+        basis = self.groebner()
+        out = Ideal(self.ring_dim, basis)
+        out._cache[self.default_order()] = basis
+        return out
 
 
 def member(f: Polynomial, ideal: Ideal) -> bool:
@@ -486,7 +484,7 @@ def canonical_generators(polys: Iterable[Polynomial]) -> tuple[Polynomial, ...]:
             q = order_monic(p, GREVLEX)
             seen.setdefault(frozenset(q.terms.items()), q)
     out = list(seen.values())
-    out.sort(key=lambda p: (GREVLEX.key(leading_mono(p, GREVLEX)), sorted(p.terms)))
+    out.sort(key=lambda p: (GREVLEX(leading_mono(p, GREVLEX)), sorted(p.terms)))
     return tuple(out)
 
 

@@ -12,13 +12,10 @@ full step-by-step record is kept for serialization.
 
 from __future__ import annotations
 
-import itertools
 import json
-import math
 from dataclasses import dataclass
-from typing import Sequence
 
-from .errors import CapExceededError, ConsistencyError, ValidationError
+from .errors import ConsistencyError, ValidationError
 from .ideals import (
     Ideal,
     RadicalOutcome,
@@ -28,10 +25,9 @@ from .ideals import (
     root_order,
     variable_root_order,
 )
-from .poly import INF, Polynomial, PolyMatrix, _Infinity, det, format_poly, parse
+from .poly import INF, Polynomial, PolyMatrix, _Infinity, format_poly, minor_dets, parse
 
 DEFAULT_MAX_STEPS = 16
-_HARD_MINOR_LIMIT = 200_000
 
 
 @dataclass(frozen=True)
@@ -47,6 +43,8 @@ class SpecialDomain:
             raise ValidationError("domain needs at least one variable")
         if not self.h:
             raise ValidationError("domain needs at least one defining function")
+        if not isinstance(self.label, str):
+            raise ValidationError("domain label must be a string")
         for p in self.h:
             if p.ring_dim != len(self.variables):
                 raise ValidationError("defining function lives in the wrong ring")
@@ -86,11 +84,12 @@ class KohnOptions:
 
 @dataclass(frozen=True)
 class KohnState:
-    """Allowable rows plus the current minor ideal, between steps."""
+    """Allowable rows plus the current minor ideal and the stage it extends."""
 
     rows: PolyMatrix
     multipliers: Ideal
     h_rows: tuple[tuple[Polynomial, ...], ...]
+    stage: Ideal
 
 
 @dataclass(frozen=True)
@@ -135,12 +134,10 @@ class KohnTrace:
 
 def init_state(domain: SpecialDomain) -> KohnState:
     """Gradient rows of the h_j plus the ideal of their maximal minors."""
-    return _minor_state(tuple(h.gradient() for h in domain.h), ())
+    return _minor_state(tuple(h.gradient() for h in domain.h), Ideal(domain.n, ()))
 
 
-def _minor_state(
-    h_rows: tuple[tuple[Polynomial, ...], ...], stage: tuple[Polynomial, ...]
-) -> KohnState:
+def _minor_state(h_rows: tuple[tuple[Polynomial, ...], ...], stage: Ideal) -> KohnState:
     """Rows from dh and dGB(stage), and stage + their maximal minors as a reduced basis.
 
     J_{k+1} = I_k + minors(dh, dGB(I_k)).  Minors are multilinear and
@@ -148,25 +145,17 @@ def _minor_state(
     earlier stage I_j <= I_k, give the same ideal modulo I_k; rows need not
     accumulate across steps.
     """
-    n = len(h_rows[0])
+    n = stage.ring_dim
+    basis = stage.groebner()
     rows = list(h_rows)
-    for g in Ideal(n, stage).groebner() if stage else ():
+    for g in basis:
         grad = g.gradient()
         if any(not p.is_zero() for p in grad) and grad not in rows:
             rows.append(grad)
-    minors = _enumerate_minors(rows, n)
-    J = Ideal(n, Ideal(n, stage + tuple(minors)).groebner())
-    return KohnState(PolyMatrix(tuple(rows)), J, h_rows)
-
-
-def _enumerate_minors(rows: Sequence[tuple[Polynomial, ...]], n: int) -> list[Polynomial]:
-    """Maximal minors of every n-row subset; none when there are fewer rows."""
-    count = math.comb(len(rows), n)
-    if count > _HARD_MINOR_LIMIT:
-        raise CapExceededError(
-            f"{count} row subsets exceed the hard minor limit", cap="row_cap"
-        )
-    return [det(list(combo)) for combo in itertools.combinations(rows, n)]
+    matrix = PolyMatrix(tuple(rows))
+    minors = minor_dets(matrix) if matrix.nrows >= n else []
+    J = Ideal(n, basis + tuple(minors)).reduced()
+    return KohnState(matrix, J, h_rows, stage)
 
 
 def step(state: KohnState, options: KohnOptions = KohnOptions()) -> tuple[KohnState, KohnStepRecord]:
@@ -179,10 +168,15 @@ def step(state: KohnState, options: KohnOptions = KohnOptions()) -> tuple[KohnSt
         outcome = radical_step(J)
     # a germ unit J, say (z + 1/2), is the unit stage: radical_step's unit
     # branch gives (1,), and the none-mode pass-through is read as (1,)
-    stage = (Polynomial.constant(n, 1),) if outcome.unit else outcome.generators
-    record = KohnStepRecord(J.generators, outcome.method, outcome.root_orders, stage)
     if outcome.unit:
-        return KohnState(state.rows, Ideal(n, stage), state.h_rows), record
+        stage = Ideal(n, (Polynomial.constant(n, 1),))
+    elif outcome.method == "none":  # the radical passed J through
+        stage = J
+    else:
+        stage = Ideal(n, outcome.generators)
+    record = KohnStepRecord(J.generators, outcome.method, outcome.root_orders, stage.generators)
+    if outcome.unit:
+        return KohnState(state.rows, stage, state.h_rows, stage), record
     return _minor_state(state.h_rows, stage), record
 
 
@@ -191,25 +185,23 @@ def run(domain: SpecialDomain, options: KohnOptions = KohnOptions()) -> KohnTrac
     state = init_state(domain)
     n = domain.n
     steps: list[KohnStepRecord] = []
-    max_root = 0
     status = "step_cap"
     for _ in range(options.max_steps):
+        prev = state.stage
         state, record = step(state, options)
         steps.append(record)
         if record.I_gens == (Polynomial.constant(n, 1),):
             status = "unit_reached"
             break
-        max_root = max([max_root] + [s for _, s in record.root_orders])
         # Stall test.  I_{k-1} <= J_k because the minors keep the previous
         # stage, and J_k <= I_k in every radical branch (sqfree(p) divides p,
         # a non-unit J lies in m, partial and none keep J's generators), so
         # the stages only grow, and the germ ideal stops growing exactly when
         # I_k lies in the germ of I_{k-1}.
-        if len(steps) > 1:
-            prev = Ideal(n, steps[-2].I_gens)
-            if all(germ_member(g, prev) for g in record.I_gens):
-                status = "stalled"
-                break
+        if len(steps) > 1 and all(germ_member(g, prev) for g in record.I_gens):
+            status = "stalled"
+            break
+    max_root = max((s for r in steps for _, s in r.root_orders), default=0)
     return KohnTrace(domain, tuple(steps), status, max_root)
 
 

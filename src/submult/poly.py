@@ -19,11 +19,12 @@ highest degree first, ties by exponent tuple), so ``parse(print(p)) == p``.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
-from .errors import DimensionMismatchError, ParseError, ValidationError
+from .errors import CapExceededError, DimensionMismatchError, ParseError, ValidationError
 
 Mono = tuple[int, ...]
 
@@ -714,6 +715,9 @@ class PolyMatrix:
         return len(self.rows[0])
 
 
+_HARD_MINOR_LIMIT = 200_000
+
+
 def det(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
     """Exact determinant by expansion along the first row.
 
@@ -736,11 +740,19 @@ def det(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
 
 
 def minor_dets(matrix: PolyMatrix) -> list[Polynomial]:
-    """Determinants of all maximal square submatrices, in combination order."""
+    """Determinants of all maximal square submatrices, in combination order.
+
+    More than _HARD_MINOR_LIMIT row subsets raise CapExceededError("row_cap").
+    """
     n = matrix.ncols
     if matrix.nrows < n:
         raise ValidationError(
             f"need at least {n} rows for maximal minors, got {matrix.nrows}"
+        )
+    count = math.comb(matrix.nrows, n)
+    if count > _HARD_MINOR_LIMIT:
+        raise CapExceededError(
+            f"{count} row subsets exceed the hard minor limit", cap="row_cap"
         )
     return [
         det([matrix.rows[i] for i in combo])

@@ -168,6 +168,14 @@ _FAMILY_TERMS = [
              [{"coeff": "1", "zeta_exp": "1", "t_exp": 0}], *_FAMILY_TERMS[1:]]}}),
         (["contact", "family"],
          {**_CURVE_DOMAIN, "family": {"components": _FAMILY_TERMS, "alpha": [1]}}),
+        *[
+            (["contact", "family"],
+             {**_CURVE_DOMAIN, "family": {"alpha": "1/2", "components": [
+                 _FAMILY_TERMS[0], [{"coeff": "-1", "zeta_exp": 2, "t_exp": t_exp}],
+                 _FAMILY_TERMS[2]]}})
+            for t_exp in (0.1, True)
+        ],
+        (["multipliers", "run"], {**ZW_CONFIG, "h": ["z^2", "w^2"], "label": {"x": [1, 2]}}),
     ],
 )
 def test_malformed_config_rejected(tmp_path, capsys, command, doc):

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from conftest import sympy_local_colength, to_sympy
+from submult import ideals
 from submult.errors import ConsistencyError, ValidationError
 from submult.ideals import GermReport, Ideal, germ_colength, germ_member, is_germ_unit, member
 from submult.kohn import (
@@ -15,7 +16,16 @@ from submult.kohn import (
     run,
     step,
 )
-from submult.poly import INF, Polynomial, det, format_poly, monomials_of_degree, parse
+from submult.poly import (
+    INF,
+    Polynomial,
+    PolyMatrix,
+    det,
+    format_poly,
+    minor_dets,
+    monomials_of_degree,
+    parse,
+)
 
 ZW = ("z", "w")
 ZWV = ("z", "w", "v")
@@ -314,6 +324,38 @@ def test_steps_match_accumulated_rows(h):
         state = after
 
 
+def _grevlex_kernel_calls(monkeypatch):
+    """(generator count, input returned unchanged) for each grevlex kernel call."""
+    calls = []
+    raw = ideals._groebner_raw
+
+    def recording(gens, order):
+        basis = raw(gens, order)
+        if order is ideals.GREVLEX:
+            calls.append((len(gens), tuple(gens) == basis))
+        return basis
+
+    monkeypatch.setattr(ideals, "_groebner_raw", recording)
+    return calls
+
+
+@pytest.mark.parametrize("mode", ["full", "none"])
+def test_each_minor_ideal_is_reduced_once(monkeypatch, mode):
+    # a reduced basis handed back to the kernel comes back unchanged
+    calls = _grevlex_kernel_calls(monkeypatch)
+    domains = [domain(*h, variables=ZWV) for h, _, _ in THREE_VARIABLE_RUNS]
+    for d in domains + [domain(*h) for h in REDUCED_BASIS_DOMAINS]:
+        run(d, KohnOptions(radical_mode=mode))
+    assert calls
+    assert [n for n, unchanged in calls if n >= 2 and unchanged] == []
+
+
+def test_north_star_makes_few_kernel_calls(monkeypatch):
+    calls = _grevlex_kernel_calls(monkeypatch)
+    assert run(domain("z^2", "w^3 + w*z^4", "v^2", variables=ZWV)).status == "unit_reached"
+    assert len(calls) <= 10
+
+
 @pytest.mark.parametrize(
     "h, variables",
     [(h, ZW) for h in REDUCED_BASIS_DOMAINS] + [(("z", "w", "v^2"), ("z", "w", "v"))],
@@ -443,10 +485,9 @@ def test_curve_annihilation_on_product_domain():
 
 def test_minor_budget_cap_is_named():
     from submult.errors import CapExceededError
-    from submult.kohn import _enumerate_minors
 
     row = (parse("z", ZW), parse("w", ZW))
-    rows = [row] * 700  # comb(700, 2) exceeds the hard subset limit
+    rows = (row,) * 700  # comb(700, 2) exceeds the hard subset limit
     with pytest.raises(CapExceededError) as err:
-        _enumerate_minors(rows, n=2)
+        minor_dets(PolyMatrix(rows))
     assert err.value.cap == "row_cap"
