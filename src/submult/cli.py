@@ -4,7 +4,8 @@ Scalar inputs arrive as flags; polynomial and curve data arrive through a
 single JSON config document: {variables: [...], h: [...], curve?: {...},
 family?: {...}}.  Output is a JSON document (sorted keys,
 byte-stable) or a plain-text rendering.  Exit codes: 0 success, 1 domain or
-validation errors, 2 resource-cap exhaustion.
+validation errors, 2 resource-cap exhaustion.  Each command imports the engine
+modules it runs, so a request compiles no other layer.
 """
 
 from __future__ import annotations
@@ -14,12 +15,7 @@ import sys
 
 import click
 
-from . import contact as _contact
-from . import corpus as _corpus
-from . import kohn as _kohn
-from . import triangular as _triangular
 from .errors import CapExceededError, ConsistencyError, SubmultError, ValidationError
-from .ideals import Ideal, germ_colength, germ_member, member, root_order
 from .poly import INF, parse
 
 EXIT_OK = 0
@@ -102,6 +98,15 @@ def _text_lines(doc, indent: str):
         yield f"{indent}{doc}"
 
 
+class _MaxStepsOption(click.Option):
+    """Defaults to kohn's step cap, read when a run or its help needs it."""
+
+    def get_default(self, ctx, call=True):
+        from .kohn import DEFAULT_MAX_STEPS
+
+        return DEFAULT_MAX_STEPS
+
+
 _config_option = click.option(
     "--config", "config_path", required=True, metavar="PATH", help="JSON config document"
 )
@@ -131,7 +136,7 @@ def multipliers():
 
 @multipliers.command("run")
 @_config_option
-@click.option("--max-steps", default=_kohn.DEFAULT_MAX_STEPS, show_default=True)
+@click.option("--max-steps", cls=_MaxStepsOption, type=int, show_default=True)
 @click.option(
     "--radical-mode",
     type=click.Choice(["full", "none"]),
@@ -140,6 +145,8 @@ def multipliers():
 )
 @click.pass_context
 def multipliers_run(ctx, config_path, max_steps, radical_mode):
+    from . import kohn as _kohn
+
     config = _load_config(config_path)
     variables, h = _jobspec(config, "--max-steps", "--radical-mode")
     options = _kohn.KohnOptions(radical_mode=radical_mode, max_steps=max_steps)
@@ -162,6 +169,8 @@ def triangular():
 @_config_option
 @click.pass_context
 def triangular_run(ctx, config_path):
+    from . import triangular as _triangular
+
     config = _load_config(config_path)
     variables, h = _jobspec(config)
     system = _triangular.validate([parse(s, variables) for s in h], variables)
@@ -190,6 +199,8 @@ def ideal():
 @_config_option
 @click.pass_context
 def ideal_colength(ctx, config_path):
+    from .ideals import Ideal, germ_colength
+
     config = _load_config(config_path)
     variables, h = _jobspec(config)
     _emit(ctx, germ_colength(Ideal.from_strings(h, variables)).to_dict())
@@ -201,6 +212,8 @@ def ideal_colength(ctx, config_path):
 @click.option("--germ", "germ_mode", is_flag=True, help="decide membership as germs")
 @click.pass_context
 def ideal_member(ctx, config_path, poly_text, germ_mode):
+    from .ideals import Ideal, germ_colength, germ_member, member
+
     config = _load_config(config_path)
     variables, h = _jobspec(config)
     ideal_obj = Ideal.from_strings(h, variables)
@@ -217,6 +230,8 @@ def ideal_member(ctx, config_path, poly_text, germ_mode):
 @click.option("--poly", "poly_text", required=True, help="polynomial to test")
 @click.pass_context
 def ideal_root_order(ctx, config_path, poly_text):
+    from .ideals import Ideal, root_order
+
     config = _load_config(config_path)
     variables, h = _jobspec(config)
     ideal_obj = Ideal.from_strings(h, variables)
@@ -235,6 +250,8 @@ def contact():
 @_config_option
 @click.pass_context
 def contact_curve_cmd(ctx, config_path):
+    from . import contact as _contact
+
     config = _load_config(config_path)
     variables, h = _jobspec(config)
     domain = _contact.AmbientDomain.from_strings(h, variables)
@@ -249,6 +266,8 @@ def contact_curve_cmd(ctx, config_path):
 @_config_option
 @click.pass_context
 def contact_family_cmd(ctx, config_path):
+    from . import contact as _contact
+
     config = _load_config(config_path)
     variables, h = _jobspec(config)
     domain = _contact.AmbientDomain.from_strings(h, variables)
@@ -277,6 +296,8 @@ def contact_family_cmd(ctx, config_path):
 @click.option("--limit-zero", is_flag=True, help="query the limiting value instead")
 @click.pass_context
 def contact_formula(ctx, m1, m2, lam, limit_zero):
+    from . import contact as _contact
+
     if limit_zero == (lam is not None):
         raise ValidationError("give exactly one of --lambda or --limit-zero")
     if limit_zero:
@@ -292,6 +313,8 @@ def contact_formula(ctx, m1, m2, lam, limit_zero):
 @click.option("--dim", type=int, required=True)
 @click.pass_context
 def contact_bound(ctx, t_base, t_nearby, dim):
+    from . import contact as _contact
+
     base = _contact.rational(t_base, "--base")
     ok = _contact.type_bound_check(base, _contact.rational(t_nearby, "--nearby"), dim)
     _emit(ctx, {"ok": ok, "limit": str(_contact.type_bound_limit(base, dim))})
@@ -305,6 +328,8 @@ def contact_bound(ctx, t_base, t_nearby, dim):
 @click.pass_context
 def reproduce(ctx, pattern):
     """Re-run the shipped corpus of worked examples and compare exactly."""
+    from . import corpus as _corpus
+
     outcome = _corpus.reproduce(pattern)
     fmt = (ctx.obj or {}).get("format", "json")
     if fmt == "json":

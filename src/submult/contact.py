@@ -14,11 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import ConsistencyError, ValidationError
-from .ideals import Ideal
-from .kohn import SpecialDomain
 from .poly import (
     GR_I,
     GR_ONE,
@@ -29,6 +27,10 @@ from .poly import (
     format_poly,
     parse,
 )
+
+if TYPE_CHECKING:  # annotations only; contact runs on poly alone
+    from .ideals import Ideal
+    from .kohn import SpecialDomain
 
 
 @dataclass(frozen=True)

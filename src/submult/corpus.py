@@ -133,8 +133,8 @@ def _run_kohn_init(variables, h):
     return [_fmt(g, variables) for g in state.multipliers.generators]
 
 
-def _run_kohn_run(variables, h, radical_mode="full", max_steps=16):
-    options = _kohn.KohnOptions(radical_mode=radical_mode, max_steps=max_steps)
+def _run_kohn_run(variables, h, radical_mode="full"):
+    options = _kohn.KohnOptions(radical_mode=radical_mode)
     trace = _kohn.run(_domain(variables, h), options)
     return {
         "status": trace.status,

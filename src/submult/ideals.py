@@ -30,6 +30,7 @@ from .poly import (
     exact_div,
     least_power,
     monomials_of_degree,
+    parse,
     squarefree_part,
 )
 
@@ -216,8 +217,6 @@ class Ideal:
 
     @classmethod
     def from_strings(cls, strings: Sequence[str], variables: Sequence[str]) -> "Ideal":
-        from .poly import parse
-
         return cls(len(variables), [parse(s, variables) for s in strings])
 
     def default_order(self) -> MonomialOrder:

@@ -57,6 +57,14 @@ def test_multipliers_run_rejects_max_steps_below_one(tmp_path, capsys, steps):
     assert "max_steps" in err
 
 
+def test_multipliers_run_help_shows_defaults(capsys):
+    code, out, _ = run_cli(capsys, "multipliers", "run", "--help")
+    assert code == 0
+    lines = out.splitlines()
+    assert any("--max-steps" in line and "[default: 16]" in line for line in lines)
+    assert any("--radical-mode" in line and "[default: full]" in line for line in lines)
+
+
 def test_parse_error_goes_to_stderr_with_position(tmp_path, capsys):
     cfg = write_config(tmp_path, {**ZW_CONFIG, "h": ["z^2 + q"]})
     code, out, err = run_cli(capsys, "multipliers", "run", "--config", cfg)
