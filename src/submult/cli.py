@@ -16,7 +16,7 @@ import sys
 import click
 
 from .errors import CapExceededError, ConsistencyError, SubmultError, ValidationError
-from .poly import INF, parse
+from .poly import INF, Polynomial, parse
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -50,23 +50,23 @@ def _document(config: dict, key: str) -> dict:
     return doc
 
 
-def _jobspec(config: dict, *flags: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """Validated ring variables and defining polynomials of the config document.
+def _jobspec(config_path: str) -> tuple[dict, tuple[str, ...], tuple[Polynomial, ...]]:
+    """The config document, its ring variables and its parsed defining polynomials.
 
-    The command's flags are named when the config carries an 'options' key.
+    An 'options' key is rejected with the running command's flags named.
     """
+    config = _load_config(config_path)
     if "options" in config:
-        named = ", ".join(flags) or "none"
+        params = click.get_current_context().command.params
+        named = ", ".join(p.opts[0] for p in params if p.name != "config_path") or "none"
         raise ValidationError(f"config key 'options' is not supported; command flags: {named}")
     variables = _strings(config, "variables", "config")
     if not variables:
         raise ValidationError("config must list the ring variables")
     if len(set(variables)) != len(variables) or not all(v.isidentifier() for v in variables):
         raise ValidationError("config variables must be distinct names")
-    h = _strings(config, "h", "config")
-    for s in h:
-        parse(s, variables)  # surfaces syntax errors with positions
-    return variables, h
+    h = tuple(parse(s, variables) for s in _strings(config, "h", "config"))
+    return config, variables, h
 
 
 def _emit(ctx, doc) -> None:
@@ -147,10 +147,9 @@ def multipliers():
 def multipliers_run(ctx, config_path, max_steps, radical_mode):
     from . import kohn as _kohn
 
-    config = _load_config(config_path)
-    variables, h = _jobspec(config, "--max-steps", "--radical-mode")
+    config, variables, h = _jobspec(config_path)
     options = _kohn.KohnOptions(radical_mode=radical_mode, max_steps=max_steps)
-    domain = _kohn.SpecialDomain.from_strings(h, variables, config.get("label", ""))
+    domain = _kohn.SpecialDomain(variables, h, config.get("label", ""))
     trace = _kohn.run(domain, options)
     _emit(ctx, trace.to_dict())
     if trace.status == "step_cap":
@@ -171,9 +170,8 @@ def triangular():
 def triangular_run(ctx, config_path):
     from . import triangular as _triangular
 
-    config = _load_config(config_path)
-    variables, h = _jobspec(config)
-    system = _triangular.validate([parse(s, variables) for s in h], variables)
+    _, variables, h = _jobspec(config_path)
+    system = _triangular.validate(h, variables)
     trace = _triangular.run_effective(system)
     report = _triangular.certify(trace, system)
     # certify has compared the colength with the ladder length L
@@ -201,9 +199,8 @@ def ideal():
 def ideal_colength(ctx, config_path):
     from .ideals import Ideal, germ_colength
 
-    config = _load_config(config_path)
-    variables, h = _jobspec(config)
-    _emit(ctx, germ_colength(Ideal.from_strings(h, variables)).to_dict())
+    _, variables, h = _jobspec(config_path)
+    _emit(ctx, germ_colength(Ideal(len(variables), h)).to_dict())
 
 
 @ideal.command("member")
@@ -214,9 +211,8 @@ def ideal_colength(ctx, config_path):
 def ideal_member(ctx, config_path, poly_text, germ_mode):
     from .ideals import Ideal, germ_colength, germ_member, member
 
-    config = _load_config(config_path)
-    variables, h = _jobspec(config)
-    ideal_obj = Ideal.from_strings(h, variables)
+    _, variables, h = _jobspec(config_path)
+    ideal_obj = Ideal(len(variables), h)
     f = parse(poly_text, variables)
     if germ_mode:
         doc = {"member": germ_member(f, ideal_obj, germ_colength(ideal_obj)), "mode": "germ"}
@@ -232,9 +228,8 @@ def ideal_member(ctx, config_path, poly_text, germ_mode):
 def ideal_root_order(ctx, config_path, poly_text):
     from .ideals import Ideal, root_order
 
-    config = _load_config(config_path)
-    variables, h = _jobspec(config)
-    ideal_obj = Ideal.from_strings(h, variables)
+    _, variables, h = _jobspec(config_path)
+    ideal_obj = Ideal(len(variables), h)
     _emit(ctx, {"root_order": root_order(parse(poly_text, variables), ideal_obj)})
 
 
@@ -252,9 +247,8 @@ def contact():
 def contact_curve_cmd(ctx, config_path):
     from . import contact as _contact
 
-    config = _load_config(config_path)
-    variables, h = _jobspec(config)
-    domain = _contact.AmbientDomain.from_strings(h, variables)
+    config, variables, h = _jobspec(config_path)
+    domain = _contact.AmbientDomain(variables, h)
     curve_doc = _document(config, "curve")
     components = [parse(s, ("zeta",)) for s in _strings(curve_doc, "components", "curve")]
     base = [parse(s, []).constant_term() for s in _strings(curve_doc, "base", "curve")]
@@ -268,9 +262,8 @@ def contact_curve_cmd(ctx, config_path):
 def contact_family_cmd(ctx, config_path):
     from . import contact as _contact
 
-    config = _load_config(config_path)
-    variables, h = _jobspec(config)
-    domain = _contact.AmbientDomain.from_strings(h, variables)
+    config, variables, h = _jobspec(config_path)
+    domain = _contact.AmbientDomain(variables, h)
     family_doc = _document(config, "family")
     family = _contact.CurveFamily.from_config(family_doc["components"])
     doc = {}
@@ -335,7 +328,7 @@ def reproduce(ctx, pattern):
     if fmt == "json":
         _emit(ctx, outcome)
     else:
-        width = max((len(r["id"]) for r in outcome["cases"]), default=4)
+        width = max(len(r["id"]) for r in outcome["cases"])
         for row in outcome["cases"]:
             status = "PASS" if row["pass"] else "FAIL"
             click.echo(

@@ -262,12 +262,12 @@ def contact_curve(
 _FamKey = tuple[int, Fraction, Fraction]
 
 
-def _series_from_component(comp: Iterable[CurveTerm]) -> dict[_FamKey, GaussianRational]:
+def _series_sum(items: Iterable[tuple[_FamKey, GaussianRational]]) -> dict[_FamKey, GaussianRational]:
+    """Sum of (key, coefficient) items in order; a key whose sum is zero is dropped."""
     out: dict[_FamKey, GaussianRational] = {}
-    for term in comp:
-        key = (term.zeta_exp, term.t_exp, term.alpha_coeff)
+    for key, c in items:
         acc = out.get(key, None)
-        acc = term.coeff if acc is None else acc + term.coeff
+        acc = c if acc is None else acc + c
         if acc:
             out[key] = acc
         else:
@@ -275,19 +275,16 @@ def _series_from_component(comp: Iterable[CurveTerm]) -> dict[_FamKey, GaussianR
     return out
 
 
+def _series_from_component(comp: Iterable[CurveTerm]) -> dict[_FamKey, GaussianRational]:
+    return _series_sum(((t.zeta_exp, t.t_exp, t.alpha_coeff), t.coeff) for t in comp)
+
+
 def _series_mul(a: dict, b: dict) -> dict:
-    out: dict[_FamKey, GaussianRational] = {}
-    for (z1, t1, a1), c1 in a.items():
-        for (z2, t2, a2), c2 in b.items():
-            key = (z1 + z2, t1 + t2, a1 + a2)
-            acc = out.get(key, None)
-            prod = c1 * c2
-            acc = prod if acc is None else acc + prod
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
-    return out
+    return _series_sum(
+        ((z1 + z2, t1 + t2, a1 + a2), c1 * c2)
+        for (z1, t1, a1), c1 in a.items()
+        for (z2, t2, a2), c2 in b.items()
+    )
 
 
 def _series_pow(base: dict, e: int, cache: list) -> dict:
@@ -302,20 +299,14 @@ def _series_pow(base: dict, e: int, cache: list) -> dict:
 def _pullback_series(poly: Polynomial, family: CurveFamily) -> dict:
     comps = [_series_from_component(c) for c in family.components]
     caches = [[] for _ in comps]
-    out: dict[_FamKey, GaussianRational] = {}
+    items = []
     for mono, coeff in poly.terms.items():
         piece = {(0, Fraction(0), Fraction(0)): coeff}
         for i, e in enumerate(mono):
             if e:
                 piece = _series_mul(piece, _series_pow(comps[i], e, caches[i]))
-        for key, c in piece.items():
-            acc = out.get(key, None)
-            acc = c if acc is None else acc + c
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
-    return out
+        items.extend(piece.items())
+    return _series_sum(items)
 
 
 @dataclass(frozen=True)
@@ -351,20 +342,15 @@ def _weight_lines(domain: AmbientDomain, family: CurveFamily):
             lines.append(
                 (2 * const, 2 * slope, f"|h{j + 1}|^2: zeta^{z}*t^({tc})", j)
             )
-    re_terms = []
-    for (z, tc, ta), coeff in _pullback_series_component(family):
-        if z >= 1 or coeff.re != 0:
-            re_terms.append((Fraction(z) + tc, ta, z, tc))
-    for const, slope, z, tc in sorted(re_terms, key=lambda w: (w[0], w[1])):
+    re_terms = [
+        (z + tc, ta, z, tc)
+        for (z, tc, ta), coeff in _series_from_component(family.components[-1]).items()
+        if z >= 1 or coeff.re != 0
+    ]
+    # ties on (const, slope) are ordered by (z, tc), the printed order
+    for const, slope, z, tc in sorted(re_terms):
         lines.append((const, slope, f"Re part: zeta^{z}*t^({tc})", -1))
     return lines
-
-
-def _pullback_series_component(family: CurveFamily):
-    return sorted(
-        _series_from_component(family.components[-1]).items(),
-        key=lambda kv: (kv[0][0], kv[0][1], kv[0][2]),
-    )
 
 
 def contact_family(domain: AmbientDomain, family: CurveFamily) -> ContactResult:
@@ -436,11 +422,13 @@ def sharp_T_limit(m1: int, m2: int) -> Fraction:
     return Fraction(2 * m1 * m2)
 
 
-def two_exponent_domain(m1: int, m2: int, p: int, q: int, variables=("z1", "z2", "z3")) -> AmbientDomain:
+_Z123 = ("z1", "z2", "z3")
+
+
+def two_exponent_domain(m1: int, m2: int, p: int, q: int) -> AmbientDomain:
     """Domain Re(z3) + |z1^m1 - z3^p z2|^2 + |z2^m2|^2 + |z2 z3^q|^2."""
-    vs = tuple(variables)
     z1, z2, z3 = (Polynomial.variable(3, i) for i in range(3))
-    return AmbientDomain(vs, (z1 ** m1 - z3 ** p * z2, z2 ** m2, z2 * z3 ** q))
+    return AmbientDomain(_Z123, (z1 ** m1 - z3 ** p * z2, z2 ** m2, z2 * z3 ** q))
 
 
 def two_exponent_family(m1: int, p: int) -> CurveFamily:
@@ -470,14 +458,13 @@ def sharp_T_via_family(m1: int, m2: int, p: int, q: int) -> Fraction:
     return result.eta
 
 
-def type_jump_domain(l: int | None = None, m: int | None = None, variables=("z1", "z2", "z3")) -> AmbientDomain:
+def type_jump_domain(l: int, m: int | None = None) -> AmbientDomain:
     """Re(z3) + |z1^2 - z2 z3^l|^2 + |z2^2|^2 (+ |z1 z3^m|^2 when m given)."""
-    vs = tuple(variables)
     z1, z2, z3 = (Polynomial.variable(3, i) for i in range(3))
-    h = [z1 ** 2 - z2 * (z3 ** (l or 1)), z2 ** 2]
+    h = [z1 ** 2 - z2 * z3 ** l, z2 ** 2]
     if m is not None:
         h.append(z1 * z3 ** m)
-    return AmbientDomain(vs, tuple(h))
+    return AmbientDomain(_Z123, tuple(h))
 
 
 def scaled_jump_family(l: int) -> CurveFamily:

@@ -1,20 +1,20 @@
 """Reproduction corpus: exact worked cases shipped with the package.
 
-Each case names an engine command, a JSON-able payload, and the exact
-expected value.  The `source` field records where the expectation comes
-from: "literature" for values quoted from published worked examples,
-"derived" for values fixed by an independent derivation or oracle, and
-"direct" for immediate consequences of the definitions.  Comparison is
+Each case holds the runner that computes it, the keyword payload the runner
+takes, and the exact expected value.  The `source` field records where the
+expectation comes from: "literature" for values quoted from published worked
+examples, "derived" for values fixed by an independent derivation or oracle,
+and "direct" for immediate consequences of the definitions.  Comparison is
 exact (rational equality, field-by-field), never approximate.
 """
 
 from __future__ import annotations
 
 import fnmatch
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from . import contact as _contact
 from . import kohn as _kohn
@@ -36,7 +36,7 @@ from .poly import INF, PolyMatrix, format_poly, minor_dets, parse, squarefree_pa
 class CorpusCase:
     id: str
     source: str  # literature | derived | direct
-    command: str
+    run: Callable[..., object]
     payload: dict
     expected: object
 
@@ -50,7 +50,7 @@ def _fmt(p, variables):
 
 
 # ---------------------------------------------------------------------------
-# command runners
+# runners
 # ---------------------------------------------------------------------------
 
 
@@ -209,18 +209,9 @@ def _run_triangular_ladder(variables, h):
 
 def _run_triangular_random(count, seed):
     rng = random.Random(seed)
-    passed = 0
-    for _ in range(count):
-        system = _triangular.random_system(rng)
-        trace = _triangular.run_effective(system)
-        report = _triangular.certify(trace, system)
-        if (
-            report.passed
-            and trace.L == math.prod(system.exponents)
-            and all(p.min_power <= system.n for p in trace.pairs)
-        ):
-            passed += 1
-    return {"count": count, "all_pass": passed == count}
+    systems = [_triangular.random_system(rng) for _ in range(count)]
+    passed = all(_triangular.certify(_triangular.run_effective(s), s).passed for s in systems)
+    return {"count": count, "all_pass": passed}
 
 
 def _run_contact_curve(variables, h, curve, base):
@@ -255,15 +246,12 @@ def _run_sharp_formula(m1, m2, lam=None, limit=False):
     return str(_contact.sharp_T(m1, m2, Fraction(lam)))
 
 
-def _run_sharp_grid(kind):
-    out = {}
-    for m1 in (2, 3, 4):
-        for m2 in (2, 3, 4):
-            if kind == "lambda_one":
-                out[f"{m1},{m2}"] = str(_contact.sharp_T(m1, m2, Fraction(1)))
-            else:
-                out[f"{m1},{m2}"] = str(_contact.sharp_T_limit(m1, m2))
-    return out
+def _run_sharp_grid(lam=None, limit=False):
+    return {
+        f"{m1},{m2}": _run_sharp_formula(m1, m2, lam, limit)
+        for m1 in (2, 3, 4)
+        for m2 in (2, 3, 4)
+    }
 
 
 def _run_sharp_via_family(p, q):
@@ -285,37 +273,6 @@ def _run_type_bound(t_base, t_nearby, dim):
     }
 
 
-_RUNNERS = {
-    "parse_print": _run_parse_print,
-    "diff_then_zero": _run_diff_then_zero,
-    "gradient": _run_gradient,
-    "matrix_minors": _run_matrix_minors,
-    "jacobian_minors": _run_jacobian_minors,
-    "squarefree": _run_squarefree,
-    "ideal_member": _run_ideal_member,
-    "ideal_colength": _run_ideal_colength,
-    "colength_grid": _run_colength_grid,
-    "radical": _run_radical,
-    "eliminant": _run_eliminant,
-    "kohn_init": _run_kohn_init,
-    "kohn_run": _run_kohn_run,
-    "effectiveness": _run_effectiveness,
-    "finite_type": _run_finite_type,
-    "curve_annihilation": _run_curve_annihilation,
-    "triangular_validate": _run_triangular_validate,
-    "triangular_multiplicity": _run_triangular_multiplicity,
-    "triangular_ladder": _run_triangular_ladder,
-    "triangular_random": _run_triangular_random,
-    "contact_curve": _run_contact_curve,
-    "contact_family_jump": _run_contact_family_jump,
-    "contact_family_fixed": _run_contact_family_fixed,
-    "sharp_formula": _run_sharp_formula,
-    "sharp_grid": _run_sharp_grid,
-    "sharp_via_family": _run_sharp_via_family,
-    "epsilon_bound": _run_epsilon_bound,
-    "type_bound": _run_type_bound,
-}
-
 _ZW = ("z", "w")
 _G234 = "w^3 + w*z^4"  # pure cube plus the high-order mixed tail
 
@@ -325,56 +282,56 @@ CASES: tuple[CorpusCase, ...] = (
     CorpusCase(
         "poly-parse-canonical",
         "literature",
-        "parse_print",
+        _run_parse_print,
         {"variables": _ZW, "text": "w^3 + w*z^4"},
         "z^4*w + w^3",
     ),
     CorpusCase(
         "poly-parse-zero",
         "direct",
-        "parse_print",
+        _run_parse_print,
         {"variables": _ZW, "text": "0"},
         "0",
     ),
     CorpusCase(
         "poly-slice-first-derivative",
         "literature",
-        "diff_then_zero",
+        _run_diff_then_zero,
         {"variables": _ZW, "text": _G234, "diff_vars": ["w"], "zero_vars": ["w"]},
         "z^4",
     ),
     CorpusCase(
         "poly-slice-second-derivative",
         "literature",
-        "diff_then_zero",
+        _run_diff_then_zero,
         {"variables": _ZW, "text": _G234, "diff_vars": ["w", "w"], "zero_vars": ["w"]},
         "0",
     ),
     CorpusCase(
         "poly-slice-mixed-derivative",
         "literature",
-        "diff_then_zero",
+        _run_diff_then_zero,
         {"variables": _ZW, "text": _G234, "diff_vars": ["z", "w"], "zero_vars": ["w"]},
         "4*z^3",
     ),
     CorpusCase(
         "poly-gradient-new-row",
         "literature",
-        "gradient",
+        _run_gradient,
         {"variables": _ZW, "text": "z*(3*w^2 + z^4)"},
         ["5*z^4 + 3*w^2", "6*z*w"],
     ),
     CorpusCase(
         "poly-gradient-pure-power",
         "literature",
-        "gradient",
+        _run_gradient,
         {"variables": _ZW, "text": "z^2"},
         ["2*z", "0"],
     ),
     CorpusCase(
         "poly-minors-three-rows",
         "literature",
-        "matrix_minors",
+        _run_matrix_minors,
         {
             "variables": _ZW,
             "matrix": [
@@ -388,21 +345,21 @@ CASES: tuple[CorpusCase, ...] = (
     CorpusCase(
         "poly-minors-monomial-triple",
         "literature",
-        "jacobian_minors",
+        _run_jacobian_minors,
         {"variables": _ZW, "functions": ["z^2", "z*w", "w^2"]},
         ["2*z^2", "4*z*w", "2*w^2"],
     ),
     CorpusCase(
         "poly-squarefree-stage-zero",
         "literature",
-        "squarefree",
+        _run_squarefree,
         {"variables": _ZW, "text": "z^2*(3*w^2 + z^4)"},
         "z^5 + 3*z*w^2",
     ),
     CorpusCase(
         "poly-squarefree-by-inspection",
         "derived",
-        "squarefree",
+        _run_squarefree,
         {"variables": _ZW, "text": "z^3*w^2"},
         "z*w",
     ),
@@ -410,7 +367,7 @@ CASES: tuple[CorpusCase, ...] = (
     CorpusCase(
         "ideal-member-listed-generator",
         "literature",
-        "ideal_member",
+        _run_ideal_member,
         {
             "variables": _ZW,
             "h": ["z^5 + 3*z*w^2", "6*z^2*w", "-5*z^8 + 6*z^4*w^2 - 9*w^4"],
@@ -421,7 +378,7 @@ CASES: tuple[CorpusCase, ...] = (
     CorpusCase(
         "ideal-member-excluded-power",
         "literature",
-        "ideal_member",
+        _run_ideal_member,
         {
             "variables": _ZW,
             "h": ["z^5 + 3*z*w^2", "6*z^2*w", "-5*z^8 + 6*z^4*w^2 - 9*w^4"],
@@ -432,21 +389,21 @@ CASES: tuple[CorpusCase, ...] = (
     CorpusCase(
         "ideal-colength-maximal",
         "direct",
-        "ideal_colength",
+        _run_ideal_colength,
         {"variables": _ZW, "h": ["z", "w"]},
         1,
     ),
     CorpusCase(
         "ideal-colength-squares",
         "derived",
-        "ideal_colength",
+        _run_ideal_colength,
         {"variables": _ZW, "h": ["z^2", "z*w", "w^2"]},
         3,
     ),
     CorpusCase(
         "ideal-colength-grid",
         "literature",
-        "colength_grid",
+        _run_colength_grid,
         {"M_values": [2, 3, 4], "N_values": [2, 3, 4], "K_max": 6},
         {
             f"{M},{N},{K}": M * N
@@ -458,7 +415,7 @@ CASES: tuple[CorpusCase, ...] = (
     CorpusCase(
         "ideal-radical-principal",
         "literature",
-        "radical",
+        _run_radical,
         {"variables": _ZW, "h": ["z^2*(3*w^2 + z^4)"]},
         {
             "method": "principal",
@@ -471,7 +428,7 @@ CASES: tuple[CorpusCase, ...] = (
     CorpusCase(
         "ideal-radical-monomial",
         "derived",
-        "radical",
+        _run_radical,
         {"variables": _ZW, "h": ["z^2", "z*w", "w^2"]},
         {
             "method": "m-primary",
@@ -484,14 +441,14 @@ CASES: tuple[CorpusCase, ...] = (
     CorpusCase(
         "ideal-eliminant-line",
         "derived",
-        "eliminant",
+        _run_eliminant,
         {"variables": _ZW, "h": ["z - w", "w^2"], "keep": "z"},
         "z^2",
     ),
     CorpusCase(
         "ideal-eliminant-trivial",
         "direct",
-        "eliminant",
+        _run_eliminant,
         {"variables": _ZW, "h": ["z"], "keep": "z"},
         "z",
     ),
@@ -499,7 +456,7 @@ CASES: tuple[CorpusCase, ...] = (
     CorpusCase(
         "effectiveness-M2-N3-K4",
         "derived",
-        "effectiveness",
+        _run_effectiveness,
         {"M": 2, "N": 3, "K": 4},
         {
             "power_K_minus_1_excluded": True,
@@ -510,7 +467,7 @@ CASES: tuple[CorpusCase, ...] = (
     CorpusCase(
         "effectiveness-M2-N3-K7",
         "derived",
-        "effectiveness",
+        _run_effectiveness,
         {"M": 2, "N": 3, "K": 7},
         {
             "power_K_minus_1_excluded": True,
@@ -521,7 +478,7 @@ CASES: tuple[CorpusCase, ...] = (
     CorpusCase(
         "effectiveness-M3-N4-K6",
         "derived",
-        "effectiveness",
+        _run_effectiveness,
         {"M": 3, "N": 4, "K": 6},
         {
             "power_K_minus_1_excluded": True,
@@ -533,28 +490,28 @@ CASES: tuple[CorpusCase, ...] = (
     CorpusCase(
         "kohn-init-effectiveness",
         "literature",
-        "kohn_init",
+        _run_kohn_init,
         {"variables": _ZW, "h": ["z^2", _G234]},
         ["z^5 + 3*z*w^2"],
     ),
     CorpusCase(
         "kohn-init-unit",
         "direct",
-        "kohn_init",
+        _run_kohn_init,
         {"variables": _ZW, "h": ["z", "w"]},
         ["1"],
     ),
     CorpusCase(
         "kohn-init-monomial-triple",
         "literature",
-        "kohn_init",
+        _run_kohn_init,
         {"variables": _ZW, "h": ["z^2", "z*w", "w^2"]},
         ["w^2", "z*w", "z^2"],
     ),
     CorpusCase(
         "kohn-run-effectiveness",
         "literature",
-        "kohn_run",
+        _run_kohn_run,
         {"variables": _ZW, "h": ["z^2", _G234]},
         {
             "status": "unit_reached",
@@ -566,7 +523,7 @@ CASES: tuple[CorpusCase, ...] = (
     CorpusCase(
         "kohn-run-immediate-unit",
         "direct",
-        "kohn_run",
+        _run_kohn_run,
         {"variables": _ZW, "h": ["z", "w"]},
         {
             "status": "unit_reached",
@@ -578,7 +535,7 @@ CASES: tuple[CorpusCase, ...] = (
     CorpusCase(
         "kohn-run-no-radical-stall",
         "literature",
-        "kohn_run",
+        _run_kohn_run,
         {"variables": _ZW, "h": ["z^2", "z*w", "w^2"], "radical_mode": "none"},
         {
             "status": "stalled",
@@ -590,7 +547,7 @@ CASES: tuple[CorpusCase, ...] = (
     CorpusCase(
         "kohn-run-radical-unsticks",
         "literature",
-        "kohn_run",
+        _run_kohn_run,
         {"variables": _ZW, "h": ["z^2", "z*w", "w^2"], "radical_mode": "full"},
         {
             "status": "unit_reached",
@@ -602,7 +559,7 @@ CASES: tuple[CorpusCase, ...] = (
     CorpusCase(
         "kohn-run-curve-stall",
         "derived",
-        "kohn_run",
+        _run_kohn_run,
         {"variables": _ZW, "h": ["z^3", "z*w"]},
         {
             "status": "stalled",
@@ -614,35 +571,35 @@ CASES: tuple[CorpusCase, ...] = (
     CorpusCase(
         "finite-type-effectiveness",
         "literature",
-        "finite_type",
+        _run_finite_type,
         {"variables": _ZW, "h": ["z^2", _G234]},
         {"colength": 6, "verdict": True},
     ),
     CorpusCase(
         "finite-type-curve",
         "derived",
-        "finite_type",
+        _run_finite_type,
         {"variables": _ZW, "h": ["z^3", "z*w"]},
         {"colength": "infinite", "verdict": False},
     ),
     CorpusCase(
         "finite-type-point",
         "direct",
-        "finite_type",
+        _run_finite_type,
         {"variables": _ZW, "h": ["z", "w"]},
         {"colength": 1, "verdict": True},
     ),
     CorpusCase(
         "curve-annihilation-axis",
         "derived",
-        "curve_annihilation",
+        _run_curve_annihilation,
         {"variables": _ZW, "h": ["z^3", "z*w"], "curve": ["0", "t"]},
         {"status": "stalled", "annihilated": True},
     ),
     CorpusCase(
         "curve-annihilation-single-product",
         "direct",
-        "curve_annihilation",
+        _run_curve_annihilation,
         {"variables": _ZW, "h": ["z*w"], "curve": ["t", "0"]},
         {"status": "stalled", "annihilated": True},
     ),
@@ -650,49 +607,49 @@ CASES: tuple[CorpusCase, ...] = (
     CorpusCase(
         "triangular-validate-mixed-tail",
         "literature",
-        "triangular_validate",
+        _run_triangular_validate,
         {"variables": _ZW, "h": ["z^2", _G234]},
         {"valid": True, "exponents": [2, 3]},
     ),
     CorpusCase(
         "triangular-validate-shear",
         "literature",
-        "triangular_validate",
+        _run_triangular_validate,
         {"variables": _ZW, "h": ["z^2", "w^3 + z*z + z*w"]},
         {"valid": True, "exponents": [2, 3]},
     ),
     CorpusCase(
         "triangular-validate-degenerate",
         "direct",
-        "triangular_validate",
+        _run_triangular_validate,
         {"variables": _ZW, "h": ["z*w", "w^2"]},
         {"valid": False, "condition": 2},
     ),
     CorpusCase(
         "triangular-multiplicity-squares",
         "literature",
-        "triangular_multiplicity",
+        _run_triangular_multiplicity,
         {"variables": _ZW, "h": ["z^2", "w^2"]},
         4,
     ),
     CorpusCase(
         "triangular-multiplicity-mixed",
         "literature",
-        "triangular_multiplicity",
+        _run_triangular_multiplicity,
         {"variables": _ZW, "h": ["z^2", _G234]},
         6,
     ),
     CorpusCase(
         "triangular-multiplicity-univariate",
         "direct",
-        "triangular_multiplicity",
+        _run_triangular_multiplicity,
         {"variables": ("z",), "h": ["z^5"]},
         5,
     ),
     CorpusCase(
         "triangular-ladder-squares",
         "literature",
-        "triangular_ladder",
+        _run_triangular_ladder,
         {"variables": _ZW, "h": ["z^2", "w^2"]},
         {
             "L": 4,
@@ -704,7 +661,7 @@ CASES: tuple[CorpusCase, ...] = (
     CorpusCase(
         "triangular-ladder-univariate",
         "direct",
-        "triangular_ladder",
+        _run_triangular_ladder,
         {"variables": ("z",), "h": ["z^3"]},
         {
             "L": 3,
@@ -716,7 +673,7 @@ CASES: tuple[CorpusCase, ...] = (
     CorpusCase(
         "triangular-ladder-mixed",
         "derived",
-        "triangular_ladder",
+        _run_triangular_ladder,
         {"variables": _ZW, "h": ["z^2", _G234]},
         {
             "L": 6,
@@ -728,7 +685,7 @@ CASES: tuple[CorpusCase, ...] = (
     CorpusCase(
         "triangular-random-suite",
         "derived",
-        "triangular_random",
+        _run_triangular_random,
         {"count": 20, "seed": 20260809},
         {"count": 20, "all_pass": True},
     ),
@@ -736,7 +693,7 @@ CASES: tuple[CorpusCase, ...] = (
     CorpusCase(
         "contact-curve-base-type",
         "literature",
-        "contact_curve",
+        _run_contact_curve,
         {
             "variables": ("z1", "z2", "z3"),
             "h": ["z1^2 - z2*z3", "z2^2"],
@@ -748,7 +705,7 @@ CASES: tuple[CorpusCase, ...] = (
     CorpusCase(
         "contact-curve-nearby-jump",
         "literature",
-        "contact_curve",
+        _run_contact_curve,
         {
             "variables": ("z1", "z2", "z3"),
             "h": ["z1^2 - z2*z3", "z2^2"],
@@ -760,28 +717,28 @@ CASES: tuple[CorpusCase, ...] = (
     CorpusCase(
         "contact-family-jump-l2-m2",
         "literature",
-        "contact_family_jump",
+        _run_contact_family_jump,
         {"l": 2, "m": 2},
         {"alpha": "1/2", "eta": "4"},
     ),
     CorpusCase(
         "contact-family-jump-l2-m3",
         "literature",
-        "contact_family_jump",
+        _run_contact_family_jump,
         {"l": 2, "m": 3},
         {"alpha": "3/7", "eta": "32/7"},
     ),
     CorpusCase(
         "contact-family-jump-l3-m5",
         "literature",
-        "contact_family_jump",
+        _run_contact_family_jump,
         {"l": 3, "m": 5},
         {"alpha": "3/11", "eta": "52/11"},
     ),
     CorpusCase(
         "contact-family-frozen-curve",
         "direct",
-        "contact_family_fixed",
+        _run_contact_family_fixed,
         {
             "variables": ("z1", "z2", "z3"),
             "h": ["z1^2 - z2*z3", "z2^2"],
@@ -796,28 +753,28 @@ CASES: tuple[CorpusCase, ...] = (
     CorpusCase(
         "sharp-lambda-one-grid",
         "literature",
-        "sharp_grid",
-        {"kind": "lambda_one"},
+        _run_sharp_grid,
+        {"lam": 1},
         {f"{m1},{m2}": str(2 * m1) for m1 in (2, 3, 4) for m2 in (2, 3, 4)},
     ),
     CorpusCase(
         "sharp-limit-zero-grid",
         "literature",
-        "sharp_grid",
-        {"kind": "limit_zero"},
+        _run_sharp_grid,
+        {"limit": True},
         {f"{m1},{m2}": str(2 * m1 * m2) for m1 in (2, 3, 4) for m2 in (2, 3, 4)},
     ),
     CorpusCase(
         "sharp-halfway-value",
         "derived",
-        "sharp_formula",
+        _run_sharp_formula,
         {"m1": 2, "m2": 3, "lam": "1/2"},
         "6",
     ),
     CorpusCase(
         "sharp-via-family-p1-q1",
         "derived",
-        "sharp_via_family",
+        _run_sharp_via_family,
         {"p": 1, "q": 1},
         {
             "2,2": "4", "2,3": "4", "2,4": "4",
@@ -828,7 +785,7 @@ CASES: tuple[CorpusCase, ...] = (
     CorpusCase(
         "sharp-via-family-p1-q2",
         "derived",
-        "sharp_via_family",
+        _run_sharp_via_family,
         {"p": 1, "q": 2},
         {
             "2,2": "16/3", "2,3": "6", "2,4": "32/5",
@@ -839,7 +796,7 @@ CASES: tuple[CorpusCase, ...] = (
     CorpusCase(
         "sharp-via-family-p2-q3",
         "derived",
-        "sharp_via_family",
+        _run_sharp_via_family,
         {"p": 2, "q": 3},
         {
             "2,2": "24/5", "2,3": "36/7", "2,4": "16/3",
@@ -850,35 +807,30 @@ CASES: tuple[CorpusCase, ...] = (
     CorpusCase(
         "epsilon-reciprocal",
         "literature",
-        "epsilon_bound",
+        _run_epsilon_bound,
         {"eta": "6"},
         "1/6",
     ),
     CorpusCase(
         "type-bound-sharp-jump",
         "literature",
-        "type_bound",
+        _run_type_bound,
         {"t_base": "4", "t_nearby": "8", "dim": 3},
         {"ok": True, "limit": "8"},
     ),
 )
 
 
-def run_case(case: CorpusCase):
-    runner = _RUNNERS[case.command]
-    return runner(**case.payload)
-
-
 def reproduce(pattern: str | None = None) -> dict:
-    """Run every (matching) corpus case and compare exactly."""
-    ids = [c.id for c in CASES]
-    if len(set(ids)) != len(ids):
-        raise ValidationError("corpus ids are not unique")
+    """Run every (matching) corpus case and compare exactly.
+
+    A pattern that matches no case id is a ValidationError.
+    """
     rows = []
     for case in sorted(CASES, key=lambda c: c.id):
         if pattern and not fnmatch.fnmatch(case.id, pattern):
             continue
-        actual = run_case(case)
+        actual = case.run(**case.payload)
         rows.append(
             {
                 "id": case.id,
@@ -888,4 +840,6 @@ def reproduce(pattern: str | None = None) -> dict:
                 "pass": actual == case.expected,
             }
         )
+    if not rows:
+        raise ValidationError(f"no corpus case matches {pattern!r}")
     return {"cases": rows, "all_pass": all(r["pass"] for r in rows)}

@@ -245,21 +245,18 @@ def member(f: Polynomial, ideal: Ideal) -> bool:
     return normal_form(f, ideal.groebner(), ideal.default_order()).is_zero()
 
 
-def truncated_basis(
-    ideal: Ideal, degree: int, order: MonomialOrder | None = None
-) -> tuple[Polynomial, ...]:
-    """Reduced basis of I + m^degree.
+def truncated_basis(ideal: Ideal, degree: int) -> tuple[Polynomial, ...]:
+    """Reduced grevlex basis of I + m^degree.
 
     Each degree-n monomial is congruent mod I to its normal form, so the
     monomial block is pre-reduced against the basis of I before running the
     completion; this keeps the generator count near the staircase size.
     """
-    order = order or ideal.default_order()
-    base = ideal.groebner(order)
+    base = ideal.groebner()
     extra: list[Polynomial] = []
     seen: set[frozenset] = set()
     for mono in monomials_of_degree(ideal.ring_dim, degree):
-        reduced = normal_form(Polynomial.monomial(mono), base, order)
+        reduced = normal_form(Polynomial.monomial(mono), base, GREVLEX)
         if reduced.is_zero():
             continue
         key = frozenset(reduced.terms.items())
@@ -268,14 +265,12 @@ def truncated_basis(
             extra.append(reduced)
     if not extra:
         return base
-    return _groebner_raw(list(base) + extra, order)
+    return _groebner_raw(list(base) + extra, GREVLEX)
 
 
-def _standard_monomial_count(
-    basis: Sequence[Polynomial], ring_dim: int, bound: int, order: MonomialOrder
-) -> int:
-    # leads at or above the bound cannot divide any monomial counted below it
-    leads = [lm for lm in (leading_mono(g, order) for g in basis) if sum(lm) < bound]
+def _standard_monomial_count(basis: Sequence[Polynomial], ring_dim: int, bound: int) -> int:
+    # grevlex leads at or above the bound cannot divide any monomial counted below it
+    leads = [lm for lm in (leading_mono(g, GREVLEX) for g in basis) if sum(lm) < bound]
     count = 0
     for d in range(bound):
         for mono in monomials_of_degree(ring_dim, d):

@@ -204,27 +204,30 @@ class CertifyReport:
         }
 
 
-def random_system(rng, max_n: int = 3, max_exp: int = 3, tail_degree: int = 3) -> TriangularSystem:
-    """Random normalized triangular system, for randomized property suites."""
+def random_system(rng, max_n: int = 3) -> TriangularSystem:
+    """Random normalized triangular system, for randomized property suites.
+
+    Exponents are at most 3, and so is the degree of each tail monomial.
+    """
     n = rng.randint(1, max_n)
     names = ("z", "w", "v")[:n]
     h = []
     for i in range(n):
-        m = rng.randint(1, max_exp)
+        m = rng.randint(1, 3)
         p = Polynomial.variable(n, i) ** m
         for j in range(i):
-            tail = _random_tail(rng, n, i, tail_degree)
+            tail = _random_tail(rng, n, i)
             if not tail.is_zero():
                 p = p + Polynomial.variable(n, j) * tail
         h.append(p)
     return validate(h, names)
 
 
-def _random_tail(rng, n: int, top_var: int, degree: int) -> Polynomial:
+def _random_tail(rng, n: int, top_var: int) -> Polynomial:
     out = Polynomial.zero(n)
     for _ in range(rng.randint(1, 4)):
         mono = [0] * n
-        for _ in range(rng.randint(0, degree)):
+        for _ in range(rng.randint(0, 3)):
             mono[rng.randint(0, top_var)] += 1
         re = Fraction(rng.randint(-3, 3))
         im = Fraction(rng.randint(-1, 1)) if rng.random() < 0.25 else Fraction(0)

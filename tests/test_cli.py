@@ -108,6 +108,30 @@ def test_config_options_key_rejected(tmp_path, capsys):
     assert "'options'" in err and "--max-steps" in err
     code, _, err = run_cli(capsys, "triangular", "run", "--config", cfg)
     assert code == 1 and "'options'" in err
+    code, _, err = run_cli(capsys, "ideal", "member", "--poly", "z", "--config", cfg)
+    assert code == 1 and "command flags: --poly, --germ" in err
+    code, _, err = run_cli(capsys, "ideal", "root-order", "--poly", "z", "--config", cfg)
+    assert code == 1 and "command flags: --poly\n" in err
+
+
+@pytest.mark.parametrize(
+    "command", [["ideal", "colength"], ["triangular", "run"], ["multipliers", "run"]]
+)
+def test_config_polynomials_are_parsed_once(tmp_path, capsys, monkeypatch, command):
+    from submult import poly
+
+    calls = []
+
+    def counting(text):
+        calls.append(text)
+        return tokenize(text)
+
+    tokenize = poly._tokenize
+    monkeypatch.setattr(poly, "_tokenize", counting)
+    cfg = write_config(tmp_path, {**ZW_CONFIG, "h": ["z^2", "w^3 + w*z^4"]})
+    code, _, _ = run_cli(capsys, *command, "--config", cfg)
+    assert code == 0
+    assert calls == ["z^2", "w^3 + w*z^4"]
 
 
 def test_row_cap_flag_removed(tmp_path, capsys):
@@ -424,6 +448,14 @@ def test_reproduce_filter(capsys):
         "effectiveness-M2-N3-K7",
         "effectiveness-M3-N4-K6",
     }
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_reproduce_filter_matching_nothing_fails(capsys, fmt):
+    code, out, err = run_cli(capsys, "--format", fmt, "reproduce", "--filter", "efectiveness*")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "'efectiveness*'" in err
 
 
 def test_reproduce_detects_corrupted_expectation(capsys, monkeypatch):

@@ -23,7 +23,7 @@ from submult.contact import (
 )
 from submult.errors import ConsistencyError, ValidationError
 from submult.kohn import SpecialDomain
-from submult.poly import GR_I, GR_ONE, GaussianRational, INF, parse
+from submult.poly import GR_I, GR_ONE, GaussianRational, INF, format_poly, parse
 
 V3 = ("z1", "z2", "z3")
 
@@ -121,6 +121,11 @@ def test_balanced_family_contact(l, m):
     result = contact_family(domain, family.fix_exponent(alpha))
     assert result.eta == Fraction(4 * (2 * m + l), m + 2 * l)
     assert not result.warnings
+
+
+def test_type_jump_domain_uses_l_as_given():
+    assert format_poly(type_jump_domain(0).h[0], V3) == "z1^2 - z2"
+    assert format_poly(type_jump_domain(1).h[0], V3) == "z1^2 - z2*z3"
 
 
 def test_contact_family_requires_fixed_exponent():

@@ -318,10 +318,9 @@ def test_isolated_origin_beside_a_curve():
 
 def _scan(I, cap=24):
     # the truncation scan on its own, up to a fixed degree
-    order = I.default_order()
     prev = None
     for n in range(1, cap + 1):
-        d = _standard_monomial_count(truncated_basis(I, n, order), I.ring_dim, n, order)
+        d = _standard_monomial_count(truncated_basis(I, n), I.ring_dim, n)
         if d == prev:
             return d, n - 1, True
         prev = d
