@@ -231,9 +231,9 @@ def contact_curve(
             raise ValidationError("curve is not based at the given point")
     if all(c.is_constant() for c in curve):
         raise ValidationError("curve is constant")
+    pulled = [h.compose(curve) for h in domain.h]
     boundary = base[-1].re + sum(
-        (h.compose(curve).constant_term().modulus_squared() for h in domain.h),
-        Fraction(0),
+        (f.constant_term().modulus_squared() for f in pulled), Fraction(0)
     )
     if boundary != 0:
         raise ValidationError("base point is not on the boundary")
@@ -245,8 +245,7 @@ def contact_curve(
     total = (
         last.lift(2, [0]) + last.conjugate_coeffs().lift(2, [1])
     ) * Fraction(1, 2)
-    for h in domain.h:
-        f = h.compose(curve)
+    for f in pulled:
         total = total + f.lift(2, [0]) * f.conjugate_coeffs().lift(2, [1])
     nu_pull = total.ord_vanish()
     if nu_pull == INF:

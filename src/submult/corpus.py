@@ -29,7 +29,7 @@ from .ideals import (
     radical_step,
     root_order,
 )
-from .poly import INF, PolyMatrix, format_poly, minor_dets, parse, squarefree_part
+from .poly import INF, Polynomial, PolyMatrix, format_poly, minor_dets, parse, squarefree_part
 
 
 @dataclass(frozen=True)
@@ -62,9 +62,12 @@ def _run_diff_then_zero(variables, text, diff_vars, zero_vars):
     p = parse(text, variables)
     for v in diff_vars:
         p = p.diff(variables.index(v))
-    for v in zero_vars:
-        p = p.subst(variables.index(v), 0)
-    return _fmt(p, variables)
+    n = len(variables)
+    point = [
+        Polynomial.zero(n) if v in zero_vars else Polynomial.variable(n, i)
+        for i, v in enumerate(variables)
+    ]
+    return _fmt(p.compose(point), variables)
 
 
 def _run_gradient(variables, text):
@@ -91,8 +94,7 @@ def _run_ideal_member(variables, h, poly):
 
 
 def _run_ideal_colength(variables, h):
-    report = germ_colength(Ideal(len(variables), _polys(h, variables)))
-    return "infinite" if report.colength == INF else report.colength
+    return germ_colength(Ideal(len(variables), _polys(h, variables))).to_dict()["colength"]
 
 
 def _run_colength_grid(M_values, N_values, K_max):
@@ -162,11 +164,8 @@ def _run_effectiveness(M, N, K):
 
 
 def _run_finite_type(variables, h):
-    report = _kohn.check_finite_type(_domain(variables, h))
-    return {
-        "colength": "infinite" if report.colength == INF else report.colength,
-        "verdict": report.verdict,
-    }
+    doc = _kohn.check_finite_type(_domain(variables, h)).to_dict()
+    return {"colength": doc["colength"], "verdict": doc["verdict"]}
 
 
 def _run_curve_annihilation(variables, h, curve, radical_mode="full"):
@@ -233,11 +232,8 @@ def _run_contact_family_jump(l, m):
 def _run_contact_family_fixed(variables, h, components):
     domain = _contact.AmbientDomain.from_strings(h, variables)
     family = _contact.CurveFamily.from_config(components)
-    result = _contact.contact_family(domain, family)
-    return {
-        "eta": "infinite" if result.eta == INF else str(result.eta),
-        "warnings": len(result.warnings),
-    }
+    doc = _contact.contact_family(domain, family).to_dict()
+    return {"eta": doc["eta"], "warnings": len(doc["warnings"])}
 
 
 def _run_sharp_formula(m1, m2, lam=None, limit=False):

@@ -393,9 +393,15 @@ class GermReport:
 
     colength: int | _Infinity
     stabilization_degree: int | None
-    m_primary: bool
-    capped: bool  # always False: no cap bounds the computation
     basis: tuple[Polynomial, ...] | None = field(default=None, repr=False)  # grevlex, of Q
+
+    @property
+    def m_primary(self) -> bool:
+        return self.colength != INF
+
+    @property
+    def capped(self) -> bool:
+        return False  # no cap bounds the computation
 
     def to_dict(self) -> dict:
         return {
@@ -423,11 +429,11 @@ def germ_colength(ideal: Ideal) -> GermReport:
     if local is None:
         f = _isolating_witness(ideal)
         if f is None:
-            return GermReport(INF, None, False, False)
+            return GermReport(INF, None)
         basis = _saturation(ideal, f).groebner(order)
         local = _local_algebra(basis, ideal.ring_dim, order)
     colength, degree = local
-    return GermReport(colength, degree, True, False, basis)
+    return GermReport(colength, degree, basis)
 
 
 def germ_member(f: Polynomial, ideal: Ideal, report: GermReport | None = None) -> bool:

@@ -115,7 +115,10 @@ class KohnTrace:
     domain: SpecialDomain
     steps: tuple[KohnStepRecord, ...]
     status: str  # unit_reached | stalled | step_cap
-    max_root_order: int
+
+    @property
+    def max_root_order(self) -> int:
+        return max((s for r in self.steps for _, s in r.root_orders), default=0)
 
     def final_generators(self) -> tuple[Polynomial, ...]:
         return self.steps[-1].I_gens if self.steps else ()
@@ -201,8 +204,7 @@ def run(domain: SpecialDomain, options: KohnOptions = KohnOptions()) -> KohnTrac
         if len(steps) > 1 and all(germ_member(g, prev) for g in record.I_gens):
             status = "stalled"
             break
-    max_root = max((s for r in steps for _, s in r.root_orders), default=0)
-    return KohnTrace(domain, tuple(steps), status, max_root)
+    return KohnTrace(domain, tuple(steps), status)
 
 
 @dataclass(frozen=True)
@@ -212,7 +214,10 @@ class FiniteTypeReport:
     colength: int | _Infinity
     stabilization_degree: int | None
     radical_is_m: bool
-    verdict: bool
+
+    @property
+    def verdict(self) -> bool:
+        return self.radical_is_m
 
     def to_dict(self) -> dict:
         return {
@@ -244,7 +249,6 @@ def check_finite_type(domain: SpecialDomain) -> FiniteTypeReport:
         colength=report.colength,
         stabilization_degree=report.stabilization_degree,
         radical_is_m=radical_is_m,
-        verdict=radical_is_m,
     )
 
 

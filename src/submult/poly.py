@@ -3,7 +3,7 @@
 A polynomial is a map from exponent tuples to coefficients ``a + b*i`` with
 ``a, b`` arbitrary-precision rationals.  Everything here is exact: there is no
 floating-point mode anywhere in the package.  Besides ring arithmetic the
-module provides formal differentiation, substitution/composition, order of
+module provides formal differentiation, composition, order of
 vanishing at the origin, maximal minors of polynomial matrices, multivariate
 gcd, squarefree parts, and the text grammar used by the CLI:
 
@@ -364,7 +364,7 @@ class Polynomial:
             n >>= 1
         return out
 
-    # -- calculus and substitution ------------------------------------------
+    # -- calculus and composition -------------------------------------------
 
     def diff(self, index: int) -> "Polynomial":
         """Formal partial derivative with respect to variable ``index``."""
@@ -382,28 +382,6 @@ class Polynomial:
 
     def gradient(self) -> tuple["Polynomial", ...]:
         return tuple(self.diff(i) for i in range(self.ring_dim))
-
-    def subst(self, index: int, value) -> "Polynomial":
-        """Exact substitution of ``value`` (scalar or same-ring polynomial)."""
-        if not 0 <= index < self.ring_dim:
-            raise IndexError(f"variable index {index} out of range")
-        if isinstance(value, (int, Fraction, GaussianRational)):
-            value = Polynomial.constant(self.ring_dim, value)
-        self._check_dim(value)
-        powers = [Polynomial.constant(self.ring_dim, 1)]
-
-        def power(k: int) -> Polynomial:
-            while len(powers) <= k:
-                powers.append(powers[-1] * value)
-            return powers[k]
-
-        out = Polynomial.zero(self.ring_dim)
-        for mono, coeff in self.terms.items():
-            base = list(mono)
-            k = base[index]
-            base[index] = 0
-            out = out + Polynomial(self.ring_dim, {tuple(base): coeff}) * power(k)
-        return out
 
     def compose(self, args: Sequence["Polynomial"]) -> "Polynomial":
         """Evaluate at an n-tuple of polynomials living in a common ring."""
@@ -456,7 +434,8 @@ class Polynomial:
     def leading(self) -> tuple[Mono, GaussianRational]:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        return self.sorted_terms()[0]
+        mono = max(self.terms, key=_grlex_key)
+        return mono, self.terms[mono]
 
     def monic(self) -> "Polynomial":
         """Divide by the graded-lex leading coefficient."""

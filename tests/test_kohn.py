@@ -450,7 +450,7 @@ def test_finite_type_cross_check_runs_on_every_germ(monkeypatch):
     from submult import kohn
 
     # a germ oracle that misses an isolated origin is caught by the eliminants
-    monkeypatch.setattr(kohn, "germ_colength", lambda ideal: GermReport(INF, None, False, False))
+    monkeypatch.setattr(kohn, "germ_colength", lambda ideal: GermReport(INF, None))
     with pytest.raises(ConsistencyError):
         check_finite_type(domain("z^2", "w^3 + w*z^4"))
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import nonzero_polynomials, polynomials
+from conftest import coefficients, nonzero_polynomials, polynomials
 from submult.errors import DimensionMismatchError, ParseError, ValidationError
 from submult.poly import (
     INF,
@@ -108,7 +108,7 @@ def test_scalar_multiplication():
     assert p("z") * Fraction(1, 2) == p("1/2*z")
 
 
-# -- differentiation, substitution, vanishing order -----------------------------
+# -- differentiation, composition, vanishing order ------------------------------
 
 
 def test_power_rule():
@@ -119,9 +119,10 @@ def test_power_rule():
 
 def test_normal_slice_derivatives():
     g = p("w^3 + w*z^4")
-    assert g.diff(1).subst(1, 0) == p("z^4")
-    assert g.diff(1).diff(1).subst(1, 0).is_zero()
-    assert g.diff(0).diff(1).subst(1, 0) == p("4*z^3")
+    w_zero = [p("z"), p("0")]
+    assert g.diff(1).compose(w_zero) == p("z^4")
+    assert g.diff(1).diff(1).compose(w_zero).is_zero()
+    assert g.diff(0).diff(1).compose(w_zero) == p("4*z^3")
 
 
 @given(polynomials(dim=3, max_degree=3, max_terms=4))
@@ -132,24 +133,22 @@ def test_mixed_partials_commute(poly):
 
 def test_substitution_identity():
     q = p("z^2*w + w^3")
-    assert q.subst(0, p("z")) == q
+    assert q.compose([p("z"), p("w")]) == q
 
 
 def test_substitution_and_composition_at_high_exponent():
-    # the power caches are filled by a loop, not by one call per exponent
-    assert p("w^1500").subst(1, p("z")) == p("z^1500")
+    # the power cache is filled by a loop, not by one call per exponent
+    assert p("w^1500").compose([p("z"), p("z")]) == p("z^1500")
     assert p("z*w^1500").compose([p("w"), p("z")]) == p("w*z^1500")
 
 
-@given(
-    polynomials(max_degree=3, max_terms=4),
-    st.integers(min_value=-3, max_value=3),
-    st.integers(min_value=-3, max_value=3),
-)
-def test_sequential_substitution_matches_simultaneous(poly, a, b):
-    one_at_a_time = poly.subst(0, a).subst(1, b)
+@given(polynomials(max_degree=3, max_terms=4), coefficients(), coefficients())
+def test_composition_at_constants_is_evaluation(poly, a, b):
+    value = sum(
+        (c * a**e0 * b**e1 for (e0, e1), c in poly.terms.items()), GaussianRational(0)
+    )
     consts = [Polynomial.constant(2, a), Polynomial.constant(2, b)]
-    assert one_at_a_time == poly.compose(consts)
+    assert poly.compose(consts) == Polynomial.constant(2, value)
 
 
 def test_ord_vanish():
@@ -235,6 +234,11 @@ def test_det_lower_triangular_is_diagonal_product():
 
 
 # -- division, gcd, squarefree parts ------------------------------------------------
+
+
+@given(nonzero_polynomials(dim=3, max_terms=6))
+def test_leading_is_first_sorted_term(poly):
+    assert poly.leading() == poly.sorted_terms()[0]
 
 
 def test_exact_division():

@@ -57,6 +57,16 @@ def test_validate_rejects_unnormalized_units():
         system("z^2 + z^3", "w^2")
 
 
+def test_validate_rejects_constant_terms():
+    # the pure part of h_i keeps the constant term, so a constant never passes
+    with pytest.raises(ValidationError, match="must vanish at the origin"):
+        system("1", "w^2")
+    with pytest.raises(ValidationError, match="normalized"):
+        system("z^2 + 1", "w^2")
+    with pytest.raises(ValidationError, match="normalized"):
+        system("z^2", "w^2 + z + 1")
+
+
 def test_validate_needs_square_shape():
     with pytest.raises(ValidationError):
         validate([parse("z^2", ZW)], ZW)
