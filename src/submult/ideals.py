@@ -345,20 +345,18 @@ def _isolating_witness(ideal: Ideal) -> Polynomial | None:
     return f
 
 
-def _local_algebra(
-    basis: Sequence[Polynomial], ring_dim: int, order: MonomialOrder
-) -> tuple[int, int] | None:
+def _local_algebra(basis: Sequence[Polynomial], ring_dim: int) -> tuple[int, int] | None:
     """(dim R/Q, least N >= 1 with m^N in Q) when V(Q) lies in the origin.
 
-    Q is the ideal with this reduced basis; None means V(Q) has a point off
-    the origin.  A zero-dimensional Q has finitely many standard monomials,
-    L of them.  V(Q) lies in the origin exactly when R/Q is local of length
-    L, so exactly when m^L lies in Q.  The normal forms of the degree-d
-    monomials come from those of degree d - 1 by
+    Q is the ideal with this reduced grevlex basis; None means V(Q) has a
+    point off the origin.  A zero-dimensional Q has finitely many standard
+    monomials, L of them.  V(Q) lies in the origin exactly when R/Q is local
+    of length L, so exactly when m^L lies in Q.  The normal forms of the
+    degree-d monomials come from those of degree d - 1 by
     NF(x_j x^b) = NF(x_j NF(x^b)), and a monomial one of whose divisors is
     in Q is in Q, so only nonzero normal forms are carried up.
     """
-    leads = [leading_mono(g, order) for g in basis]
+    leads = [leading_mono(g, GREVLEX) for g in basis]
     if not _zero_dimensional(leads, ring_dim):
         return None
     colength = 0
@@ -380,7 +378,7 @@ def _local_algebra(
             for j, x in enumerate(variables):
                 up = mono[:j] + (mono[j] + 1,) + mono[j + 1 :]
                 if up not in forms:
-                    forms[up] = normal_form(x * r, basis, order)
+                    forms[up] = normal_form(x * r, basis, GREVLEX)
         live = {mono: r for mono, r in forms.items() if not r.is_zero()}
         if not live:
             return colength, degree
@@ -423,15 +421,14 @@ def germ_colength(ideal: Ideal) -> GermReport:
     Q.  Then I + m^N = Q, so the reported basis is also the reduced basis of
     that truncation.
     """
-    order = ideal.default_order()
-    basis = ideal.groebner(order)
-    local = _local_algebra(basis, ideal.ring_dim, order)
+    basis = ideal.groebner()
+    local = _local_algebra(basis, ideal.ring_dim)
     if local is None:
         f = _isolating_witness(ideal)
         if f is None:
             return GermReport(INF, None)
-        basis = _saturation(ideal, f).groebner(order)
-        local = _local_algebra(basis, ideal.ring_dim, order)
+        basis = _saturation(ideal, f).groebner()
+        local = _local_algebra(basis, ideal.ring_dim)
     colength, degree = local
     return GermReport(colength, degree, basis)
 

@@ -73,25 +73,33 @@ INF = _Infinity()
 class GaussianRational:
     """Exact complex number a + b*i with rational a, b.
 
-    Both parts are Fractions.  A zero imaginary part built here is the one
-    shared ``_ZERO``, so the arithmetic spots two real operands by identity
-    and takes a short path that skips the imaginary parts; any other zero
-    Fraction only sends a value down the general path.
+    Stored as three integers, (re_num + im_num*i) / den, in lowest terms:
+    gcd(re_num, im_num, den) == 1 and den > 0.  Equal values therefore have
+    equal triples, and each operation is one integer formula reduced by
+    ``_reduced``.  ``re`` and ``im`` are read as Fractions.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_re_num", "_im_num", "_den")
 
-    def __init__(self, re: int | Fraction = 0, im: int | Fraction = 0):
+    def __new__(cls, re: int | Fraction = 0, im: int | Fraction = 0):
         if not isinstance(re, (int, Fraction)) or not isinstance(im, (int, Fraction)):
             raise TypeError(
                 "GaussianRational parts must be int or Fraction, not "
                 f"{type(re).__name__} and {type(im).__name__}"
             )
-        _set_re(self, Fraction(re))
-        _set_im(self, Fraction(im) or _ZERO)
+        q, s = re.denominator, im.denominator
+        return _reduced(re.numerator * s, im.numerator * q, q * s)
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._re_num, self._den)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._im_num, self._den)
 
     @classmethod
     def coerce(cls, value) -> "GaussianRational":
@@ -102,39 +110,37 @@ class GaussianRational:
         raise TypeError(f"cannot coerce {type(value).__name__} to GaussianRational")
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return self._re_num != 0 or self._im_num != 0
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = GaussianRational(other)
         if not isinstance(other, GaussianRational):
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return (self._re_num, self._im_num, self._den) == (other._re_num, other._im_num, other._den)
 
     def __hash__(self):
         # a real value equals its int or Fraction, so it must hash like it
-        return hash((self.re, self.im)) if self.im else hash(self.re)
+        return hash((self.re, self.im)) if self._im_num else hash(self.re)
 
     def __add__(self, other):
         if type(other) is not GaussianRational:
             other = GaussianRational.coerce(other)
-        if self.im is _ZERO and other.im is _ZERO:
-            return _exact(self.re + other.re, _ZERO)
-        return _exact(self.re + other.re, (self.im + other.im) or _ZERO)
+        a, b, d = self._re_num, self._im_num, self._den
+        c, e, f = other._re_num, other._im_num, other._den
+        return _reduced(a * f + c * d, b * f + e * d, d * f)
 
     __radd__ = __add__
 
     def __neg__(self):
-        if self.im is _ZERO:
-            return _exact(-self.re, _ZERO)
-        return _exact(-self.re, (-self.im) or _ZERO)
+        return _reduced(-self._re_num, -self._im_num, self._den)
 
     def __sub__(self, other):
         if type(other) is not GaussianRational:
             other = GaussianRational.coerce(other)
-        if self.im is _ZERO and other.im is _ZERO:
-            return _exact(self.re - other.re, _ZERO)
-        return _exact(self.re - other.re, (self.im - other.im) or _ZERO)
+        a, b, d = self._re_num, self._im_num, self._den
+        c, e, f = other._re_num, other._im_num, other._den
+        return _reduced(a * f - c * d, b * f - e * d, d * f)
 
     def __rsub__(self, other):
         return GaussianRational.coerce(other) - self
@@ -142,29 +148,21 @@ class GaussianRational:
     def __mul__(self, other):
         if type(other) is not GaussianRational:
             other = GaussianRational.coerce(other)
-        if self.im is _ZERO and other.im is _ZERO:
-            return _exact(self.re * other.re, _ZERO)
-        return _exact(
-            self.re * other.re - self.im * other.im,
-            (self.re * other.im + self.im * other.re) or _ZERO,
-        )
+        a, b, d = self._re_num, self._im_num, self._den
+        c, e, f = other._re_num, other._im_num, other._den
+        return _reduced(a * c - b * e, a * e + b * c, d * f)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if type(other) is not GaussianRational:
             other = GaussianRational.coerce(other)
-        if self.im is _ZERO and other.im is _ZERO:
-            if not other.re:
-                raise ZeroDivisionError("division by zero GaussianRational")
-            return _exact(self.re / other.re, _ZERO)
-        norm = other.re * other.re + other.im * other.im
-        if norm == 0:
+        a, b, d = self._re_num, self._im_num, self._den
+        c, e, f = other._re_num, other._im_num, other._den
+        if not (c or e):
             raise ZeroDivisionError("division by zero GaussianRational")
-        return _exact(
-            (self.re * other.re + self.im * other.im) / norm,
-            ((self.im * other.re - self.re * other.im) / norm) or _ZERO,
-        )
+        # (a + b i)/d / ((c + e i)/f) = (a + b i)(c - e i) f / (d (c^2 + e^2))
+        return _reduced((a * c + b * e) * f, (b * c - a * e) * f, d * (c * c + e * e))
 
     def __pow__(self, n: int):
         if n < 0:
@@ -179,29 +177,31 @@ class GaussianRational:
         return out
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _reduced(self._re_num, -self._im_num, self._den)
 
     def modulus_squared(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
+        return Fraction(self._re_num**2 + self._im_num**2, self._den**2)
 
     def __repr__(self):
-        if not self.im:
-            return str(self.re)
-        if not self.re:
-            return f"{self.im}*i"
-        return f"({self.re} + {self.im}*i)" if self.im > 0 else f"({self.re} - {-self.im}*i)"
+        re, im = self.re, self.im
+        if not im:
+            return str(re)
+        if not re:
+            return f"{im}*i"
+        return f"({re} + {im}*i)" if im > 0 else f"({re} - {-im}*i)"
 
 
-_ZERO = Fraction(0)
-_set_re = GaussianRational.re.__set__
-_set_im = GaussianRational.im.__set__
+def _reduced(a: int, b: int, d: int) -> GaussianRational:
+    """(a + b*i) / d in lowest terms.
 
-
-def _exact(re: Fraction, im: Fraction) -> GaussianRational:
-    """re + im*i from two Fractions, stored as they are."""
+    Needs no sign fix-up: every d is positive, being a stored denominator, a
+    product of two, or such a product times a norm c^2 + e^2 > 0.
+    """
+    g = math.gcd(a, b, d)
     z = object.__new__(GaussianRational)
-    _set_re(z, re)
-    _set_im(z, im)
+    object.__setattr__(z, "_re_num", a // g)
+    object.__setattr__(z, "_im_num", b // g)
+    object.__setattr__(z, "_den", d // g)
     return z
 
 
@@ -312,11 +312,7 @@ class Polynomial:
         self._check_dim(other)
         out = dict(self.terms)
         for mono, coeff in other.terms.items():
-            acc = out.get(mono, GR_ZERO) + coeff
-            if acc:
-                out[mono] = acc
-            else:
-                out.pop(mono, None)
+            out[mono] = out.get(mono, GR_ZERO) + coeff
         return Polynomial(self.ring_dim, out)
 
     __radd__ = __add__
@@ -343,11 +339,7 @@ class Polynomial:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 mono = tuple(a + b for a, b in zip(m1, m2))
-                acc = out.get(mono, GR_ZERO) + c1 * c2
-                if acc:
-                    out[mono] = acc
-                else:
-                    out.pop(mono, None)
+                out[mono] = out.get(mono, GR_ZERO) + c1 * c2
         return Polynomial(self.ring_dim, out)
 
     __rmul__ = __mul__

@@ -145,9 +145,9 @@ def run_effective(system: TriangularSystem) -> EffectiveTrace:
     pairs: list[MultiplierPair] = []
     # the deepest digit of the box runs fastest
     for index, a in enumerate(itertools.product(*(range(1, k + 1) for k in m)), 1):
-        sources: list[Polynomial] = []
-        prefix = Polynomial.constant(n, 1)
-        for i in range(n):
+        sources = [D[0][a[0] - 1]]  # D[0][0] is h_1
+        prefix = D[0][a[0]]
+        for i in range(1, n):
             sources.append(system.h[i] if a[i] == 1 else prefix * D[i][a[i] - 1])
             prefix = prefix * D[i][a[i]]
         B = det([s.gradient() for s in sources])

@@ -1,4 +1,5 @@
 import itertools
+import math
 from decimal import Decimal
 from fractions import Fraction
 
@@ -319,6 +320,14 @@ def _parts(z):
     return z.re, z.im
 
 
+def _triple(z):
+    """The stored (re_num, im_num, den), checked to be in lowest terms."""
+    t = (z._re_num, z._im_num, z._den)
+    assert all(type(k) is int for k in t) and t[2] > 0 and math.gcd(*t) == 1
+    assert (z.re, z.im) == (Fraction(t[0], t[2]), Fraction(t[1], t[2]))
+    return t
+
+
 @given(gaussian_parts(), gaussian_parts())
 def test_coefficient_arithmetic_matches_the_textbook_formulas(x, y):
     (a, b), (c, d) = x, y
@@ -346,6 +355,18 @@ def test_coefficient_arithmetic_matches_the_textbook_formulas(x, y):
     for z in (u + v, u - v, u * v, -u):
         if not z.im:
             assert z == z.re and hash(z) == hash(z.re)
+    if v:
+        assert (u * v) / v == u
+    assert (u + v) - v == u
+    values = [u, v, u + v, u - v, u * v, -u, (u + v) - v, v + u, u.conjugate().conjugate()]
+    if v:
+        values += [u / v, (u * v) / v]
+    for w in values:
+        for z in values:
+            same = _parts(w) == _parts(z)
+            assert (w == z) == same and (_triple(w) == _triple(z)) == same
+            if same:
+                assert hash(w) == hash(z)
 
 
 def test_scalar_ratio():
