@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
+from operator import add, neg, sub
 from typing import Callable, Iterable, Sequence
 
 from .errors import ValidationError
@@ -44,7 +46,7 @@ def LEX(mono: Mono) -> tuple:
 
 
 def GREVLEX(mono: Mono) -> tuple:
-    return (sum(mono), tuple(-e for e in reversed(mono)))
+    return (sum(mono), *map(neg, reversed(mono)))
 
 
 def leading_mono(p: Polynomial, order: MonomialOrder) -> Mono:
@@ -60,34 +62,49 @@ def order_monic(p: Polynomial, order: MonomialOrder) -> Polynomial:
 
 
 def normal_form(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder) -> Polynomial:
-    """Remainder of f on division by the list, leading terms first."""
+    """Remainder of f on division by the list, leading terms first.
+
+    The largest work term is reduced by the first lead in list order that
+    divides it.  The work terms sit in a max-heap of negated order keys, each
+    computed once, when its monomial is pushed.
+    """
     if f.is_zero() or not basis:
         return f
     leads = [(leading_mono(g, order), g) for g in basis if not g.is_zero()]
     work = dict(f.terms)
+    heap = [(tuple(map(neg, order(m))), m) for m in work]
+    heapify(heap)
     remainder: dict[Mono, GaussianRational] = {}
-    while work:
-        mono = max(work, key=order)
-        coeff = work.pop(mono)
+    while heap:
+        mono = heappop(heap)[1]
+        # a reduction adds only monomials below the one it removes, so a popped
+        # monomial never returns: a miss is a term cancelled after its push
+        coeff = work.pop(mono, None)
+        if coeff is None:
+            continue
         for gm, g in leads:
             if _mono_divides(gm, mono):
-                # a one-term divisor only removes the term, so it needs no scale
-                scale = coeff / g.terms[gm] if len(g.terms) > 1 else None
-                shift = tuple(a - b for a, b in zip(mono, gm))
+                if len(g.terms) == 1:  # a one-term divisor only removes the term
+                    break
+                scale = coeff / g.terms[gm]
+                shift = tuple(map(sub, mono, gm))
                 for m2, c2 in g.terms.items():
                     if m2 == gm:
                         continue
-                    mm = tuple(a + b for a, b in zip(m2, shift))
-                    acc = work.get(mm, None)
-                    acc = -scale * c2 if acc is None else acc - scale * c2
-                    if acc:
+                    mm = tuple(map(add, m2, shift))
+                    t = scale * c2
+                    acc = work.get(mm)
+                    if acc is None:
+                        work[mm] = -t
+                        heappush(heap, (tuple(map(neg, order(mm))), mm))
+                    elif acc := acc - t:
                         work[mm] = acc
                     else:
-                        work.pop(mm, None)
+                        del work[mm]
                 break
         else:
             remainder[mono] = coeff
-    return Polynomial(f.ring_dim, remainder)
+    return Polynomial._of(f.ring_dim, remainder)
 
 
 def _lcm(a: Mono, b: Mono) -> Mono:

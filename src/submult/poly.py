@@ -22,6 +22,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, le, sub
 from typing import Callable, Iterator, Sequence
 
 from .errors import CapExceededError, DimensionMismatchError, ParseError, ValidationError
@@ -225,19 +226,29 @@ class Polynomial:
     __slots__ = ("ring_dim", "terms")
 
     def __init__(self, ring_dim: int, terms: dict | None = None):
+        """Validating entry for outside input: exponents checked, coefficients coerced."""
         if ring_dim < 0:
             raise ValueError("ring_dim must be non-negative")
         clean: dict[Mono, GaussianRational] = {}
         for mono, coeff in (terms or {}).items():
-            coeff = GaussianRational.coerce(coeff)
-            if not coeff:
-                continue
             mono = tuple(mono)
-            if len(mono) != ring_dim or any(e < 0 for e in mono):
+            if len(mono) != ring_dim or any(type(e) is not int or e < 0 for e in mono):
                 raise ValueError(f"bad exponent tuple {mono} for ring_dim={ring_dim}")
-            clean[mono] = coeff
+            clean[mono] = GaussianRational.coerce(coeff)
+        self._fill(ring_dim, clean)
+
+    def _fill(self, ring_dim: int, terms: dict[Mono, GaussianRational]) -> None:
+        # the one place that drops zero coefficients, cancelled terms included
         object.__setattr__(self, "ring_dim", ring_dim)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", {m: c for m, c in terms.items() if c})
+
+    @classmethod
+    def _of(cls, ring_dim: int, terms: dict[Mono, GaussianRational]) -> "Polynomial":
+        """Arithmetic results: ``terms`` already maps exponent tuples of length
+        ``ring_dim`` to GaussianRationals, so nothing is checked again."""
+        p = object.__new__(cls)
+        p._fill(ring_dim, terms)
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -312,18 +323,24 @@ class Polynomial:
         self._check_dim(other)
         out = dict(self.terms)
         for mono, coeff in other.terms.items():
-            out[mono] = out.get(mono, GR_ZERO) + coeff
-        return Polynomial(self.ring_dim, out)
+            acc = out.get(mono)
+            out[mono] = coeff if acc is None else acc + coeff
+        return Polynomial._of(self.ring_dim, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.ring_dim, {m: -c for m, c in self.terms.items()})
+        return Polynomial._of(self.ring_dim, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
             other = Polynomial.constant(self.ring_dim, other)
-        return self + (-other)
+        self._check_dim(other)
+        out = dict(self.terms)
+        for mono, coeff in other.terms.items():
+            acc = out.get(mono)
+            out[mono] = -coeff if acc is None else acc - coeff
+        return Polynomial._of(self.ring_dim, out)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -331,16 +348,15 @@ class Polynomial:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
             c = GaussianRational.coerce(other)
-            if not c:
-                return Polynomial.zero(self.ring_dim)
-            return Polynomial(self.ring_dim, {m: v * c for m, v in self.terms.items()})
+            return Polynomial._of(self.ring_dim, {m: v * c for m, v in self.terms.items()})
         self._check_dim(other)
         out: dict[Mono, GaussianRational] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                mono = tuple(a + b for a, b in zip(m1, m2))
-                out[mono] = out.get(mono, GR_ZERO) + c1 * c2
-        return Polynomial(self.ring_dim, out)
+                mono = tuple(map(add, m1, m2))
+                acc = out.get(mono)
+                out[mono] = c1 * c2 if acc is None else acc + c1 * c2
+        return Polynomial._of(self.ring_dim, out)
 
     __rmul__ = __mul__
 
@@ -370,7 +386,7 @@ class Polynomial:
             new = list(mono)
             new[index] = e - 1
             out[tuple(new)] = coeff * e
-        return Polynomial(self.ring_dim, out)
+        return Polynomial._of(self.ring_dim, out)
 
     def gradient(self) -> tuple["Polynomial", ...]:
         return tuple(self.diff(i) for i in range(self.ring_dim))
@@ -417,7 +433,7 @@ class Polynomial:
         return Polynomial(new_dim, out)
 
     def conjugate_coeffs(self) -> "Polynomial":
-        return Polynomial(self.ring_dim, {m: c.conjugate() for m, c in self.terms.items()})
+        return Polynomial._of(self.ring_dim, {m: c.conjugate() for m, c in self.terms.items()})
 
     def sorted_terms(self) -> list[tuple[Mono, GaussianRational]]:
         """Terms in descending graded-lexicographic order (canonical)."""
@@ -737,28 +753,41 @@ def minor_dets(matrix: PolyMatrix) -> list[Polynomial]:
 
 
 def _mono_divides(a: Mono, b: Mono) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def exact_div(f: Polynomial, g: Polynomial) -> Polynomial | None:
-    """Quotient f/g when the division is exact, else None."""
+    """Quotient f/g when the division is exact, else None.
+
+    One division loop on a term dict: the grlex-leading work term must be a
+    multiple of lm(g); its quotient term is recorded and that multiple of
+    g's tail subtracted.  Each step removes the leading term and adds only
+    terms below it, so the recorded shifts are distinct.
+    """
     if g.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     f._check_dim(g)
-    quotient = Polynomial.zero(f.ring_dim)
-    rest = f
     g_mono, g_coeff = g.leading()
-    while not rest.is_zero():
-        mono, coeff = rest.leading()
+    tail = [(m, c) for m, c in g.terms.items() if m != g_mono]
+    work = dict(f.terms)
+    quotient: dict[Mono, GaussianRational] = {}
+    while work:
+        mono = max(work, key=_grlex_key)
         if not _mono_divides(g_mono, mono):
             return None
-        t = Polynomial(
-            f.ring_dim,
-            {tuple(a - b for a, b in zip(mono, g_mono)): coeff / g_coeff},
-        )
-        quotient = quotient + t
-        rest = rest - t * g
-    return quotient
+        shift = tuple(map(sub, mono, g_mono))
+        q = quotient[shift] = work.pop(mono) / g_coeff
+        for m2, c2 in tail:
+            mm = tuple(map(add, m2, shift))
+            t = q * c2
+            acc = work.get(mm)
+            if acc is None:
+                work[mm] = -t
+            elif acc := acc - t:
+                work[mm] = acc
+            else:
+                del work[mm]
+    return Polynomial._of(f.ring_dim, quotient)
 
 
 def divides(g: Polynomial, f: Polynomial) -> bool:

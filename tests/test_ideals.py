@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import polynomials, sympy_local_colength, to_sympy
 from submult import ideals
 from submult.ideals import (
+    LEX,
     Ideal,
     eliminant,
     germ_colength,
@@ -61,6 +62,16 @@ def test_monomial_ideal_is_its_own_basis():
 def test_basis_reduces_listed_generator():
     J1 = ideal(*J1_234)
     assert normal_form(p(J1_234[0]), J1.groebner(), J1.default_order()).is_zero()
+
+
+def test_normal_form_divides_by_the_first_lead_in_list_order():
+    # Cox-Little-O'Shea, Ch. 2, Sec. 3: on a list that is not a Groebner
+    # basis the remainder depends on the order of the divisors
+    xy = ("x", "y")
+    f = p("x^2*y + x*y^2 + y^2", xy)
+    g1, g2 = p("x*y - 1", xy), p("y^2 - 1", xy)
+    assert normal_form(f, [g1, g2], LEX) == p("x + y + 1", xy)
+    assert normal_form(f, [g2, g1], LEX) == p("2*x + 1", xy)
 
 
 def test_groebner_cache_is_deterministic():

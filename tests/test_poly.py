@@ -4,7 +4,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from conftest import coefficients, nonzero_polynomials, polynomials
@@ -102,6 +102,23 @@ def test_ring_axioms(a, b, c):
 @given(polynomials())
 def test_additive_inverse(a):
     assert (a - a).is_zero()
+
+
+@given(polynomials(), polynomials())
+def test_arithmetic_results_hold_no_zero_coefficient(a, b):
+    # (a + b) - b and a - a cancel term by term
+    for r in (a + b, a - b, (a + b) - b, a * b, -a, a.diff(0), a.diff(1)):
+        assert all(r.terms.values())
+    assert (a - a).terms == {}
+    assert (a * 0).terms == {}
+
+
+@pytest.mark.parametrize("mono", [(1.5,), (True,), (Fraction(1),), (1.0,), ("1",), (-1,)])
+def test_exponents_must_be_non_negative_ints(mono):
+    with pytest.raises(ValueError):
+        Polynomial(1, {mono: 1})
+    with pytest.raises(ValueError):
+        Polynomial(2, {(0,) + mono: 1})
 
 
 def test_scalar_multiplication():
@@ -251,6 +268,22 @@ def test_exact_division():
 @given(nonzero_polynomials(max_degree=2, max_terms=3), nonzero_polynomials(max_degree=2, max_terms=3))
 def test_exact_division_of_products(a, b):
     assert exact_div(a * b, a) == b
+
+
+@given(nonzero_polynomials(), polynomials(max_degree=2, max_terms=3), nonzero_polynomials())
+def test_exact_division_rejects_a_remainder_below_the_divisor(a, b, r):
+    # a nonzero multiple of a has degree at least deg a, so a does not divide r
+    assume(r.total_degree() < a.total_degree())
+    assert exact_div(a * b + r, a) is None
+
+
+@given(nonzero_polynomials(), polynomials(max_degree=2, max_terms=3), polynomials())
+def test_exact_division_quotient_times_divisor_is_dividend(g, h, f):
+    assert exact_div(g * h, g) * g == g * h
+    for dividend in (f, g * h + f):
+        q = exact_div(dividend, g)
+        if q is not None:
+            assert q * g == dividend
 
 
 @given(
