@@ -58,19 +58,33 @@ def leading_mono(p: Polynomial, order: MonomialOrder) -> Mono:
 def order_monic(p: Polynomial, order: MonomialOrder) -> Polynomial:
     if p.is_zero():
         return p
-    return p * (GR_ONE / p.terms[leading_mono(p, order)])
+    return _monic(p, leading_mono(p, order))
 
 
-def normal_form(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder) -> Polynomial:
+def _monic(p: Polynomial, lead: Mono) -> Polynomial:
+    return p * (GR_ONE / p.terms[lead])
+
+
+def normal_form(
+    f: Polynomial,
+    basis: Sequence[Polynomial],
+    order: MonomialOrder,
+    leads: Sequence[Mono] | None = None,
+) -> Polynomial:
     """Remainder of f on division by the list, leading terms first.
 
     The largest work term is reduced by the first lead in list order that
     divides it.  The work terms sit in a max-heap of negated order keys, each
-    computed once, when its monomial is pushed.
+    computed once, when its monomial is pushed.  A caller that divides by the
+    same nonzero elements many times passes their leads, in list order, so
+    that they are found once.
     """
     if f.is_zero() or not basis:
         return f
-    leads = [(leading_mono(g, order), g) for g in basis if not g.is_zero()]
+    if leads is None:
+        basis = [g for g in basis if not g.is_zero()]
+        leads = [leading_mono(g, order) for g in basis]
+    divisors = list(zip(leads, basis))
     work = dict(f.terms)
     heap = [(tuple(map(neg, order(m))), m) for m in work]
     heapify(heap)
@@ -82,7 +96,7 @@ def normal_form(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder
         coeff = work.pop(mono, None)
         if coeff is None:
             continue
-        for gm, g in leads:
+        for gm, g in divisors:
             if _mono_divides(gm, mono):
                 if len(g.terms) == 1:  # a one-term divisor only removes the term
                     break
@@ -111,9 +125,8 @@ def _lcm(a: Mono, b: Mono) -> Mono:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def _spoly(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
-    fm = leading_mono(f, order)
-    gm = leading_mono(g, order)
+def _spoly(f: Polynomial, g: Polynomial, fm: Mono, gm: Mono) -> Polynomial:
+    """S-polynomial of f and g, whose leads are fm and gm."""
     lcm = _lcm(fm, gm)
     tf = Polynomial(f.ring_dim, {tuple(l - a for l, a in zip(lcm, fm)): GR_ONE / f.terms[fm]})
     tg = Polynomial(g.ring_dim, {tuple(l - b for l, b in zip(lcm, gm)): GR_ONE / g.terms[gm]})
@@ -131,21 +144,26 @@ def _interreduce(polys: Iterable[Polynomial], order: MonomialOrder) -> tuple[Pol
     takes one pass to its reduced basis (Cox-Little-O'Shea, Ch. 2, Sec. 7).
     """
     basis = [p for p in polys if not p.is_zero()]
+    leads = [leading_mono(g, order) for g in basis]
     changed = True
     while changed:
         changed = False
-        basis.sort(key=lambda g: order(leading_mono(g, order)))
+        pairs = sorted(zip(leads, basis), key=lambda pair: order(pair[0]))
+        leads = [lm for lm, _ in pairs]
+        basis = [g for _, g in pairs]
         i = 0
         while i < len(basis):
-            r = normal_form(basis[i], basis[:i], order)
+            r = normal_form(basis[i], basis[:i], order, leads[:i])
             if r.is_zero():
-                del basis[i]
+                del basis[i], leads[i]
                 continue
             # the old lead survives in the normal form exactly when it stays the lead
-            changed = changed or leading_mono(basis[i], order) not in r.terms
+            if leads[i] not in r.terms:
+                changed = True
+                leads[i] = leading_mono(r, order)
             basis[i] = r
             i += 1
-    return tuple(order_monic(g, order) for g in basis)
+    return tuple(_monic(g, lm) for lm, g in zip(leads, basis))
 
 
 def _groebner_raw(gens: Sequence[Polynomial], order: MonomialOrder) -> tuple[Polynomial, ...]:
@@ -199,12 +217,17 @@ def _groebner_raw(gens: Sequence[Polynomial], order: MonomialOrder) -> tuple[Pol
         pair = min(pairs)
         pairs.remove(pair)
         _, i, j, _ = pair
-        r = normal_form(_spoly(basis[i], basis[j], order), [basis[g] for g in active], order)
+        r = normal_form(
+            _spoly(basis[i], basis[j], leads[i], leads[j]),
+            [basis[g] for g in active],
+            order,
+            [leads[g] for g in active],
+        )
         if r.is_zero():
             continue
-        r = order_monic(r, order)
-        basis.append(r)
-        leads.append(leading_mono(r, order))
+        lead = leading_mono(r, order)
+        basis.append(_monic(r, lead))
+        leads.append(lead)
         update(len(basis) - 1)
     return _interreduce([basis[g] for g in active], order)
 
@@ -230,6 +253,9 @@ class Ideal:
         object.__setattr__(self, "_cache", {})
 
     def __setattr__(self, name, value):
+        raise AttributeError("Ideal is immutable apart from its basis cache")
+
+    def __delattr__(self, name):
         raise AttributeError("Ideal is immutable apart from its basis cache")
 
     @classmethod
@@ -387,15 +413,18 @@ def _local_algebra(basis: Sequence[Polynomial], ring_dim: int) -> tuple[int, int
         if not standard:
             break
         colength += standard
-    variables = [Polynomial.variable(ring_dim, j) for j in range(ring_dim)]
     live = {(0,) * ring_dim: Polynomial.constant(ring_dim, 1)} if colength else {}
     for degree in range(1, max(colength, 1) + 1):
         forms: dict[Mono, Polynomial] = {}
         for mono, r in live.items():
-            for j, x in enumerate(variables):
+            for j in range(ring_dim):
                 up = mono[:j] + (mono[j] + 1,) + mono[j + 1 :]
                 if up not in forms:
-                    forms[up] = normal_form(x * r, basis, GREVLEX)
+                    # x_j r, as a shift of r's exponents
+                    xr = Polynomial._of(
+                        ring_dim, {m[:j] + (m[j] + 1,) + m[j + 1 :]: c for m, c in r.terms.items()}
+                    )
+                    forms[up] = normal_form(xr, basis, GREVLEX, leads)
         live = {mono: r for mono, r in forms.items() if not r.is_zero()}
         if not live:
             return colength, degree

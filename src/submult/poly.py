@@ -94,6 +94,9 @@ class GaussianRational:
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("GaussianRational is immutable")
+
     @property
     def re(self) -> Fraction:
         return Fraction(self._re_num, self._den)
@@ -199,12 +202,20 @@ def _reduced(a: int, b: int, d: int) -> GaussianRational:
     product of two, or such a product times a norm c^2 + e^2 > 0.
     """
     g = math.gcd(a, b, d)
-    z = object.__new__(GaussianRational)
-    object.__setattr__(z, "_re_num", a // g)
-    object.__setattr__(z, "_im_num", b // g)
-    object.__setattr__(z, "_den", d // g)
+    z = _new(GaussianRational)
+    _set_re_num(z, a // g)
+    _set_im_num(z, b // g)
+    _set_den(z, d // g)
     return z
 
+
+# The constructors store through the slot descriptors, around the classes'
+# __setattr__ guards: one call each, where object.__setattr__ first looks
+# the attribute name up on the type.
+_new = object.__new__
+_set_re_num = GaussianRational._re_num.__set__
+_set_im_num = GaussianRational._im_num.__set__
+_set_den = GaussianRational._den.__set__
 
 GR_ZERO = GaussianRational(0)
 GR_ONE = GaussianRational(1)
@@ -239,18 +250,21 @@ class Polynomial:
 
     def _fill(self, ring_dim: int, terms: dict[Mono, GaussianRational]) -> None:
         # the one place that drops zero coefficients, cancelled terms included
-        object.__setattr__(self, "ring_dim", ring_dim)
-        object.__setattr__(self, "terms", {m: c for m, c in terms.items() if c})
+        _set_ring_dim(self, ring_dim)
+        _set_terms(self, {m: c for m, c in terms.items() if c._re_num or c._im_num})
 
     @classmethod
     def _of(cls, ring_dim: int, terms: dict[Mono, GaussianRational]) -> "Polynomial":
         """Arithmetic results: ``terms`` already maps exponent tuples of length
         ``ring_dim`` to GaussianRationals, so nothing is checked again."""
-        p = object.__new__(cls)
+        p = _new(cls)
         p._fill(ring_dim, terms)
         return p
 
     def __setattr__(self, name, value):
+        raise AttributeError("Polynomial is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError("Polynomial is immutable")
 
     # -- constructors -------------------------------------------------------
@@ -385,7 +399,7 @@ class Polynomial:
                 continue
             new = list(mono)
             new[index] = e - 1
-            out[tuple(new)] = coeff * e
+            out[tuple(new)] = _reduced(coeff._re_num * e, coeff._im_num * e, coeff._den)
         return Polynomial._of(self.ring_dim, out)
 
     def gradient(self) -> tuple["Polynomial", ...]:
@@ -455,6 +469,10 @@ class Polynomial:
     def __repr__(self):
         names = tuple(f"x{i}" for i in range(self.ring_dim))
         return f"Polynomial({format_poly(self, names)})"
+
+
+_set_ring_dim = Polynomial.ring_dim.__set__
+_set_terms = Polynomial.terms.__set__
 
 
 def scalar_ratio(a: Polynomial, b: Polynomial) -> GaussianRational | None:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import polynomials, sympy_local_colength, to_sympy
+from conftest import nonzero_polynomials, polynomials, sympy_local_colength, to_sympy
 from submult import ideals
 from submult.ideals import (
     LEX,
@@ -72,6 +72,74 @@ def test_normal_form_divides_by_the_first_lead_in_list_order():
     g1, g2 = p("x*y - 1", xy), p("y^2 - 1", xy)
     assert normal_form(f, [g1, g2], LEX) == p("x + y + 1", xy)
     assert normal_form(f, [g2, g1], LEX) == p("2*x + 1", xy)
+
+
+def _textbook_remainder(f, divisors, order):
+    # Cox-Little-O'Shea, Ch. 2, Sec. 3, Theorem 3, on whole polynomials
+    rest, remainder = f, Polynomial.zero(f.ring_dim)
+    while not rest.is_zero():
+        mono = ideals.leading_mono(rest, order)
+        term = Polynomial.monomial(mono, rest.terms[mono])
+        for g in divisors:
+            gm = ideals.leading_mono(g, order)
+            if ideals._mono_divides(gm, mono):
+                shift = tuple(a - b for a, b in zip(mono, gm))
+                rest = rest - Polynomial.monomial(shift, rest.terms[mono] / g.terms[gm]) * g
+                break
+        else:
+            remainder, rest = remainder + term, rest - term
+    return remainder
+
+
+@given(st.lists(nonzero_polynomials(max_degree=2, max_terms=3), max_size=4), polynomials())
+def test_normal_form_with_given_leads_matches_the_public_call(divisors, f):
+    # the divisor lists are mostly not Groebner bases, so list order matters
+    for order in (LEX, ideals.GREVLEX):
+        leads = [ideals.leading_mono(g, order) for g in divisors]
+        expected = normal_form(f, divisors, order)
+        assert normal_form(f, divisors, order, leads) == expected
+        assert expected == _textbook_remainder(f, divisors, order)
+        basis = Ideal(2, divisors).groebner(order)
+        leads = [ideals.leading_mono(g, order) for g in basis]
+        assert normal_form(f, basis, order, leads) == normal_form(f, basis, order)
+    assert normal_form(f, [], LEX, []) is f
+
+
+def test_each_s_polynomial_is_the_first_argument_of_a_normal_form(monkeypatch):
+    # a traced run counts the useful S-pairs by this call shape: the next
+    # normal form after an S-polynomial is built takes it as its argument 0
+    calls = []
+    spoly, nf = ideals._spoly, ideals.normal_form
+
+    def recording_spoly(*args):
+        calls.append(("spoly", spoly(*args)))
+        return calls[-1][1]
+
+    def recording_nf(*args):
+        calls.append(("nf", args[0]))
+        return nf(*args)
+
+    monkeypatch.setattr(ideals, "_spoly", recording_spoly)
+    monkeypatch.setattr(ideals, "normal_form", recording_nf)
+    ideals._groebner_raw([p(g, ZWV) for g in CLIFFS[(3, 3, 1)]], ideals.GREVLEX)
+    built = [i for i, (kind, _) in enumerate(calls) if kind == "spoly"]
+    assert built
+    for i in built:
+        assert calls[i + 1][0] == "nf" and calls[i + 1][1] is calls[i][1]
+
+
+def test_ideals_refuse_stores_and_deletes():
+    I = ideal("z^2", "w^3 + w*z^4")
+    I.groebner()
+    for J in (I, I.reduced()):
+        for name in ("ring_dim", "generators", "_cache"):
+            with pytest.raises(AttributeError):
+                setattr(J, name, getattr(J, name))
+            with pytest.raises(AttributeError):
+                delattr(J, name)
+        with pytest.raises(AttributeError):
+            J.extra = 1
+        assert J.groebner() == I.groebner()
 
 
 def test_groebner_cache_is_deterministic():

@@ -402,6 +402,48 @@ def test_coefficient_arithmetic_matches_the_textbook_formulas(x, y):
                 assert hash(w) == hash(z)
 
 
+@given(polynomials(dim=3, max_degree=4, max_terms=5))
+def test_derivative_coefficients_are_the_coefficient_times_the_exponent(poly):
+    for i in range(3):
+        expected = {
+            m[:i] + (m[i] - 1,) + m[i + 1 :]: c * m[i] for m, c in poly.terms.items() if m[i]
+        }
+        found = poly.diff(i).terms
+        assert found.keys() == expected.keys()
+        for m, c in expected.items():
+            assert _triple(found[m]) == _triple(c) and hash(found[m]) == hash(c)
+
+
+def _assert_frozen(obj, names):
+    before = {name: getattr(obj, name) for name in names}
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(obj, name, before[name])
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+    with pytest.raises(AttributeError):
+        obj.extra = 1
+    assert {name: getattr(obj, name) for name in names} == before
+
+
+def test_coefficients_refuse_stores_and_deletes():
+    # the constructors store through the slot descriptors, around __setattr__
+    u, v = GaussianRational(Fraction(1, 2), 3), GaussianRational(2, -1)
+    made = [u, GaussianRational.coerce(3), u + v, u - v, 2 - u, u * v, u / v, -u, u**2]
+    made += [u.conjugate(), *p("3*z^2*w + i*w").diff(0).terms.values()]
+    for z in made:
+        _assert_frozen(z, ("_re_num", "_im_num", "_den"))
+
+
+def test_polynomials_refuse_stores_and_deletes():
+    f, g = p("z^2 + i*w"), p("1/2*z - w")
+    made = [f, Polynomial(2, {}), Polynomial.variable(2, 1), Polynomial.constant(2, 3)]
+    made += [f + g, f - g, f * g, -f, 2 * f, f**2, f.diff(0), f.conjugate_coeffs()]
+    made += [exact_div(f * g, g), f.lift(3)]
+    for q in made:
+        _assert_frozen(q, ("ring_dim", "terms"))
+
+
 def test_scalar_ratio():
     assert scalar_ratio(p("2*z + 2*w"), p("z + w")) == GaussianRational(2)
     assert scalar_ratio(p("2*z + w"), p("z + w")) is None
