@@ -14,23 +14,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
-from .errors import ConsistencyError, ValidationError
+from .errors import ConsistencyError, ParseError, ValidationError
 from .poly import (
     GR_I,
     GR_ONE,
+    GR_ZERO,
     GaussianRational,
     INF,
     Polynomial,
     _Infinity,
-    format_poly,
     parse,
 )
-
-if TYPE_CHECKING:  # annotations only; contact runs on poly alone
-    from .ideals import Ideal
-    from .kohn import SpecialDomain
 
 
 @dataclass(frozen=True)
@@ -55,20 +51,6 @@ class AmbientDomain:
     def from_strings(cls, h_strings, variables) -> "AmbientDomain":
         vs = tuple(variables)
         return cls(vs, tuple(parse(s, vs) for s in h_strings))
-
-    @classmethod
-    def from_special(cls, domain: SpecialDomain, last_name: str | None = None) -> "AmbientDomain":
-        name = last_name or _fresh_name(domain.variables)
-        vs = domain.variables + (name,)
-        lifted = tuple(p.lift(len(vs)) for p in domain.h)
-        return cls(vs, lifted)
-
-
-def _fresh_name(taken: Sequence[str]) -> str:
-    k = len(taken) + 1
-    while f"z{k}" in taken:
-        k += 1
-    return f"z{k}"
 
 
 @dataclass(frozen=True)
@@ -172,35 +154,18 @@ def rational(value, name: str) -> Fraction:
 
 
 def _parse_exponent(value) -> tuple[Fraction, Fraction]:
-    """Affine t-exponent: an integer, or a string such as '1/2' or '1/2 - 3*alpha'."""
+    """Affine t-exponent (constant, slope of alpha): an integer, or a string
+    in the grammar of ``parse`` over the one variable alpha, such as '1/2' or
+    '1/2 - 3*alpha'."""
     if type(value) not in (str, int):
         raise ValidationError("family key 't_exp' must be a string or an integer")
-    text = str(value).replace(" ", "")
-    if not text:
-        raise ValidationError("empty exponent")
-    const, slope = Fraction(0), Fraction(0)
-    chunk = ""
-    pieces = []
-    for ch in text:
-        if ch in "+-" and chunk:
-            pieces.append(chunk)
-            chunk = ch
-        else:
-            chunk += ch
-    pieces.append(chunk)
-    for piece in pieces:
-        sign = 1
-        if piece.startswith("+"):
-            piece = piece[1:]
-        elif piece.startswith("-"):
-            sign = -1
-            piece = piece[1:]
-        if piece.endswith("alpha"):
-            head = piece[: -len("alpha")].rstrip("*")
-            slope += sign * (rational(head, "t_exp") if head else Fraction(1))
-        else:
-            const += sign * rational(piece, "t_exp")
-    return const, slope
+    try:
+        terms = parse(str(value), ("alpha",)).terms
+    except ParseError as exc:
+        raise ValidationError(f"t_exp: {value!r} is not an exponent: {exc}") from exc
+    if any(mono[0] > 1 or c.im for mono, c in terms.items()):
+        raise ValidationError(f"t_exp: {value!r} is not affine in alpha with real coefficients")
+    return terms.get((0,), GR_ZERO).re, terms.get((1,), GR_ZERO).re
 
 
 # ---------------------------------------------------------------------------
@@ -466,11 +431,6 @@ def type_jump_domain(l: int, m: int | None = None) -> AmbientDomain:
     return AmbientDomain(_Z123, tuple(h))
 
 
-def scaled_jump_family(l: int) -> CurveFamily:
-    """Family (zeta, zeta^2 / (i t^alpha)^l, i t^alpha) with free alpha."""
-    return two_exponent_family(2, l)
-
-
 def type_bound_limit(t_base: Fraction, dim: int) -> Fraction:
     """The sharp jump bound t0^(n-1)/2^(n-2) on nearby contact orders."""
     return Fraction(t_base) ** (dim - 1) / Fraction(2) ** (dim - 2)
@@ -492,41 +452,3 @@ def epsilon_bound(eta: Fraction) -> Fraction:
     if eta <= 0:
         raise ValidationError("contact order must be positive")
     return 1 / eta
-
-
-def ideal_contact_lower_bound(ideal: Ideal, exponent_bound: int = 6) -> Fraction | _Infinity:
-    """Diagnostic lower bound for the contact order of an ideal.
-
-    Searches monomial curves t -> (t^{a_1}, ..., t^{a_n}) with exponents up to
-    the bound (zero meaning a vanishing component) and maximizes the ratio of
-    pullback order to curve order.  Curves inside the zero set give an
-    infinite result.  This is only a lower bound: curves with several terms or
-    other coefficients are not searched.
-    """
-    n = ideal.ring_dim
-    gens = ideal.generators
-    if not gens:
-        return INF
-    best: Fraction | _Infinity = Fraction(0)
-    exponents = range(exponent_bound + 1)
-    for combo in _nonzero_tuples(n, exponents):
-        nu_curve = min(a for a in combo if a)
-        curve = [
-            Polynomial.monomial((a,)) if a else Polynomial.zero(1) for a in combo
-        ]
-        orders = [g.compose(curve).ord_vanish() for g in gens]
-        nu_pull = min(orders)
-        if nu_pull == INF:
-            return INF
-        ratio = Fraction(nu_pull, nu_curve)
-        if ratio > best:
-            best = ratio
-    return best
-
-
-def _nonzero_tuples(n: int, values) -> Iterable[tuple[int, ...]]:
-    import itertools
-
-    for combo in itertools.product(values, repeat=n):
-        if any(combo):
-            yield combo

@@ -223,7 +223,7 @@ def _run_contact_curve(variables, h, curve, base):
 
 def _run_contact_family_jump(l, m):
     domain = _contact.type_jump_domain(l, m)
-    family = _contact.scaled_jump_family(l)
+    family = _contact.two_exponent_family(2, l)
     alpha = _contact.balance_exponent(domain, family)
     result = _contact.contact_family(domain, family.fix_exponent(alpha))
     return {"alpha": str(alpha), "eta": str(result.eta)}

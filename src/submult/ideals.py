@@ -128,8 +128,8 @@ def _lcm(a: Mono, b: Mono) -> Mono:
 def _spoly(f: Polynomial, g: Polynomial, fm: Mono, gm: Mono) -> Polynomial:
     """S-polynomial of f and g, whose leads are fm and gm."""
     lcm = _lcm(fm, gm)
-    tf = Polynomial(f.ring_dim, {tuple(l - a for l, a in zip(lcm, fm)): GR_ONE / f.terms[fm]})
-    tg = Polynomial(g.ring_dim, {tuple(l - b for l, b in zip(lcm, gm)): GR_ONE / g.terms[gm]})
+    tf = Polynomial._of(f.ring_dim, {tuple(l - a for l, a in zip(lcm, fm)): GR_ONE / f.terms[fm]})
+    tg = Polynomial._of(g.ring_dim, {tuple(l - b for l, b in zip(lcm, gm)): GR_ONE / g.terms[gm]})
     return tf * f - tg * g
 
 

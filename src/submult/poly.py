@@ -475,22 +475,6 @@ _set_ring_dim = Polynomial.ring_dim.__set__
 _set_terms = Polynomial.terms.__set__
 
 
-def scalar_ratio(a: Polynomial, b: Polynomial) -> GaussianRational | None:
-    """Return c with ``a == c*b`` for a nonzero constant c, else None."""
-    if a.ring_dim != b.ring_dim:
-        return None
-    if a.is_zero() or b.is_zero():
-        return None
-    if set(a.terms) != set(b.terms):
-        return None
-    mono = next(iter(a.terms))
-    c = a.terms[mono] / b.terms[mono]
-    for m, coeff in a.terms.items():
-        if coeff != c * b.terms[m]:
-            return None
-    return c
-
-
 # ---------------------------------------------------------------------------
 # parsing
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .errors import CertificationError, ConsistencyError, ValidationError
 from .ideals import Ideal, germ_colength
-from .poly import GaussianRational, Polynomial, det, divides, format_poly, least_power, scalar_ratio
+from .poly import GaussianRational, Polynomial, det, divides, format_poly, least_power
 
 
 @dataclass(frozen=True)
@@ -239,9 +239,12 @@ def certify(trace: EffectiveTrace, system: TriangularSystem) -> CertifyReport:
     jac = det(list(system.jacobian_rows()))
     if trace.pairs:
         first = trace.pairs[0]
-        same = first.A == first.B and scalar_ratio(first.B, jac) is not None
         checks.append(
-            ("first_pair", same, "B_1 = A_1 = Jacobian determinant up to a constant")
+            (
+                "first_pair",
+                first.A == first.B == jac,
+                "B_1 = A_1 = Jacobian determinant up to a constant",
+            )
         )
         last = trace.pairs[-1]
         checks.append(

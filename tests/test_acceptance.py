@@ -19,11 +19,11 @@ from submult.contact import (
     balance_exponent,
     contact_curve,
     contact_family,
-    scaled_jump_family,
     sharp_T,
     sharp_T_limit,
     sharp_T_via_family,
     type_bound_check,
+    two_exponent_family,
     type_jump_domain,
 )
 from submult.ideals import (
@@ -186,7 +186,7 @@ def test_criterion_06_triangular_ladders():
 def test_criterion_07_contact_of_families():
     for l, m in [(2, 2), (2, 3), (3, 5)]:
         domain = type_jump_domain(l, m)
-        family = scaled_jump_family(l)
+        family = two_exponent_family(2, l)
         alpha = balance_exponent(domain, family)
         assert alpha == Fraction(3, m + 2 * l)
         result = contact_family(domain, family.fix_exponent(alpha))

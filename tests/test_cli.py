@@ -205,7 +205,7 @@ _FAMILY_TERMS = [
              {**_CURVE_DOMAIN, "family": {"alpha": "1/2", "components": [
                  _FAMILY_TERMS[0], [{"coeff": "-1", "zeta_exp": 2, "t_exp": t_exp}],
                  _FAMILY_TERMS[2]]}})
-            for t_exp in (0.1, True)
+            for t_exp in (0.1, True, "*alpha")
         ],
         (["multipliers", "run"], {**ZW_CONFIG, "h": ["z^2", "w^2"], "label": {"x": [1, 2]}}),
     ],

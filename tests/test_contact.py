@@ -12,7 +12,6 @@ from submult.contact import (
     contact_curve,
     contact_family,
     epsilon_bound,
-    scaled_jump_family,
     sharp_T,
     sharp_T_limit,
     sharp_T_via_family,
@@ -84,6 +83,19 @@ def test_exponent_parser():
     assert _parse_exponent("alpha") == (Fraction(0), Fraction(1))
     assert _parse_exponent("-2*alpha") == (Fraction(0), Fraction(-2))
     assert _parse_exponent("1/2 - 3*alpha") == (Fraction(1, 2), Fraction(-3))
+    assert _parse_exponent("alpha*2") == (Fraction(0), Fraction(2))
+    assert _parse_exponent("2*(alpha - 1)") == (Fraction(-2), Fraction(2))
+
+
+@pytest.mark.parametrize(
+    "text", ["*alpha", "3**alpha", "3alpha", "1/2alpha", "alpha^2", "i*alpha", "0.5"]
+)
+def test_exponent_parser_rejects_malformed_input(text):
+    # the package grammar writes rationals as p/q and products with one '*';
+    # the exponent must be affine in alpha with real coefficients
+    with pytest.raises(ValidationError) as info:
+        _parse_exponent(text)
+    assert repr(text) in str(info.value)
 
 
 def test_family_validation():
@@ -115,7 +127,7 @@ def test_family_validation():
 )
 def test_balanced_family_contact(l, m):
     domain = type_jump_domain(l, m)
-    family = scaled_jump_family(l)
+    family = two_exponent_family(2, l)
     alpha = balance_exponent(domain, family)
     assert alpha == Fraction(3, m + 2 * l)
     result = contact_family(domain, family.fix_exponent(alpha))
@@ -130,7 +142,7 @@ def test_type_jump_domain_uses_l_as_given():
 
 def test_contact_family_requires_fixed_exponent():
     with pytest.raises(ValidationError):
-        contact_family(type_jump_domain(2, 2), scaled_jump_family(2))
+        contact_family(type_jump_domain(2, 2), two_exponent_family(2, 2))
 
 
 def test_t_independent_family_matches_single_curve():
@@ -141,7 +153,7 @@ def test_t_independent_family_matches_single_curve():
 
 def test_unit_coefficient_scaling_keeps_contact():
     domain = type_jump_domain(2, 3)
-    base = scaled_jump_family(2)
+    base = two_exponent_family(2, 2)
     alpha = balance_exponent(domain, base)
     eta = contact_family(domain, base.fix_exponent(alpha)).eta
     # rotate the first two components consistently (z1 by i, z2 by i^2) so the
@@ -196,7 +208,7 @@ def test_balance_toy_symmetric_weights():
 def test_balance_errors():
     domain = type_jump_domain(2, 2)
     with pytest.raises(ValidationError):
-        balance_exponent(domain, scaled_jump_family(2).fix_exponent(Fraction(1, 2)))
+        balance_exponent(domain, two_exponent_family(2, 2).fix_exponent(Fraction(1, 2)))
 
 
 # -- sharp contact arithmetic ------------------------------------------------------------
@@ -272,19 +284,6 @@ def test_epsilon_bound():
         epsilon_bound(Fraction(0))
 
 
-def test_ideal_contact_lower_bound_diagnostic():
-    from submult.contact import ideal_contact_lower_bound
-    from submult.ideals import Ideal
-
-    # axis curves already realize max(M, N) for the product-type family
-    for M, N, K in [(2, 3, 4), (3, 4, 6), (4, 2, 5)]:
-        ideal = Ideal.from_strings([f"z^{M}", f"w^{N} + w*z^{K}"], ("z", "w"))
-        assert ideal_contact_lower_bound(ideal) == max(M, N)
-    # a curve inside the zero set is detected as infinite contact
-    flat = Ideal.from_strings(["z*w"], ("z", "w"))
-    assert ideal_contact_lower_bound(flat) == INF
-
-
 def test_pullback_order_consistent_with_curve_contact():
     # the squared pullback order of one generator doubles into the contact
     domain = jump_domain()
@@ -300,7 +299,5 @@ def test_pullback_order_consistent_with_curve_contact():
 
 def test_ambient_from_special_domain():
     special = SpecialDomain.from_strings(["z^2", "w^3 + w*z^4"], ("z", "w"))
-    ambient = AmbientDomain.from_special(special)
-    assert len(ambient.variables) == 3
-    assert ambient.h[0].ring_dim == 3
+    ambient = AmbientDomain(("z", "w", "z3"), tuple(p.lift(3) for p in special.h))
     assert contact_curve(ambient, zcurve("0", "zeta", "0")) == 6

@@ -35,9 +35,9 @@ PUBLIC = {
     ),
     "contact": (
         "AmbientDomain", "ContactResult", "CurveFamily", "CurveTerm", "balance_exponent",
-        "contact_curve", "contact_family", "epsilon_bound", "ideal_contact_lower_bound",
-        "scaled_jump_family", "sharp_T", "sharp_T_limit", "sharp_T_via_family",
-        "two_exponent_domain", "two_exponent_family", "type_bound_check", "type_jump_domain",
+        "contact_curve", "contact_family", "epsilon_bound", "sharp_T", "sharp_T_limit",
+        "sharp_T_via_family", "two_exponent_domain", "two_exponent_family", "type_bound_check",
+        "type_jump_domain",
     ),
 }
 PUBLIC_NAMES = {name for names in PUBLIC.values() for name in names}

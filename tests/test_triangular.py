@@ -7,7 +7,7 @@ import pytest
 from submult.errors import CertificationError, ValidationError
 from submult.ideals import Ideal, germ_colength, germ_member
 from submult.kohn import KohnOptions, SpecialDomain, run
-from submult.poly import Polynomial, det, format_poly, parse, scalar_ratio
+from submult.poly import det, format_poly, parse
 from submult.triangular import (
     certify,
     multiplicity,
@@ -144,6 +144,16 @@ def test_certify_flags_tampered_pair():
     report = certify(tampered, ts)
     assert not report.passed
     assert any("division" in failure for failure in report.failures())
+
+
+def test_certify_flags_first_pair_off_by_a_constant():
+    # B_1 is exactly the Jacobian determinant, and A_1 its diagonal product
+    ts = system("z^2", "w^2")
+    trace = run_effective(ts)
+    doubled = 2 * det(list(ts.jacobian_rows()))
+    first = dataclasses.replace(trace.pairs[0], A=doubled, B=doubled)
+    report = certify(dataclasses.replace(trace, pairs=(first,) + trace.pairs[1:]), ts)
+    assert not {name: ok for name, ok, _ in report.checks}["first_pair"]
 
 
 def test_trace_serialization():
