@@ -15,7 +15,6 @@ from .errors import (
     ValidationError,
 )
 from .poly import (
-    INF,
     GaussianRational,
     Polynomial,
     PolyMatrix,

@@ -16,7 +16,7 @@ import sys
 import click
 
 from .errors import CapExceededError, ConsistencyError, SubmultError, ValidationError
-from .poly import INF, Polynomial, parse
+from .poly import Polynomial, parse
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -253,7 +253,7 @@ def contact_curve_cmd(ctx, config_path):
     components = [parse(s, ("zeta",)) for s in _strings(curve_doc, "components", "curve")]
     base = [parse(s, []).constant_term() for s in _strings(curve_doc, "base", "curve")]
     value = _contact.contact_curve(domain, components, base or None)
-    _emit(ctx, {"contact": "infinite" if value == INF else str(value)})
+    _emit(ctx, {"contact": "infinite" if value is None else str(value)})
 
 
 @contact.command("family")

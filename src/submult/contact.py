@@ -14,19 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import ConsistencyError, ParseError, ValidationError
-from .poly import (
-    GR_I,
-    GR_ONE,
-    GR_ZERO,
-    GaussianRational,
-    INF,
-    Polynomial,
-    _Infinity,
-    parse,
-)
+from .poly import GR_I, GR_ONE, GR_ZERO, GaussianRational, Polynomial, parse
 
 
 @dataclass(frozen=True)
@@ -177,8 +169,12 @@ def contact_curve(
     domain: AmbientDomain,
     curve: Sequence[Polynomial],
     base_point: Sequence[GaussianRational] | None = None,
-) -> Fraction | _Infinity:
-    """Vanishing order of the pulled-back boundary over that of the curve."""
+) -> Fraction | None:
+    """Vanishing order of the pulled-back boundary over that of the curve.
+
+    None when the pulled-back boundary vanishes identically: the contact is
+    infinite.
+    """
     n = domain.dim
     curve = tuple(curve)
     if len(curve) != n:
@@ -202,9 +198,7 @@ def contact_curve(
     )
     if boundary != 0:
         raise ValidationError("base point is not on the boundary")
-    nu_curve = min(
-        (c - c.constant_term()).ord_vanish() for c in curve
-    )
+    nu_curve = min((c - c.constant_term()).ord_vanish() for c in curve if not c.is_constant())
     # exact real-valued pullback as a polynomial in (zeta, conj zeta)
     last = curve[-1]
     total = (
@@ -213,9 +207,7 @@ def contact_curve(
     for f in pulled:
         total = total + f.lift(2, [0]) * f.conjugate_coeffs().lift(2, [1])
     nu_pull = total.ord_vanish()
-    if nu_pull == INF:
-        return INF
-    return Fraction(nu_pull, nu_curve)
+    return None if nu_pull is None else Fraction(nu_pull, nu_curve)
 
 
 # ---------------------------------------------------------------------------
@@ -239,52 +231,44 @@ def _series_sum(items: Iterable[tuple[_FamKey, GaussianRational]]) -> dict[_FamK
     return out
 
 
-def _series_from_component(comp: Iterable[CurveTerm]) -> dict[_FamKey, GaussianRational]:
-    return _series_sum(((t.zeta_exp, t.t_exp, t.alpha_coeff), t.coeff) for t in comp)
+def _pullback_series(poly: Polynomial, family: CurveFamily) -> dict[_FamKey, GaussianRational]:
+    """poly along the family, as a series with cancelled terms dropped.
 
-
-def _series_mul(a: dict, b: dict) -> dict:
+    Each family term is one variable x_k, so the pullback is one ``compose``
+    with the components written as sums of c_k * x_k; a monomial prod x_k^e_k
+    of the result is the series term whose key is sum e_k * key(term k).
+    """
+    terms = [t for comp in family.components for t in comp]
+    n = len(terms)
+    # the k-th family term, in component order, is the variable x_k
+    units = iter([tuple(int(j == k) for j in range(n)) for k in range(n)])
+    args = [Polynomial(n, {next(units): t.coeff for t in comp}) for comp in family.components]
+    # key columns: zeta exponents, t exponents, alpha slopes
+    columns = list(zip(*((t.zeta_exp, t.t_exp, t.alpha_coeff) for t in terms)))
     return _series_sum(
-        ((z1 + z2, t1 + t2, a1 + a2), c1 * c2)
-        for (z1, t1, a1), c1 in a.items()
-        for (z2, t2, a2), c2 in b.items()
+        (tuple(sum(map(mul, mono, column)) for column in columns), c)
+        for mono, c in poly.compose(args).terms.items()
     )
-
-
-def _series_pow(base: dict, e: int, cache: list) -> dict:
-    """base**e, filling cache[k] = base**k for every k <= e."""
-    if not cache:
-        cache.append({(0, Fraction(0), Fraction(0)): GR_ONE})
-    while len(cache) <= e:
-        cache.append(_series_mul(cache[-1], base))
-    return cache[e]
-
-
-def _pullback_series(poly: Polynomial, family: CurveFamily) -> dict:
-    comps = [_series_from_component(c) for c in family.components]
-    caches = [[] for _ in comps]
-    items = []
-    for mono, coeff in poly.terms.items():
-        piece = {(0, Fraction(0), Fraction(0)): coeff}
-        for i, e in enumerate(mono):
-            if e:
-                piece = _series_mul(piece, _series_pow(comps[i], e, caches[i]))
-        items.extend(piece.items())
-    return _series_sum(items)
 
 
 @dataclass(frozen=True)
 class ContactResult:
-    eta: Fraction | _Infinity
+    """Contact order of a family with the lines that attain it.
+
+    ``eta`` is None when every pulled-back term cancels: the contact is
+    infinite, and ``to_dict`` renders it as "infinite".
+    """
+
+    eta: Fraction | None
     dominant_terms: tuple[str, ...]
     warnings: tuple[str, ...]
 
     def to_dict(self) -> dict:
         return {
-            "eta": "infinite" if self.eta == INF else str(self.eta),
+            "eta": "infinite" if self.eta is None else str(self.eta),
             "dominant_terms": list(self.dominant_terms),
             "warnings": list(self.warnings),
-            "epsilon_bound": None if self.eta == INF else str(epsilon_bound(self.eta)),
+            "epsilon_bound": None if self.eta is None else str(epsilon_bound(self.eta)),
         }
 
 
@@ -292,29 +276,19 @@ def _weight_lines(domain: AmbientDomain, family: CurveFamily):
     """Candidate weight lines (const, slope, label, tie_warning) per source."""
     if len(family.components) != domain.dim:
         raise ValidationError("family must have one component per variable")
-    lines = []
-    for j, h in enumerate(domain.h):
-        series = _pullback_series(h, family)
-        if not series:
-            continue
-        weights = sorted(
-            ((z + tc, ta, z, tc) for (z, tc, ta) in series),
-            key=lambda w: (w[0], w[1]),
-        )
-        # squared modulus doubles every weight
-        for const, slope, z, tc in weights:
-            lines.append(
-                (2 * const, 2 * slope, f"|h{j + 1}|^2: zeta^{z}*t^({tc})", j)
-            )
-    re_terms = [
-        (z + tc, ta, z, tc)
-        for (z, tc, ta), coeff in _series_from_component(family.components[-1]).items()
-        if z >= 1 or coeff.re != 0
+    # (name, weight scale, source index, series keys); a squared modulus
+    # doubles every weight
+    sources = [
+        (f"|h{j + 1}|^2", 2, j, _pullback_series(h, family)) for j, h in enumerate(domain.h)
     ]
-    # ties on (const, slope) are ordered by (z, tc), the printed order
-    for const, slope, z, tc in sorted(re_terms):
-        lines.append((const, slope, f"Re part: zeta^{z}*t^({tc})", -1))
-    return lines
+    last = _pullback_series(Polynomial.variable(domain.dim, domain.dim - 1), family)
+    sources.append(("Re part", 1, -1, [key for key, c in last.items() if key[0] >= 1 or c.re]))
+    # each source's lines run in (const, slope, z, tc) order, the printed order on ties
+    return [
+        (scale * const, scale * slope, f"{name}: zeta^{z}*t^({tc})", src)
+        for name, scale, src, keys in sources
+        for const, slope, z, tc in sorted((z + tc, ta, z, tc) for z, tc, ta in keys)
+    ]
 
 
 def contact_family(domain: AmbientDomain, family: CurveFamily) -> ContactResult:
@@ -323,7 +297,7 @@ def contact_family(domain: AmbientDomain, family: CurveFamily) -> ContactResult:
         raise ValidationError("fix the free exponent before measuring contact")
     lines = _weight_lines(domain, family)
     if not lines:
-        return ContactResult(INF, (), ())
+        return ContactResult(None, (), ())
     eta = min(const for const, _, _, _ in lines)
     dominant = tuple(label for const, _, label, _ in lines if const == eta)
     warnings = []
@@ -422,13 +396,10 @@ def sharp_T_via_family(m1: int, m2: int, p: int, q: int) -> Fraction:
     return result.eta
 
 
-def type_jump_domain(l: int, m: int | None = None) -> AmbientDomain:
-    """Re(z3) + |z1^2 - z2 z3^l|^2 + |z2^2|^2 (+ |z1 z3^m|^2 when m given)."""
+def type_jump_domain(l: int, m: int) -> AmbientDomain:
+    """Re(z3) + |z1^2 - z2 z3^l|^2 + |z2^2|^2 + |z1 z3^m|^2."""
     z1, z2, z3 = (Polynomial.variable(3, i) for i in range(3))
-    h = [z1 ** 2 - z2 * z3 ** l, z2 ** 2]
-    if m is not None:
-        h.append(z1 * z3 ** m)
-    return AmbientDomain(_Z123, tuple(h))
+    return AmbientDomain(_Z123, (z1 ** 2 - z2 * z3 ** l, z2 ** 2, z1 * z3 ** m))
 
 
 def type_bound_limit(t_base: Fraction, dim: int) -> Fraction:

@@ -29,7 +29,7 @@ from .ideals import (
     radical_step,
     root_order,
 )
-from .poly import INF, Polynomial, PolyMatrix, format_poly, minor_dets, parse, squarefree_part
+from .poly import Polynomial, PolyMatrix, format_poly, minor_dets, parse, squarefree_part
 
 
 @dataclass(frozen=True)
@@ -218,7 +218,7 @@ def _run_contact_curve(variables, h, curve, base):
     parsed = [parse(c, ("zeta",)) for c in curve]
     base_pt = [parse(b, []).constant_term() for b in base]
     value = _contact.contact_curve(domain, parsed, base_pt)
-    return "infinite" if value == INF else str(value)
+    return "infinite" if value is None else str(value)
 
 
 def _run_contact_family_jump(l, m):

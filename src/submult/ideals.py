@@ -21,12 +21,10 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import ValidationError
 from .poly import (
-    INF,
     GR_ONE,
     GaussianRational,
     Mono,
     Polynomial,
-    _Infinity,
     _mono_divides,
     divides,
     exact_div,
@@ -133,22 +131,24 @@ def _spoly(f: Polynomial, g: Polynomial, fm: Mono, gm: Mono) -> Polynomial:
     return tf * f - tg * g
 
 
-def _interreduce(polys: Iterable[Polynomial], order: MonomialOrder) -> tuple[Polynomial, ...]:
+def _interreduce(
+    pairs: Iterable[tuple[Mono, Polynomial]], order: MonomialOrder
+) -> list[tuple[Mono, Polynomial]]:
     """Monic, sorted by lead, and no term of any element divisible by another's lead.
 
-    Each element is replaced in place by its normal form on the others, and
-    zeros are dropped.  A lead divides only monomials at or above it, so the
-    others that matter are those before it in lead order.  Whether an element
-    is reduced depends only on the other leads, and a drop only removes one,
+    Takes and returns (lead, nonzero polynomial) pairs.  Each element is
+    replaced in place by its normal form on the others, and zeros are dropped.
+    A lead divides only monomials at or above it, so the others that matter
+    are those before it in lead order.  Whether an element is reduced
+    depends only on the other leads, and a drop only removes one,
     so another pass runs only while a lead changed; a minimal Groebner basis
     takes one pass to its reduced basis (Cox-Little-O'Shea, Ch. 2, Sec. 7).
     """
-    basis = [p for p in polys if not p.is_zero()]
-    leads = [leading_mono(g, order) for g in basis]
+    pairs = list(pairs)
     changed = True
     while changed:
         changed = False
-        pairs = sorted(zip(leads, basis), key=lambda pair: order(pair[0]))
+        pairs.sort(key=lambda pair: order(pair[0]))
         leads = [lm for lm, _ in pairs]
         basis = [g for _, g in pairs]
         i = 0
@@ -163,7 +163,8 @@ def _interreduce(polys: Iterable[Polynomial], order: MonomialOrder) -> tuple[Pol
                 leads[i] = leading_mono(r, order)
             basis[i] = r
             i += 1
-    return tuple(_monic(g, lm) for lm, g in zip(leads, basis))
+        pairs = list(zip(leads, basis))
+    return [(lm, _monic(g, lm)) for lm, g in pairs]
 
 
 def _groebner_raw(gens: Sequence[Polynomial], order: MonomialOrder) -> tuple[Polynomial, ...]:
@@ -174,8 +175,9 @@ def _groebner_raw(gens: Sequence[Polynomial], order: MonomialOrder) -> tuple[Pol
     active set: the elements whose leads no later lead divides.  At the end
     the active set is a minimal basis, and interreducing it makes it reduced.
     """
-    basis = list(_interreduce(gens, order))
-    leads = [leading_mono(g, order) for g in basis]
+    reduced = _interreduce(((leading_mono(g, order), g) for g in gens if not g.is_zero()), order)
+    leads = [lm for lm, _ in reduced]
+    basis = [g for _, g in reduced]
     active: list[int] = []
     pairs: list[tuple[tuple, int, int, Mono]] = []  # (order key of lcm, i, j, lcm)
 
@@ -229,7 +231,7 @@ def _groebner_raw(gens: Sequence[Polynomial], order: MonomialOrder) -> tuple[Pol
         basis.append(_monic(r, lead))
         leads.append(lead)
         update(len(basis) - 1)
-    return _interreduce([basis[g] for g in active], order)
+    return tuple(g for _, g in _interreduce([(leads[g], basis[g]) for g in active], order))
 
 
 class Ideal:
@@ -433,15 +435,19 @@ def _local_algebra(basis: Sequence[Polynomial], ring_dim: int) -> tuple[int, int
 
 @dataclass(frozen=True)
 class GermReport:
-    """Colength of the germ ideal at the origin, read off its local component."""
+    """Colength of the germ ideal at the origin, read off its local component.
 
-    colength: int | _Infinity
+    ``colength`` is None when it is infinite, that is, when the origin is not
+    an isolated point of V(I); ``to_dict`` renders that as "infinite".
+    """
+
+    colength: int | None
     stabilization_degree: int | None
     basis: tuple[Polynomial, ...] | None = field(default=None, repr=False)  # grevlex, of Q
 
     @property
     def m_primary(self) -> bool:
-        return self.colength != INF
+        return self.colength is not None
 
     @property
     def capped(self) -> bool:
@@ -449,7 +455,7 @@ class GermReport:
 
     def to_dict(self) -> dict:
         return {
-            "colength": "infinite" if self.colength == INF else self.colength,
+            "colength": "infinite" if self.colength is None else self.colength,
             "stabilization_degree": self.stabilization_degree,
             "m_primary": self.m_primary,
             "capped": self.capped,
@@ -472,7 +478,7 @@ def germ_colength(ideal: Ideal) -> GermReport:
     if local is None:
         f = _isolating_witness(ideal)
         if f is None:
-            return GermReport(INF, None)
+            return GermReport(None, None)
         basis = _saturation(ideal, f).groebner()
         local = _local_algebra(basis, ideal.ring_dim)
     colength, degree = local

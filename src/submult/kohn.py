@@ -25,7 +25,7 @@ from .ideals import (
     root_order,
     variable_root_order,
 )
-from .poly import INF, Polynomial, PolyMatrix, _Infinity, format_poly, minor_dets, parse
+from .poly import Polynomial, PolyMatrix, format_poly, minor_dets, parse
 
 DEFAULT_MAX_STEPS = 16
 
@@ -209,9 +209,13 @@ def run(domain: SpecialDomain, options: KohnOptions = KohnOptions()) -> KohnTrac
 
 @dataclass(frozen=True)
 class FiniteTypeReport:
-    """Agreement of the three algebraic finite-type conditions."""
+    """Agreement of the three algebraic finite-type conditions.
 
-    colength: int | _Infinity
+    ``colength`` is the germ colength, None when it is infinite; ``to_dict``
+    renders that as "infinite".
+    """
+
+    colength: int | None
     stabilization_degree: int | None
     radical_is_m: bool
 
@@ -221,7 +225,7 @@ class FiniteTypeReport:
 
     def to_dict(self) -> dict:
         return {
-            "colength": "infinite" if self.colength == INF else self.colength,
+            "colength": "infinite" if self.colength is None else self.colength,
             "stabilization_degree": self.stabilization_degree,
             "radical_is_m": self.radical_is_m,
             "verdict": self.verdict,

@@ -30,47 +30,6 @@ from .errors import CapExceededError, DimensionMismatchError, ParseError, Valida
 Mono = tuple[int, ...]
 
 
-class _Infinity:
-    """Order of vanishing of the zero polynomial; compares above every int."""
-
-    __slots__ = ()
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __eq__(self, other):
-        return isinstance(other, _Infinity)
-
-    def __hash__(self):
-        return hash("submult.INF")
-
-    def __lt__(self, other):
-        return False
-
-    def __le__(self, other):
-        return isinstance(other, _Infinity)
-
-    def __gt__(self, other):
-        return not isinstance(other, _Infinity)
-
-    def __ge__(self, other):
-        return True
-
-    def __add__(self, other):
-        return self
-
-    __radd__ = __add__
-
-    def __repr__(self):
-        return "Infinity"
-
-
-INF = _Infinity()
-
-
 class GaussianRational:
     """Exact complex number a + b*i with rational a, b.
 
@@ -302,16 +261,13 @@ class Polynomial:
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
 
-    def total_degree(self) -> int | _Infinity:
-        if not self.terms:
-            return INF
-        return max(sum(m) for m in self.terms)
+    def total_degree(self) -> int:
+        """Maximal total degree among present monomials; -1 for zero."""
+        return max((sum(m) for m in self.terms), default=-1)
 
-    def ord_vanish(self) -> int | _Infinity:
-        """Minimal total degree among present monomials; INF for zero."""
-        if not self.terms:
-            return INF
-        return min(sum(m) for m in self.terms)
+    def ord_vanish(self) -> int | None:
+        """Minimal total degree among present monomials; None for zero."""
+        return min((sum(m) for m in self.terms), default=None)
 
     def degree_in(self, index: int) -> int:
         if not self.terms:

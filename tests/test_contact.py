@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from submult.contact import (
     AmbientDomain,
@@ -20,9 +22,10 @@ from submult.contact import (
     type_bound_check,
     type_jump_domain,
 )
+from conftest import coefficients, polynomials
 from submult.errors import ConsistencyError, ValidationError
 from submult.kohn import SpecialDomain
-from submult.poly import GR_I, GR_ONE, GaussianRational, INF, format_poly, parse
+from submult.poly import GR_I, GR_ONE, GaussianRational, Polynomial, format_poly, parse
 
 V3 = ("z1", "z2", "z3")
 
@@ -71,7 +74,7 @@ def test_contact_curve_validation():
 
 def test_contact_infinite_for_curve_inside_boundary():
     domain = AmbientDomain.from_strings(["z1*z2"], ("z1", "z2", "z3"))
-    assert contact_curve(domain, zcurve("zeta", "0", "0")) == INF
+    assert contact_curve(domain, zcurve("zeta", "0", "0")) is None
 
 
 # -- families ------------------------------------------------------------------------
@@ -136,8 +139,9 @@ def test_balanced_family_contact(l, m):
 
 
 def test_type_jump_domain_uses_l_as_given():
-    assert format_poly(type_jump_domain(0).h[0], V3) == "z1^2 - z2"
-    assert format_poly(type_jump_domain(1).h[0], V3) == "z1^2 - z2*z3"
+    assert format_poly(type_jump_domain(0, 2).h[0], V3) == "z1^2 - z2"
+    assert format_poly(type_jump_domain(1, 2).h[0], V3) == "z1^2 - z2*z3"
+    assert format_poly(type_jump_domain(1, 2).h[2], V3) == "z1*z3^2"
 
 
 def test_contact_family_requires_fixed_exponent():
@@ -188,7 +192,9 @@ def test_family_inside_boundary_has_infinite_contact():
     domain = AmbientDomain.from_strings(["z1*z2"], V3)
     family = CurveFamily(((CurveTerm(GR_ONE, 1, Fraction(0)),), (), ()))
     result = contact_family(domain, family)
-    assert result.eta == INF
+    assert result.eta is None
+    assert result.to_dict()["eta"] == "infinite"
+    assert result.to_dict()["epsilon_bound"] is None
 
 
 def test_balance_toy_symmetric_weights():
@@ -261,13 +267,84 @@ def test_two_exponent_family_cancels_first_generator():
 
 
 def test_series_power_at_high_exponent():
-    from submult.contact import _series_pow
+    from submult.contact import _pullback_series
 
-    zeta = {(1, Fraction(0), Fraction(0)): GR_ONE}
-    cache = []
-    assert _series_pow(zeta, 1500, cache) == {(1500, Fraction(0), Fraction(0)): GR_ONE}
-    assert len(cache) == 1501
-    assert _series_pow(zeta, 2, cache) == {(2, Fraction(0), Fraction(0)): GR_ONE}
+    # z1 -> (1 + i)*zeta; (1 + i)^1500 = (2i)^750 = -2^750
+    family = CurveFamily(((CurveTerm(GaussianRational(1, 1), 1, Fraction(0)),), (), ()))
+    series = _pullback_series(parse("z1^1500", V3), family)
+    assert series == {(1500, Fraction(0), Fraction(0)): GaussianRational(-(2 ** 750))}
+
+
+def _integer_families():
+    # three components whose t exponents are integers and carry no alpha;
+    # the first holds the t-independent linear term every family needs
+    def terms(min_zeta):
+        return st.lists(
+            st.builds(
+                CurveTerm,
+                coefficients().filter(bool),
+                st.integers(min_value=min_zeta, max_value=2),
+                st.integers(min_value=0, max_value=2).map(Fraction),
+            ),
+            max_size=2,
+        )
+
+    last = st.lists(
+        st.builds(
+            CurveTerm,
+            coefficients().filter(bool),
+            st.integers(min_value=0, max_value=2),
+            st.integers(min_value=1, max_value=2).map(Fraction),
+        ),
+        max_size=2,
+    )
+    return st.builds(
+        lambda first, second, third: CurveFamily(
+            ((CurveTerm(GR_ONE, 1, Fraction(0)), *first), tuple(second), tuple(third))
+        ),
+        terms(1),
+        terms(1),
+        last,
+    )
+
+
+@given(polynomials(dim=3, max_degree=3, max_terms=4), _integer_families())
+def test_pullback_series_matches_composition_in_zeta_and_t(h, family):
+    from submult.contact import _pullback_series
+
+    # with integer t exponents the family is a polynomial curve in (zeta, t)
+    components = [
+        sum(
+            (Polynomial(2, {(t.zeta_exp, int(t.t_exp)): t.coeff}) for t in comp),
+            Polynomial.zero(2),
+        )
+        for comp in family.components
+    ]
+    expected = {
+        (a, Fraction(b), Fraction(0)): c for (a, b), c in h.compose(components).terms.items()
+    }
+    assert _pullback_series(h, family) == expected
+
+
+def test_dominant_terms_tie_in_one_source_is_in_printed_order():
+    # h1 = z2 + z1 along (zeta, zeta^2/t, i*t): both terms weigh 1, so |h1|^2
+    # has two lines at weight 2, listed by zeta exponent whatever h1's term order
+    family = CurveFamily(
+        (
+            (CurveTerm(GR_ONE, 1, Fraction(0)),),
+            (CurveTerm(GR_ONE, 2, Fraction(-1)),),
+            (CurveTerm(GR_I, 0, Fraction(1)),),
+        )
+    )
+    for order in ([(0, 1, 0), (1, 0, 0)], [(1, 0, 0), (0, 1, 0)]):
+        h1 = Polynomial(3, {mono: GR_ONE for mono in order})
+        result = contact_family(AmbientDomain(V3, (h1,)), family)
+        assert result.eta == 2
+        assert result.dominant_terms == (
+            "|h1|^2: zeta^1*t^(0)",
+            "|h1|^2: zeta^2*t^(-1)",
+        )
+        assert len(result.warnings) == 1
 
 
 def test_type_bound_rows():
@@ -291,7 +368,7 @@ def test_pullback_order_consistent_with_curve_contact():
     comp2 = parse("zeta^2", ("zeta",)) * (GaussianRational(0, -1) / a)
     curve = [parse("zeta", ("zeta",)), comp2, parse("i", ("zeta",)) * a]
     orders = [domain.h[0].compose(curve).ord_vanish(), domain.h[1].compose(curve).ord_vanish()]
-    assert orders[0] == INF  # first generator cancels exactly
+    assert orders[0] is None  # first generator cancels exactly
     assert orders[1] == 4
     base = [GaussianRational(0), GaussianRational(0), GR_I]
     assert contact_curve(domain, curve, base) == 2 * orders[1]

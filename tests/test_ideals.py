@@ -26,7 +26,6 @@ from submult.ideals import (
     _standard_monomial_count,
 )
 from submult.poly import (
-    INF,
     GaussianRational,
     Polynomial,
     format_poly,
@@ -259,8 +258,12 @@ def test_groebner_kernel_matches_sympy_on_triangular_cliffs(exponents):
 def test_interreduced_generators_are_monic_sorted_and_reduced(gens):
     polys = [p(g, ZWV) for g in gens]
     for order in (ideals.GREVLEX, ideals.LEX):
-        out = ideals._interreduce(polys, order)
-        leads = [ideals.leading_mono(g, order) for g in out]
+        pairs = ideals._interreduce(
+            [(ideals.leading_mono(g, order), g) for g in polys if not g.is_zero()], order
+        )
+        leads = [lead for lead, _ in pairs]
+        out = [g for _, g in pairs]
+        assert leads == [ideals.leading_mono(g, order) for g in out]
         assert leads == sorted(leads, key=order)
         for g, lead in zip(out, leads):
             assert g.terms[lead] == 1
@@ -361,7 +364,7 @@ def test_non_isolated_germs_report_infinite_colength_without_a_scan(monkeypatch)
     monkeypatch.setattr(ideals, "truncated_basis", counting)
     for gens in [("z^3", "z*w"), ("z - z*w",), ("z*w",)]:
         report = germ_colength(ideal(*gens))
-        assert report.colength == INF, gens
+        assert report.colength is None, gens
         assert not report.m_primary and not report.capped, gens
         assert report.stabilization_degree is None, gens
     assert calls == []
@@ -403,7 +406,7 @@ def _scan(I, cap=24):
         if d == prev:
             return d, n - 1, True
         prev = d
-    return INF, None, False
+    return None, None, False
 
 
 def _random_low_degree_poly(rng):

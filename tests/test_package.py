@@ -18,7 +18,7 @@ PUBLIC = {
         "ParseError", "SubmultError", "ValidationError",
     ),
     "poly": (
-        "INF", "GaussianRational", "Polynomial", "PolyMatrix", "det", "exact_div", "format_poly",
+        "GaussianRational", "Polynomial", "PolyMatrix", "det", "exact_div", "format_poly",
         "minor_dets", "monomials_of_degree", "parse", "poly_gcd", "squarefree_part",
     ),
     "ideals": (
