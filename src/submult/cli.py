@@ -267,8 +267,10 @@ def contact_family_cmd(ctx, config_path):
     family_doc = _document(config, "family")
     family = _contact.CurveFamily.from_config(family_doc["components"])
     doc = {}
+    alpha = family_doc.get("alpha")
+    if alpha is not None and not family.has_free_exponent:
+        raise ValidationError("family key 'alpha' is not used: no t_exp depends on alpha")
     if family.has_free_exponent:
-        alpha = family_doc.get("alpha")
         if alpha is None:
             alpha = _contact.balance_exponent(domain, family)
         elif type(alpha) in (str, int):

@@ -124,11 +124,15 @@ def _lcm(a: Mono, b: Mono) -> Mono:
 
 
 def _spoly(f: Polynomial, g: Polynomial, fm: Mono, gm: Mono) -> Polynomial:
-    """S-polynomial of f and g, whose leads are fm and gm."""
+    """S-polynomial x^(lcm-fm)*f - x^(lcm-gm)*g of monic f and g with leads fm and gm."""
     lcm = _lcm(fm, gm)
-    tf = Polynomial._of(f.ring_dim, {tuple(l - a for l, a in zip(lcm, fm)): GR_ONE / f.terms[fm]})
-    tg = Polynomial._of(g.ring_dim, {tuple(l - b for l, b in zip(lcm, gm)): GR_ONE / g.terms[gm]})
-    return tf * f - tg * g
+    sf, sg = tuple(map(sub, lcm, fm)), tuple(map(sub, lcm, gm))
+    out = {tuple(map(add, m, sf)): c for m, c in f.terms.items()}
+    for m, c in g.terms.items():
+        mm = tuple(map(add, m, sg))
+        acc = out.get(mm)
+        out[mm] = -c if acc is None else acc - c
+    return Polynomial._of(f.ring_dim, out)
 
 
 def _interreduce(

@@ -766,85 +766,65 @@ def least_power(f: Polynomial, holds: Callable[[Polynomial], bool], bound: int |
         power = power * f
 
 
-def _coeff_in(f: Polynomial, var: int, k: int) -> Polynomial:
-    """Coefficient of x_var^k, as a polynomial with zero var-exponent."""
-    out = {}
+def _split(f: Polynomial, var: int) -> dict[int, Polynomial]:
+    """{k: coefficient of x_var^k} of f, read in one pass; each has zero var-exponent."""
+    parts: dict[int, dict[Mono, GaussianRational]] = {}
     for mono, coeff in f.terms.items():
-        if mono[var] == k:
-            new = list(mono)
-            new[var] = 0
-            out[tuple(new)] = coeff
-    return Polynomial(f.ring_dim, out)
+        parts.setdefault(mono[var], {})[mono[:var] + (0,) + mono[var + 1 :]] = coeff
+    return {k: Polynomial._of(f.ring_dim, terms) for k, terms in parts.items()}
 
 
 def _prem(f: Polynomial, g: Polynomial, var: int) -> Polynomial:
     """Pseudo-remainder of f by g with respect to one variable."""
     dg = g.degree_in(var)
-    lc_g = _coeff_in(g, var, dg)
+    lc_g = _split(g, var)[dg]
     r = f
-    while not r.is_zero() and r.degree_in(var) >= dg:
-        dr = r.degree_in(var)
-        lc_r = _coeff_in(r, var, dr)
-        shift = Polynomial.monomial(
-            tuple(dr - dg if i == var else 0 for i in range(f.ring_dim))
-        )
-        r = lc_g * r - lc_r * shift * g
+    while (dr := r.degree_in(var)) >= dg:
+        shift = Polynomial.monomial(tuple(dr - dg if i == var else 0 for i in range(f.ring_dim)))
+        r = lc_g * r - _split(r, var)[dr] * shift * g
     return r
 
 
-def _content(f: Polynomial, var: int) -> Polynomial:
-    coeffs = [_coeff_in(f, var, k) for k in range(f.degree_in(var) + 1)]
-    coeffs = [c for c in coeffs if not c.is_zero()]
-    out = coeffs[0]
-    for c in coeffs[1:]:
-        out = poly_gcd(out, c)
-        if out.is_constant():
+def _primitive(f: Polynomial, var: int) -> tuple[Polynomial, Polynomial]:
+    """Content of f in x_var (the gcd of its coefficients, low degree first) and
+    the primitive part f / content; zero splits as (zero, zero)."""
+    split = _split(f, var)
+    if not split:
+        return f, f
+    content, *rest = [split[k] for k in sorted(split)]
+    for c in rest:
+        content = poly_gcd(content, c)
+        if content.is_constant():
             break
-    return out
+    return content, exact_div(f, content)
 
 
 def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Multivariate gcd over the Gaussian rationals, monic-normalized."""
+    """Multivariate gcd over the Gaussian rationals, monic-normalized.
+
+    Recursive primitive PRS in the last variable x that occurs: the gcd of the
+    contents in x comes from recursive calls, and the gcd of the primitive
+    parts is the last nonzero primitive pseudo-remainder, or 1 when the
+    sequence reaches degree 0 in x.
+    """
     f._check_dim(g)
     if f.is_zero():
-        return g.monic() if not g.is_zero() else g
+        return g.monic()
     if g.is_zero():
         return f.monic()
-    active = [
-        v
-        for v in range(f.ring_dim)
-        if f.degree_in(v) > 0 or g.degree_in(v) > 0
-    ]
+    active = [v for v in range(f.ring_dim) if f.degree_in(v) > 0 or g.degree_in(v) > 0]
     if not active:
         return Polynomial.constant(f.ring_dim, 1)
     var = active[-1]
-    if f.degree_in(var) == 0 or g.degree_in(var) == 0:
-        # One side is free of the main variable: gcd divides its content.
-        free, other = (f, g) if f.degree_in(var) == 0 else (g, f)
-        return poly_gcd(free, _content(other, var))
-    cf, cg = _content(f, var), _content(g, var)
-    fp = exact_div(f, cf)
-    gp = exact_div(g, cg)
-    assert fp is not None and gp is not None
-    cont = poly_gcd(cf, cg)
-    a, b = fp, gp
+    cf, a = _primitive(f, var)
+    cg, b = _primitive(g, var)
     if a.degree_in(var) < b.degree_in(var):
         a, b = b, a
-    while not b.is_zero():
-        r = _prem(a, b, var)
-        if r.is_zero():
-            a, b = b, r
-            break
-        rc = _content(r, var)
-        rp = exact_div(r, rc)
-        assert rp is not None
-        a, b = b, rp
-    if a.degree_in(var) == 0:
-        return cont.monic()
-    ac = _content(a, var)
-    ap = exact_div(a, ac)
-    assert ap is not None
-    return (cont * ap).monic()
+    while b.degree_in(var) > 0:
+        # monic, so that the coefficients do not grow from one remainder to the next
+        a, b = b, _primitive(_prem(a, b, var), var)[1].monic()
+    cont = poly_gcd(cf, cg)
+    return (cont * a).monic() if b.is_zero() else cont.monic()
 
 
 def squarefree_part(p: Polynomial) -> Polynomial:

@@ -243,7 +243,7 @@ def certify(trace: EffectiveTrace, system: TriangularSystem) -> CertifyReport:
             (
                 "first_pair",
                 first.A == first.B == jac,
-                "B_1 = A_1 = Jacobian determinant up to a constant",
+                "B_1 = A_1 = Jacobian determinant",
             )
         )
         last = trace.pairs[-1]

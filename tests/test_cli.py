@@ -200,6 +200,10 @@ _FAMILY_TERMS = [
              [{"coeff": "1", "zeta_exp": "1", "t_exp": 0}], *_FAMILY_TERMS[1:]]}}),
         (["contact", "family"],
          {**_CURVE_DOMAIN, "family": {"components": _FAMILY_TERMS, "alpha": [1]}}),
+        (["contact", "family"],
+         {**_CURVE_DOMAIN, "family": {"alpha": "not a number", "components": [
+             _FAMILY_TERMS[0], [{"coeff": "-1", "zeta_exp": 2, "t_exp": -2}],
+             [{"coeff": "i", "zeta_exp": 0, "t_exp": 1}]]}}),
         *[
             (["contact", "family"],
              {**_CURVE_DOMAIN, "family": {"alpha": "1/2", "components": [

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from decimal import Decimal
 from fractions import Fraction
 
@@ -295,6 +296,43 @@ def test_gcd_divides_both_and_extracts_common_factor(f, g, h):
     assert exact_div(f * h, d) is not None
     # the common factor f divides the gcd
     assert exact_div(d, f.monic()) is not None
+
+
+def _gaussian_polynomial(rng, dim):
+    # two or three terms of degree at most 1 in each variable, not constant
+    while True:
+        terms = {
+            tuple(rng.randint(0, 1) for _ in range(dim)): GaussianRational(
+                rng.randint(-3, 3), rng.choice((0, 0, rng.randint(-2, 2)))
+            )
+            for _ in range(rng.randint(2, 3))
+        }
+        f = Polynomial(dim, terms)
+        if not f.is_constant():
+            return f
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_gcd_and_squarefree_part_match_sympy(seed):
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.domains import QQ_I
+
+    rng = random.Random(seed)
+    gens = sympy.symbols(("z", "w", "v")[: 2 + seed % 2])
+
+    def to_qq_i(f):
+        coeffs = {
+            m: sympy.Rational(c.re) + sympy.I * sympy.Rational(c.im) for m, c in f.terms.items()
+        }
+        return sympy.Poly.from_dict(coeffs, *gens, domain=QQ_I)
+
+    a, b, shared, repeated = (_gaussian_polynomial(rng, len(gens)) for _ in range(4))
+    f = a * shared * repeated**2
+    # monic in sympy's order on both sides: equal exactly when equal up to a constant
+    for g in (b * shared * repeated, b * shared * repeated**2):
+        assert to_qq_i(poly_gcd(f, g)).monic() == to_qq_i(f).gcd(to_qq_i(g)).monic()
+        assert to_qq_i(squarefree_part(g)).monic() == to_qq_i(g).sqf_part().monic()
+    assert to_qq_i(squarefree_part(f)).monic() == to_qq_i(f).sqf_part().monic()
 
 
 def test_squarefree_examples():
