@@ -403,24 +403,21 @@ def _local_algebra(basis: Sequence[Polynomial], ring_dim: int) -> tuple[int, int
     of length L, so exactly when m^L lies in Q.  The normal forms of the
     degree-d monomials come from those of degree d - 1 by
     NF(x_j x^b) = NF(x_j NF(x^b)), and a monomial one of whose divisors is
-    in Q is in Q, so only nonzero normal forms are carried up.
+    in Q is in Q, so only nonzero normal forms are carried up.  A standard
+    monomial's divisors are standard, so it is live, and L is counted among
+    the live monomials as the table grows.
     """
     leads = [leading_mono(g, GREVLEX) for g in basis]
     if not _zero_dimensional(leads, ring_dim):
         return None
-    colength = 0
-    for d in itertools.count():
-        # standard monomials are closed under division: none lie above an empty degree
-        standard = sum(
-            1
-            for mono in monomials_of_degree(ring_dim, d)
-            if not any(_mono_divides(lm, mono) for lm in leads)
-        )
-        if not standard:
-            break
-        colength += standard
-    live = {(0,) * ring_dim: Polynomial.constant(ring_dim, 1)} if colength else {}
-    for degree in range(1, max(colength, 1) + 1):
+
+    def standard(mono: Mono) -> bool:
+        return not any(_mono_divides(lm, mono) for lm in leads)
+
+    one = (0,) * ring_dim
+    live = {one: Polynomial.constant(ring_dim, 1)} if standard(one) else {}
+    colength = len(live)
+    for degree in itertools.count(1):
         forms: dict[Mono, Polynomial] = {}
         for mono, r in live.items():
             for j in range(ring_dim):
@@ -434,7 +431,10 @@ def _local_algebra(basis: Sequence[Polynomial], ring_dim: int) -> tuple[int, int
         live = {mono: r for mono, r in forms.items() if not r.is_zero()}
         if not live:
             return colength, degree
-    return None
+        colength += sum(1 for mono in live if standard(mono))
+        # every degree below L has a standard monomial, so the count is final here
+        if degree >= colength:
+            return None
 
 
 @dataclass(frozen=True)

@@ -12,14 +12,17 @@ gcd, squarefree parts, and the text grammar used by the CLI:
     factor := base ('^' uint)?
     base   := rational | 'i' | var | '(' expr ')'
 
-Whitespace is insignificant.  Printing is canonical (graded-lexicographic,
-highest degree first, ties by exponent tuple), so ``parse(print(p)) == p``.
+Whitespace is insignificant.  A power of a t-term base to the exponent e is
+refused before it is expanded when e * C(e + t - 1, t - 1) exceeds 100,000.
+Printing is canonical (graded-lexicographic, highest degree first, ties by
+exponent tuple), so ``parse(print(p)) == p``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, le, sub
@@ -435,40 +438,21 @@ _set_terms = Polynomial.terms.__set__
 # parsing
 # ---------------------------------------------------------------------------
 
-_OPS = set("+-*^()")
+_TOKEN = re.compile(r"(\d+)|(\w+)|(\S)")  # a digit run, a name, any other character
+# the most term products a '^' may take: e * C(e + t - 1, t - 1) for a t-term
+# base, which is the exponent times the most terms the power can have
+_POWER_LIMIT = 100_000
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, position) of each token, then an end token."""
     tokens = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        if ch in _OPS:
-            tokens.append(("op", ch, pos))
-            pos += 1
-            continue
-        if ch.isdigit():
-            start = pos
-            while pos < n and text[pos].isdigit():
-                pos += 1
-            tokens.append(("num", text[start:pos], start))
-            continue
-        if ch == "/":
-            tokens.append(("op", "/", pos))
-            pos += 1
-            continue
-        if ch.isalpha() or ch == "_":
-            start = pos
-            while pos < n and (text[pos].isalnum() or text[pos] == "_"):
-                pos += 1
-            tokens.append(("name", text[start:pos], start))
-            continue
-        raise ParseError(f"unexpected character {ch!r}", pos)
-    tokens.append(("end", "", n))
+    for m in _TOKEN.finditer(text):
+        kind = ("num", "name", "op")[m.lastindex - 1]
+        if kind == "op" and m[0] not in "+-*/^()":
+            raise ParseError(f"unexpected character {m[0]!r}", m.start())
+        tokens.append((kind, m[0], m.start()))
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
@@ -480,88 +464,79 @@ class _Parser:
         self.pos = 0
         self.variables = list(variables)
         self.dim = len(variables)
+        self.zero = Polynomial.zero(self.dim)
 
-    def peek(self):
-        return self.tokens[self.pos]
+    def take(self, ops: str) -> str | None:
+        """Consume and return the next token if it is one of these operators."""
+        kind, val, _ = self.tokens[self.pos]
+        if kind == "op" and val in ops:
+            self.pos += 1
+            return val
+        return None
 
-    def advance(self):
-        tok = self.tokens[self.pos]
+    def uint(self, missing: str) -> tuple[int, int]:
+        """The next token's integer and position; ParseError(missing) if it is no number."""
+        kind, val, at = self.tokens[self.pos]
+        if kind != "num":
+            raise ParseError(missing, at)
         self.pos += 1
-        return tok
-
-    def expect(self, value: str):
-        kind, val, at = self.peek()
-        if kind != "op" or val != value:
-            raise ParseError(f"expected {value!r}, found {val or 'end of input'!r}", at)
-        return self.advance()
+        try:
+            return int(val), at
+        except ValueError:  # more digits than int() reads
+            raise ParseError("number too long", at) from None
 
     def parse(self) -> Polynomial:
         poly = self.expr()
-        kind, val, at = self.peek()
+        kind, val, at = self.tokens[self.pos]
         if kind != "end":
             raise ParseError(f"unexpected trailing input {val!r}", at)
         return poly
 
     def expr(self) -> Polynomial:
-        sign = 1
-        kind, val, _ = self.peek()
-        if kind == "op" and val in "+-":
-            self.advance()
-            sign = -1 if val == "-" else 1
-        poly = self.term() * sign
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.advance()
-                rhs = self.term()
-                poly = poly + rhs if val == "+" else poly - rhs
-            else:
-                return poly
+        poly = self.zero
+        op = self.take("+-") or "+"
+        while op:
+            rhs = self.term()
+            poly = poly + rhs if op == "+" else poly - rhs
+            op = self.take("+-")
+        return poly
 
     def term(self) -> Polynomial:
         poly = self.factor()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val == "*":
-                self.advance()
-                poly = poly * self.factor()
-            else:
-                return poly
+        while self.take("*"):
+            poly = poly * self.factor()
+        return poly
 
     def factor(self) -> Polynomial:
         base = self.base()
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "^":
-            self.advance()
-            kind, val, at = self.advance()
-            if kind != "num":
-                raise ParseError("exponent must be a non-negative integer", at)
-            return base ** int(val)
-        return base
+        if not self.take("^"):
+            return base
+        e, at = self.uint("exponent must be a non-negative integer")
+        t = len(base.terms)
+        if t and (e > _POWER_LIMIT or e * math.comb(e + t - 1, t - 1) > _POWER_LIMIT):
+            raise ParseError(f"power of a {t}-term base too large to expand", at)
+        return base**e
 
     def base(self) -> Polynomial:
-        kind, val, at = self.advance()
+        kind, val, at = self.tokens[self.pos]
         if kind == "num":
-            num = int(val)
-            kind2, val2, _ = self.peek()
-            if kind2 == "op" and val2 == "/":
-                self.advance()
-                kind3, val3, at3 = self.advance()
-                if kind3 != "num":
-                    raise ParseError("expected denominator", at3)
-                if int(val3) == 0:
-                    raise ParseError("zero denominator", at3)
-                return Polynomial.constant(self.dim, Fraction(num, int(val3)))
-            return Polynomial.constant(self.dim, num)
+            num, _ = self.uint("")
+            den, at = self.uint("expected denominator") if self.take("/") else (1, at)
+            if not den:
+                raise ParseError("zero denominator", at)
+            return Polynomial.constant(self.dim, Fraction(num, den))
         if kind == "name":
+            self.pos += 1
             if val == "i":
                 return Polynomial.constant(self.dim, GR_I)
             if val in self.variables:
                 return Polynomial.variable(self.dim, self.variables.index(val))
             raise ParseError(f"unknown variable {val!r}", at)
-        if kind == "op" and val == "(":
+        if self.take("("):
             poly = self.expr()
-            self.expect(")")
+            if not self.take(")"):
+                _, val, at = self.tokens[self.pos]
+                raise ParseError(f"expected ')', found {val or 'end of input'!r}", at)
             return poly
         raise ParseError(f"unexpected token {val or 'end of input'!r}", at)
 
@@ -572,7 +547,7 @@ def parse(text: str, variables: Sequence[str]) -> Polynomial:
     try:
         return parser.parse()
     except RecursionError:
-        raise ParseError("expression nested too deeply", parser.peek()[2]) from None
+        raise ParseError("expression nested too deeply", parser.tokens[parser.pos][2]) from None
 
 
 # ---------------------------------------------------------------------------
@@ -791,6 +766,9 @@ def _primitive(f: Polynomial, var: int) -> tuple[Polynomial, Polynomial]:
     split = _split(f, var)
     if not split:
         return f, f
+    if len(split) == 1:
+        ((k, content),) = split.items()
+        return content, Polynomial.monomial(tuple(k if i == var else 0 for i in range(f.ring_dim)))
     content, *rest = [split[k] for k in sorted(split)]
     for c in rest:
         content = poly_gcd(content, c)

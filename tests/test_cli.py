@@ -222,6 +222,24 @@ def test_malformed_config_rejected(tmp_path, capsys, command, doc):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        (["ideal", "colength"], {**ZW_CONFIG, "h": ["(z + w)^5000", "w"]}),
+        (["contact", "family"],
+         {**_CURVE_DOMAIN, "family": {"components": [
+             _FAMILY_TERMS[0], [{"coeff": "-1", "zeta_exp": 2, "t_exp": "(alpha + 1)^3000"}],
+             _FAMILY_TERMS[2]]}}),
+    ],
+)
+def test_oversized_power_is_an_error_line(tmp_path, capsys, command, doc):
+    cfg = write_config(tmp_path, doc)
+    code, out, err = run_cli(capsys, *command, "--config", cfg)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "too large to expand" in err
+
+
 def test_unreadable_config(tmp_path, capsys):
     code, _, err = run_cli(
         capsys, "multipliers", "run", "--config", str(tmp_path / "missing.json")

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -66,6 +67,79 @@ def test_parse_syntax_error():
         p("(z")
     with pytest.raises(ParseError):
         p("3/0")
+
+
+@pytest.mark.parametrize(
+    "text, message, position",
+    [
+        ("z + #", "unexpected character '#'", 4),
+        ("z +\t1.5", "unexpected character '.'", 5),
+        ("(z + w", "expected ')', found 'end of input'", 6),
+        ("(z w)", "expected ')', found 'w'", 3),
+        ("z w", "unexpected trailing input 'w'", 2),
+        ("z^w", "exponent must be a non-negative integer", 2),
+        ("z^", "exponent must be a non-negative integer", 2),
+        ("3/z", "expected denominator", 2),
+        ("3/ 00", "zero denominator", 3),
+        ("z^2 + 2*q", "unknown variable 'q'", 8),
+        ("z + *", "unexpected token '*'", 4),
+        ("z +", "unexpected token 'end of input'", 3),
+    ],
+)
+def test_parse_error_message_and_position(text, message, position):
+    with pytest.raises(ParseError) as err:
+        p(text)
+    assert str(err.value) == f"{message} (at position {position})"
+    assert err.value.position == position
+
+
+LONG_LITERAL = "7" * 5000
+PARSE_PIECES = list("zw+-*/^() 0123456789i\t") + ["zz", "ab", "_x", "²", "½", "é", "٣", LONG_LITERAL]
+
+
+@given(st.lists(st.sampled_from(PARSE_PIECES), max_size=10).map("".join))
+def test_parse_raises_only_package_errors(text):
+    # where int() reads any length (its digit limit off, or Python before
+    # 3.10.7), a power of the long literal is a number of millions of digits,
+    # which the term bound does not limit
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    assume(0 < limit < len(LONG_LITERAL) or not (LONG_LITERAL in text and "^" in text))
+    try:
+        result = parse(text, ("z", "w", "é"))
+    except (ParseError, ValidationError):
+        return
+    assert isinstance(result, Polynomial)
+
+
+# a t-term base to the power e may take e * C(e + t - 1, t - 1) <= 100,000 term products
+@pytest.mark.parametrize(
+    "text, variables, terms",
+    [
+        ("(a + 1)^315", "a", 316),
+        ("z^1500", ZW, 1),
+        ("w^2 + z^1500*w", ZW, 2),
+        ("(2/3 + i)^90000", ZW, 1),
+        ("0^123456789", ZW, 0),
+    ],
+)
+def test_powers_within_the_bound_expand(text, variables, terms):
+    assert len(parse(text, tuple(variables)).terms) == terms
+
+
+@pytest.mark.parametrize(
+    "text, variables, position",
+    [
+        ("(a + 1)^316", "a", 8),
+        ("(z + w)^5000", ZW, 8),
+        ("(z + w + v + u + 1)^17", "zwvu", 20),
+        ("z^100001", ZW, 2),
+        ("z^" + "9" * 5000, ZW, 2),
+    ],
+)
+def test_powers_beyond_the_bound_are_parse_errors(text, variables, position):
+    with pytest.raises(ParseError) as err:
+        parse(text, tuple(variables))
+    assert err.value.position == position
 
 
 def test_reserved_imaginary_name():
