@@ -3,19 +3,18 @@
 Scalar inputs arrive as flags; polynomial and curve data arrive through a
 single JSON config document: {variables: [...], h: [...], curve?: {...},
 family?: {...}}.  Output is a JSON document (sorted keys,
-byte-stable) or a plain-text rendering.  Exit codes: 0 success, 1 domain or
-validation errors, 2 resource-cap exhaustion.  Each command imports the engine
-modules it runs, so a request compiles no other layer.
+byte-stable) or a plain-text rendering.  Exit codes: 0 success, 1 usage, domain
+or validation errors, 2 resource-cap exhaustion.  Each command imports the
+engine modules it runs, so a request compiles no other layer.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import sys
 
-import click
-
-from .errors import CapExceededError, ConsistencyError, SubmultError, ValidationError
+from .errors import CapExceededError, ConsistencyError, ParseError, SubmultError, ValidationError
 from .poly import Polynomial, parse
 
 EXIT_OK = 0
@@ -43,6 +42,21 @@ def _strings(doc: dict, key: str, where: str) -> tuple[str, ...]:
     return tuple(value)
 
 
+def _parse(text: str, variables, where: str) -> Polynomial:
+    """parse(text, variables), with a ParseError's message naming where the text came from."""
+    try:
+        return parse(text, variables)
+    except ParseError as exc:
+        exc.args = (f"{exc} in {where}",)
+        raise
+
+
+def _polys(doc: dict, key: str, where: str, variables) -> list[Polynomial]:
+    """Each string listed under doc[key], parsed; an error names its 1-based entry."""
+    texts = _strings(doc, key, where)
+    return [_parse(s, variables, f"{where} key {key!r} entry {k}") for k, s in enumerate(texts, 1)]
+
+
 def _document(config: dict, key: str) -> dict:
     doc = config.get(key)
     if not isinstance(doc, dict) or "components" not in doc:
@@ -50,127 +64,90 @@ def _document(config: dict, key: str) -> dict:
     return doc
 
 
-def _jobspec(config_path: str) -> tuple[dict, tuple[str, ...], tuple[Polynomial, ...]]:
-    """The config document, its ring variables and its parsed defining polynomials.
-
-    An 'options' key is rejected with the running command's flags named.
-    """
-    config = _load_config(config_path)
+def _jobspec(args) -> tuple[dict, tuple[str, ...], tuple[Polynomial, ...]]:
+    """The config document, its ring variables and its parsed defining polynomials; an
+    'options' key is rejected with the running command's flags named."""
+    config = _load_config(args.config)
     if "options" in config:
-        params = click.get_current_context().command.params
-        named = ", ".join(p.opts[0] for p in params if p.name != "config_path") or "none"
+        named = ", ".join(args.flags) or "none"
         raise ValidationError(f"config key 'options' is not supported; command flags: {named}")
     variables = _strings(config, "variables", "config")
     if not variables:
         raise ValidationError("config must list the ring variables")
     if len(set(variables)) != len(variables) or not all(v.isidentifier() for v in variables):
         raise ValidationError("config variables must be distinct names")
-    h = tuple(parse(s, variables) for s in _strings(config, "h", "config"))
-    return config, variables, h
+    return config, variables, tuple(_polys(config, "h", "config", variables))
 
 
-def _emit(ctx, doc) -> None:
-    fmt = (ctx.obj or {}).get("format", "json")
-    if fmt == "json":
-        click.echo(json.dumps(doc, sort_keys=True, indent=2))
+def _emit(args, doc) -> None:
+    if args.format == "json":
+        print(json.dumps(doc, sort_keys=True, indent=2))
     else:
         for line in _text_lines(doc, ""):
-            click.echo(line)
+            print(line)
 
 
 def _text_lines(doc, indent: str):
     if isinstance(doc, dict):
-        for key in sorted(doc):
-            value = doc[key]
-            if isinstance(value, (dict, list)):
-                yield f"{indent}{key}:"
-                yield from _text_lines(value, indent + "  ")
-            else:
-                yield f"{indent}{key}: {value}"
-    elif isinstance(doc, list):
-        for value in doc:
-            if isinstance(value, (dict, list)):
-                yield f"{indent}-"
-                yield from _text_lines(value, indent + "  ")
-            else:
-                yield f"{indent}- {value}"
+        pairs = [(f"{key}:", doc[key]) for key in sorted(doc)]
     else:
-        yield f"{indent}{doc}"
+        pairs = [("-", value) for value in doc]
+    for label, value in pairs:
+        if isinstance(value, (dict, list)):
+            yield f"{indent}{label}"
+            yield from _text_lines(value, indent + "  ")
+        else:
+            yield f"{indent}{label} {value}"
 
 
-class _MaxStepsOption(click.Option):
-    """Defaults to kohn's step cap, read when a run or its help needs it."""
+# -- commands -----------------------------------------------------------------------
+# Each command registers its path and options, (flag, add_argument keywords) pairs.
 
-    def get_default(self, ctx, call=True):
-        from .kohn import DEFAULT_MAX_STEPS
+_COMMANDS: dict = {}
+_GROUPS = {
+    "multipliers": "Multiplier-ideal iteration on special domains.",
+    "triangular": "Certified multiplier ladders for triangular systems.",
+    "ideal": "Germ-at-origin ideal queries.",
+    "contact": "Orders of contact for curves and curve families.",
+}
+_CONFIG = ("--config", dict(required=True, metavar="PATH", help="JSON config document"))
+_POLY = ("--poly", dict(required=True, help="polynomial to test"))
 
-        return DEFAULT_MAX_STEPS
+
+def _command(path: str, *options):
+    """Registers the decorated function as the command at this path."""
+    return lambda run: _COMMANDS.setdefault(path, (run, options))[0]
 
 
-_config_option = click.option(
-    "--config", "config_path", required=True, metavar="PATH", help="JSON config document"
+def _kohn_max_steps() -> int:
+    """Kohn's step cap, read when a run or its help needs it."""
+    from .kohn import DEFAULT_MAX_STEPS
+
+    return DEFAULT_MAX_STEPS
+
+
+@_command(
+    "multipliers run",
+    _CONFIG,
+    ("--max-steps", dict(type=int, default=_kohn_max_steps, help="steps before a step cap")),
+    ("--radical-mode", dict(choices=("full", "none"), default="full", help="stage radicals")),
 )
-
-
-@click.group()
-@click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["json", "text"]),
-    default="json",
-    help="output rendering",
-)
-@click.pass_context
-def cli(ctx, fmt):
-    """Exact multiplier-ideal runs, triangular ladders, and contact arithmetic."""
-    ctx.obj = {"format": fmt}
-
-
-# -- multipliers -------------------------------------------------------------
-
-
-@cli.group()
-def multipliers():
-    """Multiplier-ideal iteration on special domains."""
-
-
-@multipliers.command("run")
-@_config_option
-@click.option("--max-steps", cls=_MaxStepsOption, type=int, show_default=True)
-@click.option(
-    "--radical-mode",
-    type=click.Choice(["full", "none"]),
-    default="full",
-    show_default=True,
-)
-@click.pass_context
-def multipliers_run(ctx, config_path, max_steps, radical_mode):
+def multipliers_run(args):
     from . import kohn as _kohn
 
-    config, variables, h = _jobspec(config_path)
-    options = _kohn.KohnOptions(radical_mode=radical_mode, max_steps=max_steps)
-    domain = _kohn.SpecialDomain(variables, h, config.get("label", ""))
-    trace = _kohn.run(domain, options)
-    _emit(ctx, trace.to_dict())
-    if trace.status == "step_cap":
-        ctx.exit(EXIT_CAP)
+    config, variables, h = _jobspec(args)
+    max_steps = args.max_steps() if callable(args.max_steps) else args.max_steps
+    options = _kohn.KohnOptions(radical_mode=args.radical_mode, max_steps=max_steps)
+    trace = _kohn.run(_kohn.SpecialDomain(variables, h, config.get("label", "")), options)
+    _emit(args, trace.to_dict())
+    return EXIT_CAP if trace.status == "step_cap" else EXIT_OK
 
 
-# -- triangular ----------------------------------------------------------------
-
-
-@cli.group()
-def triangular():
-    """Certified multiplier ladders for triangular systems."""
-
-
-@triangular.command("run")
-@_config_option
-@click.pass_context
-def triangular_run(ctx, config_path):
+@_command("triangular run", _CONFIG)
+def triangular_run(args):
     from . import triangular as _triangular
 
-    _, variables, h = _jobspec(config_path)
+    _, variables, h = _jobspec(args)
     system = _triangular.validate(h, variables)
     trace = _triangular.run_effective(system)
     report = _triangular.certify(trace, system)
@@ -182,87 +159,60 @@ def triangular_run(ctx, config_path):
     doc["multiplicity"] = trace.L
     doc["certified"] = report.passed
     doc["failures"] = list(report.failures())
-    _emit(ctx, doc)
+    _emit(args, doc)
 
 
-# -- ideal --------------------------------------------------------------------
-
-
-@cli.group()
-def ideal():
-    """Germ-at-origin ideal queries."""
-
-
-@ideal.command("colength")
-@_config_option
-@click.pass_context
-def ideal_colength(ctx, config_path):
+@_command("ideal colength", _CONFIG)
+def ideal_colength(args):
     from .ideals import Ideal, germ_colength
 
-    _, variables, h = _jobspec(config_path)
-    _emit(ctx, germ_colength(Ideal(len(variables), h)).to_dict())
+    _, variables, h = _jobspec(args)
+    _emit(args, germ_colength(Ideal(len(variables), h)).to_dict())
 
 
-@ideal.command("member")
-@_config_option
-@click.option("--poly", "poly_text", required=True, help="polynomial to test")
-@click.option("--germ", "germ_mode", is_flag=True, help="decide membership as germs")
-@click.pass_context
-def ideal_member(ctx, config_path, poly_text, germ_mode):
+@_command(
+    "ideal member", _CONFIG, _POLY, ("--germ", dict(action="store_true", help="decide as germs"))
+)
+def ideal_member(args):
     from .ideals import Ideal, germ_colength, germ_member, member
 
-    _, variables, h = _jobspec(config_path)
+    _, variables, h = _jobspec(args)
     ideal_obj = Ideal(len(variables), h)
-    f = parse(poly_text, variables)
-    if germ_mode:
+    f = _parse(args.poly, variables, "--poly")
+    if args.germ:
         doc = {"member": germ_member(f, ideal_obj, germ_colength(ideal_obj)), "mode": "germ"}
     else:
         doc = {"member": member(f, ideal_obj), "mode": "global"}
-    _emit(ctx, doc)
+    _emit(args, doc)
 
 
-@ideal.command("root-order")
-@_config_option
-@click.option("--poly", "poly_text", required=True, help="polynomial to test")
-@click.pass_context
-def ideal_root_order(ctx, config_path, poly_text):
+@_command("ideal root-order", _CONFIG, _POLY)
+def ideal_root_order(args):
     from .ideals import Ideal, root_order
 
-    _, variables, h = _jobspec(config_path)
+    _, variables, h = _jobspec(args)
     ideal_obj = Ideal(len(variables), h)
-    _emit(ctx, {"root_order": root_order(parse(poly_text, variables), ideal_obj)})
+    _emit(args, {"root_order": root_order(_parse(args.poly, variables, "--poly"), ideal_obj)})
 
 
-# -- contact --------------------------------------------------------------------
-
-
-@cli.group()
-def contact():
-    """Orders of contact for curves and curve families."""
-
-
-@contact.command("curve")
-@_config_option
-@click.pass_context
-def contact_curve_cmd(ctx, config_path):
+@_command("contact curve", _CONFIG)
+def contact_curve_cmd(args):
     from . import contact as _contact
 
-    config, variables, h = _jobspec(config_path)
+    config, variables, h = _jobspec(args)
     domain = _contact.AmbientDomain(variables, h)
     curve_doc = _document(config, "curve")
-    components = [parse(s, ("zeta",)) for s in _strings(curve_doc, "components", "curve")]
-    base = [parse(s, []).constant_term() for s in _strings(curve_doc, "base", "curve")]
+    components = _polys(curve_doc, "components", "curve", ("zeta",))
+    base = [p.constant_term() for p in _polys(curve_doc, "base", "curve", ())]
     value = _contact.contact_curve(domain, components, base or None)
-    _emit(ctx, {"contact": "infinite" if value is None else str(value)})
+    _emit(args, {"contact": "infinite" if value is None else str(value)})
 
 
-@contact.command("family")
-@_config_option
-@click.pass_context
-def contact_family_cmd(ctx, config_path):
+@_command("contact family", _CONFIG)
+def contact_family_cmd(args):
     from . import contact as _contact
 
-    config, variables, h = _jobspec(config_path)
+    config, variables, h = _jobspec(args)
     domain = _contact.AmbientDomain(variables, h)
     family_doc = _document(config, "family")
     family = _contact.CurveFamily.from_config(family_doc["components"])
@@ -279,83 +229,131 @@ def contact_family_cmd(ctx, config_path):
             raise ValidationError("family key 'alpha' must be a string or an integer")
         family = family.fix_exponent(alpha)
         doc["alpha"] = str(alpha)
-    result = _contact.contact_family(domain, family)
-    doc.update(result.to_dict())
-    _emit(ctx, doc)
+    doc.update(_contact.contact_family(domain, family).to_dict())
+    _emit(args, doc)
 
 
-@contact.command("formula")
-@click.option("--m1", type=int, required=True)
-@click.option("--m2", type=int, required=True)
-@click.option("--lambda", "lam", default=None, help="mixing parameter in (0, 1]")
-@click.option("--limit-zero", is_flag=True, help="query the limiting value instead")
-@click.pass_context
-def contact_formula(ctx, m1, m2, lam, limit_zero):
+@_command(
+    "contact formula",
+    ("--m1", dict(type=int, required=True)),
+    ("--m2", dict(type=int, required=True)),
+    ("--lambda", dict(dest="lam", help="mixing parameter in (0, 1]")),
+    ("--limit-zero", dict(action="store_true", help="query the limiting value instead")),
+)
+def contact_formula(args):
     from . import contact as _contact
 
-    if limit_zero == (lam is not None):
+    if args.limit_zero == (args.lam is not None):
         raise ValidationError("give exactly one of --lambda or --limit-zero")
-    if limit_zero:
-        value = _contact.sharp_T_limit(m1, m2)
+    if args.limit_zero:
+        value = _contact.sharp_T_limit(args.m1, args.m2)
     else:
-        value = _contact.sharp_T(m1, m2, _contact.rational(lam, "--lambda"))
-    _emit(ctx, {"T": str(value), "epsilon_bound": str(_contact.epsilon_bound(value))})
+        value = _contact.sharp_T(args.m1, args.m2, _contact.rational(args.lam, "--lambda"))
+    _emit(args, {"T": str(value), "epsilon_bound": str(_contact.epsilon_bound(value))})
 
 
-@contact.command("bound")
-@click.option("--base", "t_base", required=True, help="contact order at the base point")
-@click.option("--nearby", "t_nearby", required=True, help="contact order nearby")
-@click.option("--dim", type=int, required=True)
-@click.pass_context
-def contact_bound(ctx, t_base, t_nearby, dim):
+@_command(
+    "contact bound",
+    ("--base", dict(required=True, help="contact order at the base point")),
+    ("--nearby", dict(required=True, help="contact order nearby")),
+    ("--dim", dict(type=int, required=True)),
+)
+def contact_bound(args):
     from . import contact as _contact
 
-    base = _contact.rational(t_base, "--base")
-    ok = _contact.type_bound_check(base, _contact.rational(t_nearby, "--nearby"), dim)
-    _emit(ctx, {"ok": ok, "limit": str(_contact.type_bound_limit(base, dim))})
+    base = _contact.rational(args.base, "--base")
+    ok = _contact.type_bound_check(base, _contact.rational(args.nearby, "--nearby"), args.dim)
+    _emit(args, {"ok": ok, "limit": str(_contact.type_bound_limit(base, args.dim))})
 
 
-# -- reproduce --------------------------------------------------------------------
-
-
-@cli.command("reproduce")
-@click.option("--filter", "pattern", default=None, help="fnmatch pattern on case ids")
-@click.pass_context
-def reproduce(ctx, pattern):
+@_command("reproduce", ("--filter", dict(help="fnmatch pattern on case ids")))
+def reproduce(args):
     """Re-run the shipped corpus of worked examples and compare exactly."""
     from . import corpus as _corpus
 
-    outcome = _corpus.reproduce(pattern)
-    fmt = (ctx.obj or {}).get("format", "json")
-    if fmt == "json":
-        _emit(ctx, outcome)
+    outcome = _corpus.reproduce(args.filter)
+    if args.format == "json":
+        _emit(args, outcome)
     else:
         width = max(len(r["id"]) for r in outcome["cases"])
         for row in outcome["cases"]:
-            status = "PASS" if row["pass"] else "FAIL"
-            click.echo(
-                f"{row['id']:<{width}}  {row['source']:<10}  {status}  "
+            print(
+                f"{row['id']:<{width}}  {row['source']:<10}  {'PASS' if row['pass'] else 'FAIL'}  "
                 f"expected={row['expected']!r}  actual={row['actual']!r}"
             )
-        click.echo(f"{'all pass' if outcome['all_pass'] else 'FAILURES PRESENT'}")
-    if not outcome["all_pass"]:
-        ctx.exit(EXIT_DOMAIN)
+        print(f"{'all pass' if outcome['all_pass'] else 'FAILURES PRESENT'}")
+    return EXIT_OK if outcome["all_pass"] else EXIT_DOMAIN
+
+
+# -- parsing --------------------------------------------------------------------------
+
+
+class _Formatter(argparse.HelpFormatter):
+    """Shows defaults on each option's line at a fixed width; a callable default is read here."""
+
+    def __init__(self, prog):
+        super().__init__(prog, max_help_position=32, width=78)
+
+    def _get_help_string(self, action):
+        default = action.default
+        if not default or default == argparse.SUPPRESS:
+            return action.help
+        return f"{action.help} [default: {default() if callable(default) else default}]"
+
+
+class _Parser(argparse.ArgumentParser):
+    """A usage error raises ValidationError (exit 1; 2 is for caps), and only --help is added."""
+
+    def __init__(self, **kwargs):
+        super().__init__(add_help=False, allow_abbrev=False, formatter_class=_Formatter, **kwargs)
+        self.add_argument("--help", action="help", help="show this message and exit")
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
+def _parser() -> _Parser:
+    top = _Parser(
+        prog="submult",
+        description="Exact multiplier-ideal runs, triangular ladders, and contact arithmetic.",
+    )
+    top.add_argument("--format", choices=("json", "text"), default="json", help="output rendering")
+    parents = {"": top.add_subparsers(metavar="COMMAND", required=True)}
+    for name, text in _GROUPS.items():
+        group = parents[""].add_parser(name, help=text, description=text)
+        parents[name] = group.add_subparsers(metavar="COMMAND", required=True)
+    for path, (run, options) in _COMMANDS.items():
+        group, _, name = path.rpartition(" ")
+        sub = parents[group].add_parser(name, help=run.__doc__, description=run.__doc__)
+        for flag, kwargs in options:
+            sub.add_argument(flag, **kwargs)
+        sub.set_defaults(run=run, flags=[flag for flag, _ in options if flag != "--config"])
+    return top
+
+
+def _words(argv) -> list[str]:
+    """argv with each flag that takes a value joined to it, so that a value such as -z is read."""
+    valued = {"--format"} | {f for _, o in _COMMANDS.values() for f, kw in o if "action" not in kw}
+    words = []
+    for word in argv:
+        if words and words[-1] in valued:
+            word = words.pop() + "=" + word
+        words.append(word)
+    return words
 
 
 def main(argv=None) -> int:
     try:
-        rv = cli.main(args=argv, standalone_mode=False, prog_name="submult")
-    except CapExceededError as exc:
-        click.echo(f"error: {exc}", err=True)
-        return EXIT_CAP
-    except click.exceptions.Exit as exc:
-        return exc.exit_code
-    except click.Abort:
-        return EXIT_DOMAIN
-    except (SubmultError, click.UsageError, click.ClickException, ValueError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        return EXIT_DOMAIN
-    return rv if isinstance(rv, int) else EXIT_OK
+        args, extra = _parser().parse_known_args(_words(sys.argv[1:] if argv is None else argv))
+        if extra:
+            word = extra[0].partition("=")[0]
+            raise ValidationError(f"no such {'option' if word[:1] == '-' else 'argument'}: {word}")
+        return args.run(args) or EXIT_OK
+    except SystemExit as exc:  # --help has printed the usage text
+        return exc.code
+    except (SubmultError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CAP if isinstance(exc, CapExceededError) else EXIT_DOMAIN
 
 
 if __name__ == "__main__":

@@ -13,7 +13,9 @@ gcd, squarefree parts, and the text grammar used by the CLI:
     base   := rational | 'i' | var | '(' expr ')'
 
 Whitespace is insignificant.  A power of a t-term base to the exponent e is
-refused before it is expanded when e * C(e + t - 1, t - 1) exceeds 100,000.
+refused before it is expanded when e * C(e + t - 1, t - 1) exceeds 100,000, or
+when that count times the bit length of the base's largest numerator or
+denominator exceeds 1,000,000.
 Printing is canonical (graded-lexicographic, highest degree first, ties by
 exponent tuple), so ``parse(print(p)) == p``.
 """
@@ -442,6 +444,10 @@ _TOKEN = re.compile(r"(\d+)|(\w+)|(\S)")  # a digit run, a name, any other chara
 # the most term products a '^' may take: e * C(e + t - 1, t - 1) for a t-term
 # base, which is the exponent times the most terms the power can have
 _POWER_LIMIT = 100_000
+# the most bits a '^' may expand to, as those term products times the bits of the
+# base's largest numerator or denominator: the power has at most C(e + t - 1, t - 1)
+# terms, each with a coefficient of about e times those bits
+_POWER_BITS = 1_000_000
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -513,8 +519,14 @@ class _Parser:
             return base
         e, at = self.uint("exponent must be a non-negative integer")
         t = len(base.terms)
-        if t and (e > _POWER_LIMIT or e * math.comb(e + t - 1, t - 1) > _POWER_LIMIT):
-            raise ParseError(f"power of a {t}-term base too large to expand", at)
+        if t and e:
+            top = max(max(abs(c._re_num), abs(c._im_num), c._den) for c in base.terms.values())
+            bits = top.bit_length()
+            products = e if e > _POWER_LIMIT else e * math.comb(e + t - 1, t - 1)
+            if products > _POWER_LIMIT or products * bits > _POWER_BITS:
+                raise ParseError(
+                    f"power of a {t}-term base with {bits}-bit coefficients too large to expand", at
+                )
         return base**e
 
     def base(self) -> Polynomial:

@@ -21,6 +21,61 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# -- usage ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv", [["--help"], ["multipliers", "--help"], ["multipliers", "run", "--help"]]
+)
+def test_help_exits_zero_on_stdout(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.lower().startswith("usage: submult")
+    assert err == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["bogus"],
+        ["multipliers"],
+        ["multipliers", "bogus"],
+        ["--format", "xml", "reproduce"],
+        ["multipliers", "run", "--config", "{config}", "--max-steps", "x"],
+        ["multipliers", "run", "--conf", "{config}"],
+        ["multipliers", "run", "--config", "{config}", "extra"],
+        ["multipliers", "run"],
+        ["contact", "formula", "--m1", "2"],
+        ["contact", "formula", "--m1", "2", "--m2"],
+    ],
+)
+def test_usage_error_is_an_error_line(tmp_path, capsys, argv):
+    cfg = write_config(tmp_path, {**ZW_CONFIG, "h": ["z^2", "w^3 + w*z^4"]})
+    code, out, err = run_cli(capsys, *[a.format(config=cfg) for a in argv])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_missing_config_names_its_flag(capsys):
+    code, _, err = run_cli(capsys, "multipliers", "run")
+    assert code == 1
+    assert "--config" in err
+
+
+def test_option_values_may_start_with_a_dash(tmp_path, capsys):
+    cfg = write_config(tmp_path, {**ZW_CONFIG, "h": ["z^3", "z*w"]})
+    code, out, _ = run_cli(capsys, "ideal", "root-order", "--config", cfg, "--poly", "-z")
+    assert code == 0 and json.loads(out) == {"root_order": 3}
+    code, out, err = run_cli(
+        capsys, "contact", "formula", "--m1", "2", "--m2", "3", "--lambda", "-1/2"
+    )
+    assert code == 1 and out == ""
+    assert err == "error: the mixing parameter must lie in (0, 1]\n"
+
+
 # -- multipliers ----------------------------------------------------------------
 
 
@@ -238,6 +293,27 @@ def test_oversized_power_is_an_error_line(tmp_path, capsys, command, doc):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and "too large to expand" in err
+
+
+@pytest.mark.parametrize(
+    "argv, doc, suffix",
+    [
+        (["ideal", "colength"], {**ZW_CONFIG, "h": ["w", "(z + w)^5000"]},
+         "(at position 8) in config key 'h' entry 2"),
+        (["ideal", "member", "--poly", "z +"], {**ZW_CONFIG, "h": ["z"]},
+         "(at position 3) in --poly"),
+        (["contact", "curve"],
+         {**_CURVE_DOMAIN, "curve": {"components": ["zeta", "0", "zeta^"]}},
+         "(at position 5) in curve key 'components' entry 3"),
+        (["contact", "curve"],
+         {**_CURVE_DOMAIN, "curve": {"components": ["zeta", "0", "0"], "base": ["0", "1/0"]}},
+         "(at position 2) in curve key 'base' entry 2"),
+    ],
+)
+def test_parse_error_names_its_entry(tmp_path, capsys, argv, doc, suffix):
+    code, out, err = run_cli(capsys, *argv, "--config", write_config(tmp_path, doc))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.endswith(suffix + "\n")
 
 
 def test_unreadable_config(tmp_path, capsys):

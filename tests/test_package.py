@@ -51,6 +51,7 @@ if sys.argv[1:]:
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(sys.argv[1:]) == 0
 print(" ".join(sorted(m for m in sys.modules if m.partition(".")[0] == "submult")))
+print(" ".join(sorted(sys.modules)))
 """
 
 
@@ -143,4 +144,10 @@ def paper_config(tmp_path):
 )
 def test_each_request_loads_only_its_modules(paper_config, argv, extra):
     argv = [a.format(config=paper_config) for a in argv]
-    assert set(fresh_python("-c", PROBE, *argv).split()) == BASE | extra
+    ours, loaded = fresh_python("-c", PROBE, *argv).splitlines()
+    assert set(ours.split()) == BASE | extra
+    # every module beyond a bare interpreter's (whose site may load third-party
+    # .pth hooks) is from the standard library or this package
+    bare = set(fresh_python("-c", "import sys; print(*sys.modules)").split())
+    allowed = sys.stdlib_module_names | {"submult"}
+    assert {m for m in set(loaded.split()) - bare if m.partition(".")[0] not in allowed} == set()

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import sys
+import time
 from decimal import Decimal
 from fractions import Fraction
 
@@ -111,7 +112,8 @@ def test_parse_raises_only_package_errors(text):
     assert isinstance(result, Polynomial)
 
 
-# a t-term base to the power e may take e * C(e + t - 1, t - 1) <= 100,000 term products
+# a t-term base to the power e may take e * C(e + t - 1, t - 1) <= 100,000 term products,
+# and that count times the bits of its largest numerator or denominator may be <= 1,000,000
 @pytest.mark.parametrize(
     "text, variables, terms",
     [
@@ -120,6 +122,7 @@ def test_parse_raises_only_package_errors(text):
         ("w^2 + z^1500*w", ZW, 2),
         ("(2/3 + i)^90000", ZW, 1),
         ("0^123456789", ZW, 0),
+        ("(3*z + 1)^300", ZW, 301),
     ],
 )
 def test_powers_within_the_bound_expand(text, variables, terms):
@@ -134,12 +137,22 @@ def test_powers_within_the_bound_expand(text, variables, terms):
         ("(z + w + v + u + 1)^17", "zwvu", 20),
         ("z^100001", ZW, 2),
         ("z^" + "9" * 5000, ZW, 2),
+        ("(9999*z + 1)^315", ZW, 13),
     ],
 )
 def test_powers_beyond_the_bound_are_parse_errors(text, variables, position):
     with pytest.raises(ParseError) as err:
         parse(text, tuple(variables))
     assert err.value.position == position
+
+
+def test_power_of_a_long_constant_is_refused_at_once():
+    # without the bit bound this expands to a 16.6-million-bit numerator in 6-8 s of CPU
+    start = time.process_time()
+    with pytest.raises(ParseError, match="167-bit coefficients too large to expand") as err:
+        parse("9" * 50 + "^99999", ZW)
+    assert time.process_time() - start < 0.5
+    assert err.value.position == 51
 
 
 def test_reserved_imaginary_name():
