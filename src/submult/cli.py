@@ -5,7 +5,9 @@ single JSON config document: {variables: [...], h: [...], curve?: {...},
 family?: {...}}.  Output is a JSON document (sorted keys,
 byte-stable) or a plain-text rendering.  Exit codes: 0 success, 1 usage, domain
 or validation errors, 2 resource-cap exhaustion.  Each command imports the
-engine modules it runs, so a request compiles no other layer.
+engine modules it runs, so a request compiles no other layer.  No request
+imports ``inspect``, nor the standard data-class module that would load it:
+the engine's records are NamedTuples.
 """
 
 from __future__ import annotations

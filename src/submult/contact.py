@@ -12,23 +12,22 @@ weight lines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .errors import ConsistencyError, ParseError, ValidationError
+from .errors import ConsistencyError, ParseError, ValidationError, checked
 from .poly import GR_I, GR_ONE, GR_ZERO, GaussianRational, Polynomial, parse
 
 
-@dataclass(frozen=True)
-class AmbientDomain:
+@checked
+class AmbientDomain(NamedTuple):
     """Domain Re(last variable) + sum |h_j|^2, with h_j in all variables."""
 
     variables: tuple[str, ...]
     h: tuple[Polynomial, ...]
 
-    def __post_init__(self):
+    def _check(self):
         if len(self.variables) < 2:
             raise ValidationError("ambient domain needs at least two variables")
         for p in self.h:
@@ -45,8 +44,8 @@ class AmbientDomain:
         return cls(vs, tuple(parse(s, vs) for s in h_strings))
 
 
-@dataclass(frozen=True)
-class CurveTerm:
+@checked
+class CurveTerm(NamedTuple):
     """One monomial c * zeta^a * t^b of a family component; b may be affine
     in the free exponent: b = t_exp + alpha_coeff * alpha."""
 
@@ -55,20 +54,20 @@ class CurveTerm:
     t_exp: Fraction
     alpha_coeff: Fraction = Fraction(0)
 
-    def __post_init__(self):
+    def _check(self):
         if not self.coeff:
             raise ValidationError("curve terms must have nonzero coefficients")
         if self.zeta_exp < 0:
             raise ValidationError("zeta exponents must be non-negative")
 
 
-@dataclass(frozen=True)
-class CurveFamily:
+@checked
+class CurveFamily(NamedTuple):
     """Components of a family g_t as finite sums of CurveTerm."""
 
     components: tuple[tuple[CurveTerm, ...], ...]
 
-    def __post_init__(self):
+    def _check(self):
         n = len(self.components)
         if n < 2:
             raise ValidationError("family needs at least two components")
@@ -251,8 +250,7 @@ def _pullback_series(poly: Polynomial, family: CurveFamily) -> dict[_FamKey, Gau
     )
 
 
-@dataclass(frozen=True)
-class ContactResult:
+class ContactResult(NamedTuple):
     """Contact order of a family with the lines that attain it.
 
     ``eta`` is None when every pulled-back term cancels: the contact is

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import fnmatch
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import contact as _contact
 from . import kohn as _kohn
@@ -32,8 +31,7 @@ from .ideals import (
 from .poly import Polynomial, PolyMatrix, format_poly, minor_dets, parse, squarefree_part
 
 
-@dataclass(frozen=True)
-class CorpusCase:
+class CorpusCase(NamedTuple):
     id: str
     source: str  # literature | derived | direct
     run: Callable[..., object]

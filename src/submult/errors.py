@@ -1,4 +1,6 @@
-"""Shared exception types."""
+"""Shared exception types, and the hook that checks records on construction."""
+
+import functools
 
 
 class SubmultError(Exception):
@@ -39,3 +41,25 @@ class CertificationError(SubmultError):
     def __init__(self, message: str, index: int | None = None):
         super().__init__(message)
         self.index = index
+
+
+def checked(cls):
+    """Make every construction of the NamedTuple ``cls`` run ``cls._check``.
+
+    The constructor, copy and unpickling call ``__new__``, but ``_make``,
+    which ``_replace`` calls, builds the tuple with ``tuple.__new__``, so
+    both are wrapped.
+    """
+
+    def then_check(build):
+        @functools.wraps(build)
+        def built(klass, *args, **kwargs):
+            record = build(klass, *args, **kwargs)
+            record._check()
+            return record
+
+        return built
+
+    cls.__new__ = staticmethod(then_check(cls.__new__))
+    cls._make = classmethod(then_check(cls._make.__func__))
+    return cls

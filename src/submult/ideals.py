@@ -14,10 +14,9 @@ I : f contains a unit at the origin.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from operator import add, neg, sub
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import ValidationError
 from .poly import (
@@ -437,8 +436,7 @@ def _local_algebra(basis: Sequence[Polynomial], ring_dim: int) -> tuple[int, int
             return None
 
 
-@dataclass(frozen=True)
-class GermReport:
+class GermReport(NamedTuple):
     """Colength of the germ ideal at the origin, read off its local component.
 
     ``colength`` is None when it is infinite, that is, when the origin is not
@@ -447,7 +445,7 @@ class GermReport:
 
     colength: int | None
     stabilization_degree: int | None
-    basis: tuple[Polynomial, ...] | None = field(default=None, repr=False)  # grevlex, of Q
+    basis: tuple[Polynomial, ...] | None = None  # grevlex, of Q
 
     @property
     def m_primary(self) -> bool:
@@ -541,8 +539,7 @@ def canonical_generators(polys: Iterable[Polynomial]) -> tuple[Polynomial, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class RadicalOutcome:
+class RadicalOutcome(NamedTuple):
     """Result of one radical stage: new generators plus root-order bookkeeping."""
 
     generators: tuple[Polynomial, ...]

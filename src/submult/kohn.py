@@ -13,9 +13,9 @@ full step-by-step record is kept for serialization.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .errors import ConsistencyError, ValidationError
+from .errors import ConsistencyError, ValidationError, checked
 from .ideals import (
     Ideal,
     RadicalOutcome,
@@ -30,15 +30,15 @@ from .poly import Polynomial, PolyMatrix, format_poly, minor_dets, parse
 DEFAULT_MAX_STEPS = 16
 
 
-@dataclass(frozen=True)
-class SpecialDomain:
+@checked
+class SpecialDomain(NamedTuple):
     """Reduced data of a domain Re(z_{n+1}) + sum |h_j|^2 near the origin."""
 
     variables: tuple[str, ...]
     h: tuple[Polynomial, ...]
     label: str = ""
 
-    def __post_init__(self):
+    def _check(self):
         if not self.variables:
             raise ValidationError("domain needs at least one variable")
         if not self.h:
@@ -70,20 +70,19 @@ class SpecialDomain:
         }
 
 
-@dataclass(frozen=True)
-class KohnOptions:
+@checked
+class KohnOptions(NamedTuple):
     radical_mode: str = "full"  # full | none
     max_steps: int = DEFAULT_MAX_STEPS
 
-    def __post_init__(self):
+    def _check(self):
         if self.radical_mode not in ("full", "none"):
             raise ValidationError("radical_mode must be 'full' or 'none'")
         if self.max_steps < 1:
             raise ValidationError("max_steps must be at least 1")
 
 
-@dataclass(frozen=True)
-class KohnState:
+class KohnState(NamedTuple):
     """Allowable rows plus the current minor ideal and the stage it extends."""
 
     rows: PolyMatrix
@@ -92,8 +91,7 @@ class KohnState:
     stage: Ideal
 
 
-@dataclass(frozen=True)
-class KohnStepRecord:
+class KohnStepRecord(NamedTuple):
     J_gens: tuple[Polynomial, ...]
     radical_method: str
     root_orders: tuple[tuple[Polynomial, int], ...]
@@ -110,8 +108,7 @@ class KohnStepRecord:
         }
 
 
-@dataclass(frozen=True)
-class KohnTrace:
+class KohnTrace(NamedTuple):
     domain: SpecialDomain
     steps: tuple[KohnStepRecord, ...]
     status: str  # unit_reached | stalled | step_cap
@@ -207,8 +204,7 @@ def run(domain: SpecialDomain, options: KohnOptions = KohnOptions()) -> KohnTrac
     return KohnTrace(domain, tuple(steps), status)
 
 
-@dataclass(frozen=True)
-class FiniteTypeReport:
+class FiniteTypeReport(NamedTuple):
     """Agreement of the three algebraic finite-type conditions.
 
     ``colength`` is the germ colength, None when it is infinite; ``to_dict``

@@ -25,12 +25,11 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, le, sub
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
-from .errors import CapExceededError, DimensionMismatchError, ParseError, ValidationError
+from .errors import CapExceededError, DimensionMismatchError, ParseError, ValidationError, checked
 
 Mono = tuple[int, ...]
 
@@ -378,7 +377,8 @@ class Polynomial:
         for a in args:
             if a.ring_dim != out_dim:
                 raise DimensionMismatchError("composition arguments live in different rings")
-        powers = [[Polynomial.constant(out_dim, 1)] for _ in args]
+        one = (0,) * out_dim
+        powers = [[Polynomial._of(out_dim, {one: GR_ONE})] for _ in args]
 
         def power(i: int, k: int) -> Polynomial:
             cache = powers[i]
@@ -386,9 +386,9 @@ class Polynomial:
                 cache.append(cache[-1] * args[i])
             return cache[k]
 
-        out = Polynomial.zero(out_dim)
+        out = Polynomial._of(out_dim, {})
         for mono, coeff in self.terms.items():
-            prod = Polynomial.constant(out_dim, coeff)
+            prod = Polynomial._of(out_dim, {one: coeff})
             for i, e in enumerate(mono):
                 if e:
                     prod = prod * power(i, e)
@@ -620,13 +620,13 @@ def format_poly(poly: Polynomial, variables: Sequence[str]) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PolyMatrix:
+@checked
+class PolyMatrix(NamedTuple):
     """Rectangular matrix of polynomials; rows are candidate allowable rows."""
 
     rows: tuple[tuple[Polynomial, ...], ...]
 
-    def __post_init__(self):
+    def _check(self):
         if not self.rows:
             raise ValidationError("matrix needs at least one row")
         width = len(self.rows[0])

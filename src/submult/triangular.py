@@ -15,17 +15,15 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
-
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import CertificationError, ConsistencyError, ValidationError
 from .ideals import Ideal, germ_colength
 from .poly import GaussianRational, Polynomial, det, divides, format_poly, least_power
 
 
-@dataclass(frozen=True)
-class TriangularSystem:
+class TriangularSystem(NamedTuple):
     variables: tuple[str, ...]
     h: tuple[Polynomial, ...]
     exponents: tuple[int, ...]
@@ -91,8 +89,7 @@ def multiplicity(system: TriangularSystem) -> int:
     return expected
 
 
-@dataclass(frozen=True)
-class MultiplierPair:
+class MultiplierPair(NamedTuple):
     index: int
     B: Polynomial
     A: Polynomial
@@ -100,8 +97,7 @@ class MultiplierPair:
     min_power: int
 
 
-@dataclass(frozen=True)
-class EffectiveTrace:
+class EffectiveTrace(NamedTuple):
     system: TriangularSystem
     pairs: tuple[MultiplierPair, ...]
     L: int
@@ -165,8 +161,7 @@ def run_effective(system: TriangularSystem) -> EffectiveTrace:
     return EffectiveTrace(system, tuple(pairs), len(pairs))
 
 
-@dataclass(frozen=True)
-class CertifyReport:
+class CertifyReport(NamedTuple):
     checks: tuple[tuple[str, bool, str], ...]
 
     @property

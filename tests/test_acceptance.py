@@ -4,7 +4,6 @@ Each test prints one pass/fail line.  Comparisons are exact rational or
 field-by-field equality throughout; nothing is approximate.
 """
 
-import dataclasses
 import json
 import math
 import random

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import pytest
@@ -420,7 +419,7 @@ def test_triangular_run_exits_on_a_colength_mismatch(tmp_path, capsys, monkeypat
     from submult.ideals import germ_colength
 
     def wrong(ideal):
-        return dataclasses.replace(germ_colength(ideal), colength=5)
+        return germ_colength(ideal)._replace(colength=5)
 
     monkeypatch.setattr(triangular, "germ_colength", wrong)
     cfg = write_config(tmp_path, {**ZW_CONFIG, "h": ["z^2", "w^3 + w*z^4"]})
@@ -559,7 +558,7 @@ def test_reproduce_filter_matching_nothing_fails(capsys, fmt):
 def test_reproduce_detects_corrupted_expectation(capsys, monkeypatch):
     broken = list(corpus.CASES)
     target = next(i for i, c in enumerate(broken) if c.id == "sharp-halfway-value")
-    broken[target] = dataclasses.replace(broken[target], expected="7")
+    broken[target] = broken[target]._replace(expected="7")
     monkeypatch.setattr(corpus, "CASES", tuple(broken))
     code, out, _ = run_cli(capsys, "reproduce", "--filter", "sharp-halfway*")
     assert code == 1

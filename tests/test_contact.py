@@ -285,6 +285,7 @@ def _integer_families():
                 coefficients().filter(bool),
                 st.integers(min_value=min_zeta, max_value=2),
                 st.integers(min_value=0, max_value=2).map(Fraction),
+                st.just(Fraction(0)),
             ),
             max_size=2,
         )
@@ -295,6 +296,7 @@ def _integer_families():
             coefficients().filter(bool),
             st.integers(min_value=0, max_value=2),
             st.integers(min_value=1, max_value=2).map(Fraction),
+            st.just(Fraction(0)),
         ),
         max_size=2,
     )

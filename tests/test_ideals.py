@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 import warnings
@@ -664,7 +663,7 @@ def test_radical_step_on_a_unit_ideal(gens):
 
 
 def test_radical_outcome_derives_stall_and_largest_order():
-    assert [f.name for f in dataclasses.fields(ideals.RadicalOutcome)] == [
+    assert list(ideals.RadicalOutcome._fields) == [
         "generators", "method", "root_orders"
     ]
     assert radical_step(Ideal(2, ())).stalled

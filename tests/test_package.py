@@ -1,11 +1,13 @@
 """The package's public names and what each CLI request loads."""
 
+import copy
 import importlib
 import json
 import os
 import subprocess
 import sys
 import types
+from fractions import Fraction
 
 import pytest
 
@@ -132,22 +134,83 @@ def paper_config(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def family_config(tmp_path):
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps({
+        "variables": ["z1", "z2", "z3"],
+        "h": ["z1^2 - z2*z3^2", "z2^2", "z1*z3^3"],
+        "family": {"components": [
+            [{"coeff": "1", "zeta_exp": 1, "t_exp": 0}],
+            [{"coeff": "-1", "zeta_exp": 2, "t_exp": "-2*alpha"}],
+            [{"coeff": "i", "zeta_exp": 0, "t_exp": "alpha"}],
+        ]},
+    }))
+    return str(path)
+
+
 @pytest.mark.parametrize(
     "argv, extra",
     [
         ([], set()),
         (["ideal", "colength", "--config", "{config}"], {"submult.ideals"}),
         (["contact", "formula", "--m1", "2", "--m2", "3", "--lambda", "1/2"], {"submult.contact"}),
+        (["contact", "family", "--config", "{family}"], {"submult.contact"}),
         (["multipliers", "run", "--config", "{config}"], {"submult.ideals", "submult.kohn"}),
+        (["triangular", "run", "--config", "{config}"], {"submult.ideals", "submult.triangular"}),
     ],
-    ids=["import", "ideal-colength", "contact-formula", "multipliers-run"],
+    ids=[
+        "import", "ideal-colength", "contact-formula", "contact-family", "multipliers-run",
+        "triangular-run",
+    ],
 )
-def test_each_request_loads_only_its_modules(paper_config, argv, extra):
-    argv = [a.format(config=paper_config) for a in argv]
+def test_each_request_loads_only_its_modules(paper_config, family_config, argv, extra):
+    argv = [a.format(config=paper_config, family=family_config) for a in argv]
     ours, loaded = fresh_python("-c", PROBE, *argv).splitlines()
     assert set(ours.split()) == BASE | extra
+    # the records are NamedTuples, so no request pays for dataclasses or inspect
+    assert {"dataclasses", "inspect"}.isdisjoint(loaded.split())
     # every module beyond a bare interpreter's (whose site may load third-party
     # .pth hooks) is from the standard library or this package
     bare = set(fresh_python("-c", "import sys; print(*sys.modules)").split())
     allowed = sys.stdlib_module_names | {"submult"}
     assert {m for m in set(loaded.split()) - bare if m.partition(".")[0] not in allowed} == set()
+
+
+# -- checked records -------------------------------------------------------------------
+
+
+def _z(n=1):
+    return submult.Polynomial.variable(n, 0)
+
+
+def _term():
+    return submult.CurveTerm(submult.GaussianRational(1), 1, Fraction(0))
+
+
+@pytest.mark.parametrize(
+    "good, field, bad",
+    [
+        (lambda: submult.AmbientDomain(("z", "w"), (_z(2),)), "variables", ("z",)),
+        (_term, "zeta_exp", -1),
+        (lambda: submult.CurveFamily(((_term(),), (_term(),))), "components", ()),
+        (lambda: submult.SpecialDomain(("z",), (_z(),)), "h", ()),
+        (lambda: submult.KohnOptions(), "max_steps", 0),
+        (lambda: submult.PolyMatrix(((_z(),),)), "rows", ()),
+    ],
+    ids=["AmbientDomain", "CurveTerm", "CurveFamily", "SpecialDomain", "KohnOptions", "PolyMatrix"],
+)
+def test_checked_records_refuse_an_invalid_field_on_every_path(good, field, bad):
+    record = good()
+    cls = type(record)
+    fields = {**record._asdict(), field: bad}
+    with pytest.raises(submult.ValidationError):
+        cls(**fields)
+    with pytest.raises(submult.ValidationError):
+        record._replace(**{field: bad})
+    with pytest.raises(submult.ValidationError):
+        cls._make(fields.values())
+    with pytest.raises(AttributeError):
+        setattr(record, field, bad)
+    # a valid record survives every path unchanged
+    assert record._replace() == cls._make(record) == copy.copy(record) == record

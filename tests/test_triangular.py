@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 
@@ -137,10 +136,8 @@ def test_certify_flags_tampered_pair():
     ts = system("z^2", "w^2")
     trace = run_effective(ts)
     w = parse("w", ZW)
-    bad_pair = dataclasses.replace(trace.pairs[1], A=w)
-    tampered = dataclasses.replace(
-        trace, pairs=trace.pairs[:1] + (bad_pair,) + trace.pairs[2:]
-    )
+    bad_pair = trace.pairs[1]._replace(A=w)
+    tampered = trace._replace(pairs=trace.pairs[:1] + (bad_pair,) + trace.pairs[2:])
     report = certify(tampered, ts)
     assert not report.passed
     assert any("division" in failure for failure in report.failures())
@@ -151,8 +148,8 @@ def test_certify_flags_first_pair_off_by_a_constant():
     ts = system("z^2", "w^2")
     trace = run_effective(ts)
     doubled = 2 * det(list(ts.jacobian_rows()))
-    first = dataclasses.replace(trace.pairs[0], A=doubled, B=doubled)
-    report = certify(dataclasses.replace(trace, pairs=(first,) + trace.pairs[1:]), ts)
+    first = trace.pairs[0]._replace(A=doubled, B=doubled)
+    report = certify(trace._replace(pairs=(first,) + trace.pairs[1:]), ts)
     assert not {name: ok for name, ok, _ in report.checks}["first_pair"]
 
 
