@@ -176,13 +176,13 @@ def ideal_colength(args):
     "ideal member", _CONFIG, _POLY, ("--germ", dict(action="store_true", help="decide as germs"))
 )
 def ideal_member(args):
-    from .ideals import Ideal, germ_colength, germ_member, member
+    from .ideals import Ideal, germ_member, member
 
     _, variables, h = _jobspec(args)
     ideal_obj = Ideal(len(variables), h)
     f = _parse(args.poly, variables, "--poly")
     if args.germ:
-        doc = {"member": germ_member(f, ideal_obj, germ_colength(ideal_obj)), "mode": "germ"}
+        doc = {"member": germ_member(f, ideal_obj), "mode": "germ"}
     else:
         doc = {"member": member(f, ideal_obj), "mode": "global"}
     _emit(args, doc)

@@ -38,10 +38,6 @@ class ConsistencyError(SubmultError):
 class CertificationError(SubmultError):
     """A multiplier certificate failed re-verification."""
 
-    def __init__(self, message: str, index: int | None = None):
-        super().__init__(message)
-        self.index = index
-
 
 def checked(cls):
     """Make every construction of the NamedTuple ``cls`` run ``cls._check``.

@@ -6,9 +6,9 @@ exactly.  Saturations I : x_i^inf, computed by eliminating a Rabinowitsch
 variable, decide whether the origin is an isolated point of V(I); only then
 is the colength finite.  It is read off the reduced basis of the local
 component Q, the m-primary component of I at the origin, which is I itself
-or one more saturation I : f^inf.  Germ membership is a normal form on that
-basis when the germ is m-primary, and otherwise the test that the quotient
-I : f contains a unit at the origin.
+or one more saturation I : f^inf; each ideal caches that report.  Germ
+membership is the test that the quotient I : f contains a unit at the
+origin, and the root orders of an m-primary germ are normal forms on GB(Q).
 """
 
 from __future__ import annotations
@@ -238,10 +238,12 @@ def _groebner_raw(gens: Sequence[Polynomial], order: MonomialOrder) -> tuple[Pol
 
 
 class Ideal:
-    """Generator list plus a cache of reduced Groebner bases per order.
+    """Generator list plus a cache of derived data, each computed once.
 
-    The cache is the only mutable state; concurrent fills race benignly
-    because regeneration is deterministic and values are identical.
+    The cache holds the reduced Groebner basis per order and, under the key
+    GermReport, the germ report of germ_colength.  It is the only mutable
+    state; concurrent fills race benignly because regeneration is
+    deterministic and values are identical.
     """
 
     __slots__ = ("ring_dim", "generators", "_cache")
@@ -258,10 +260,10 @@ class Ideal:
         object.__setattr__(self, "_cache", {})
 
     def __setattr__(self, name, value):
-        raise AttributeError("Ideal is immutable apart from its basis cache")
+        raise AttributeError("Ideal is immutable apart from its cache")
 
     def __delattr__(self, name):
-        raise AttributeError("Ideal is immutable apart from its basis cache")
+        raise AttributeError("Ideal is immutable apart from its cache")
 
     @classmethod
     def from_strings(cls, strings: Sequence[str], variables: Sequence[str]) -> "Ideal":
@@ -294,31 +296,13 @@ def member(f: Polynomial, ideal: Ideal) -> bool:
 
 
 def truncated_basis(ideal: Ideal, degree: int) -> tuple[Polynomial, ...]:
-    """Reduced grevlex basis of I + m^degree.
-
-    Each degree-n monomial is congruent mod I to its normal form, so the
-    monomial block is pre-reduced against the basis of I before running the
-    completion; this keeps the generator count near the staircase size.
-    """
-    base = ideal.groebner()
-    extra: list[Polynomial] = []
-    seen: set[frozenset] = set()
-    for mono in monomials_of_degree(ideal.ring_dim, degree):
-        reduced = normal_form(Polynomial.monomial(mono), base, GREVLEX)
-        if reduced.is_zero():
-            continue
-        key = frozenset(reduced.terms.items())
-        if key not in seen:
-            seen.add(key)
-            extra.append(reduced)
-    if not extra:
-        return base
-    return _groebner_raw(list(base) + extra, GREVLEX)
+    """Reduced grevlex basis of I + m^degree."""
+    monos = [Polynomial.monomial(m) for m in monomials_of_degree(ideal.ring_dim, degree)]
+    return _groebner_raw(list(ideal.generators) + monos, GREVLEX)
 
 
 def _standard_monomial_count(basis: Sequence[Polynomial], ring_dim: int, bound: int) -> int:
-    # grevlex leads at or above the bound cannot divide any monomial counted below it
-    leads = [lm for lm in (leading_mono(g, GREVLEX) for g in basis) if sum(lm) < bound]
+    leads = [leading_mono(g, GREVLEX) for g in basis]
     count = 0
     for d in range(bound):
         for mono in monomials_of_degree(ring_dim, d):
@@ -473,49 +457,46 @@ def germ_colength(ideal: Ideal) -> GermReport:
     vanishes on V(I) off the origin.  The colength is the number of standard
     monomials of GB(Q) and the stabilization degree the least N with m^N in
     Q.  Then I + m^N = Q, so the reported basis is also the reduced basis of
-    that truncation.
+    that truncation.  The report is computed once per ideal and cached.
     """
+    report = ideal._cache.get(GermReport)
+    if report is not None:
+        return report
     basis = ideal.groebner()
     local = _local_algebra(basis, ideal.ring_dim)
-    if local is None:
-        f = _isolating_witness(ideal)
-        if f is None:
-            return GermReport(None, None)
+    if local is None and (f := _isolating_witness(ideal)) is not None:
         basis = _saturation(ideal, f).groebner()
         local = _local_algebra(basis, ideal.ring_dim)
-    colength, degree = local
-    return GermReport(colength, degree, basis)
+    report = GermReport(None, None) if local is None else GermReport(*local, basis)
+    ideal._cache[GermReport] = report
+    return report
 
 
-def germ_member(f: Polynomial, ideal: Ideal, report: GermReport | None = None) -> bool:
+def germ_member(f: Polynomial, ideal: Ideal) -> bool:
     """Membership in the germ ideal at the origin, exact in both directions.
 
-    An m-primary report answers by a normal form on the basis of its local
-    component.  Otherwise f lies in the germ ideal exactly when u f lies in
-    I for some u with u(0) != 0, that is, when I : f is the unit germ.
+    f lies in the germ ideal exactly when u f lies in I for some u with
+    u(0) != 0, that is, when I : f is the unit germ.
     """
-    if report is not None and report.m_primary:
-        return normal_form(f, report.basis, GREVLEX).is_zero()
     return member(f, ideal) or is_germ_unit(_quotient(ideal, f))
 
 
-def root_order(f: Polynomial, ideal: Ideal, report: GermReport | None = None) -> int | None:
+def root_order(f: Polynomial, ideal: Ideal) -> int | None:
     """Least s with f^s in the germ ideal, or None when no power lies in it.
 
     An m-primary germ ideal Q contains m^N, N the stabilization degree, so
-    f^N lies in Q for every f in m and the search stops at N.  Otherwise
-    some power of f is in the germ ideal exactly when the saturation
-    I : f^inf is the unit germ, and only then is the search begun.
+    f^N lies in Q for every f in m and the search, by normal forms on GB(Q),
+    stops at N.  Otherwise some power of f is in the germ ideal exactly when
+    the saturation I : f^inf is the unit germ, and only then is the search
+    begun.
     """
-    if report is None:
-        report = germ_colength(ideal)
+    report = germ_colength(ideal)
     if report.m_primary:
-        bound = report.stabilization_degree
-    elif is_germ_unit(_saturation(ideal, f)):
-        bound = None
-    else:
+        basis, bound = report.basis, report.stabilization_degree
+        return least_power(f, lambda p: normal_form(p, basis, GREVLEX).is_zero(), bound)
+    if not is_germ_unit(_saturation(ideal, f)):
         return None
-    return least_power(f, lambda p: germ_member(p, ideal, report), bound)
+    return least_power(f, lambda p: germ_member(p, ideal), None)
 
 
 def is_germ_unit(ideal: Ideal) -> bool:
@@ -582,10 +563,9 @@ def radical_step(ideal: Ideal) -> RadicalOutcome:
         q = squarefree_part(p)
         s = least_power(q, lambda r: divides(p, r), p.total_degree())
         return RadicalOutcome(canonical_generators([q]), "principal", ((q, s),))
-    report = germ_colength(ideal)
-    if report.m_primary:
+    if germ_colength(ideal).m_primary:
         gens = tuple(Polynomial.variable(n, i) for i in range(n))
-        orders = tuple((g, root_order(g, ideal, report)) for g in gens)
+        orders = tuple((g, root_order(g, ideal)) for g in gens)
         return RadicalOutcome(gens, "m-primary", orders)
     # (candidate, bound on its global root order, variable index)
     pool = [(squarefree_part(g), g.total_degree(), None) for g in ideal.generators]

@@ -12,7 +12,6 @@ full step-by-step record is kept for serialization.
 
 from __future__ import annotations
 
-import json
 from typing import NamedTuple
 
 from .errors import ConsistencyError, ValidationError, checked
@@ -128,9 +127,6 @@ class KohnTrace(NamedTuple):
             "max_root_order": self.max_root_order,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
-
 
 def init_state(domain: SpecialDomain) -> KohnState:
     """Gradient rows of the h_j plus the ideal of their maximal minors."""
@@ -239,7 +235,7 @@ def check_finite_type(domain: SpecialDomain) -> FiniteTypeReport:
     report = germ_colength(ideal)
     if report.m_primary:
         variables = [Polynomial.variable(domain.n, i) for i in range(domain.n)]
-        orders = [root_order(v, ideal, report) for v in variables]
+        orders = [root_order(v, ideal) for v in variables]
     else:
         orders = [variable_root_order(ideal, i) for i in range(domain.n)]
     radical_is_m = all(s is not None for s in orders)

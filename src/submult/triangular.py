@@ -13,7 +13,6 @@ order at most n.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from fractions import Fraction
 from typing import NamedTuple
@@ -119,9 +118,6 @@ class EffectiveTrace(NamedTuple):
             ],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
-
 
 def _derivative_ladder(system: TriangularSystem) -> list[list[Polynomial]]:
     out = []
@@ -151,13 +147,12 @@ def run_effective(system: TriangularSystem) -> EffectiveTrace:
         e = least_power(A, lambda p: divides(B, p), n)
         if e is None:
             raise CertificationError(
-                f"pair {index}: certified determinant does not divide any A power up to {n}",
-                index=index,
+                f"pair {index}: certified determinant does not divide any A power up to {n}"
             )
         pairs.append(MultiplierPair(index, B, A, tuple(sources), e))
     last = pairs[-1]
     if not last.A.constant_term() or not last.B.constant_term():
-        raise CertificationError("final pair is not a unit", index=last.index)
+        raise CertificationError("final pair is not a unit")
     return EffectiveTrace(system, tuple(pairs), len(pairs))
 
 

@@ -2,10 +2,10 @@
 
     PYTHONPATH=src python tests/make_golden_outputs.py
 
-The file holds ``kohn.run(...).to_json()``, parsed back so that it reads as
-JSON, for the 3-variable panel domains, the paper family z^M, w^N + w*z^K
-and the stall and curve domains in both radical modes, plus ``to_json()``
-and ``certify(...).to_dict()`` for a fixed sample of
+The file holds ``kohn.run(...).to_dict()`` for the 3-variable panel
+domains, the paper family z^M, w^N + w*z^K and the stall and curve domains
+in both radical modes, plus ``run_effective(...).to_dict()`` and
+``certify(...).to_dict()`` for a fixed sample of
 ``triangular.random_system`` draws, plus the exit code and the JSON stdout
 of ``submult`` requests: ``reproduce``, ``contact family`` on the
 two-exponent configs and on families with a free or a tied Re part,
@@ -89,7 +89,7 @@ CURVES = (
 
 def _kohn_json(h, variables, mode: str = "full") -> dict:
     domain = kohn.SpecialDomain.from_strings(h, variables)
-    return json.loads(kohn.run(domain, kohn.KohnOptions(radical_mode=mode)).to_json())
+    return kohn.run(domain, kohn.KohnOptions(radical_mode=mode)).to_dict()
 
 
 def _two_exponent_config(m1, m2, p, q) -> dict:
@@ -163,7 +163,7 @@ def golden_documents() -> dict:
         system = triangular.random_system(rng)
         trace = triangular.run_effective(system)
         docs[f"triangular {k}"] = {
-            "trace": json.loads(trace.to_json()),
+            "trace": trace.to_dict(),
             "certify": triangular.certify(trace, system).to_dict(),
         }
     docs.update(_cli_documents())

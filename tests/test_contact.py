@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from submult.contact import (
     AmbientDomain,
-    ContactResult,
     CurveFamily,
     CurveTerm,
     _parse_exponent,
@@ -23,7 +22,7 @@ from submult.contact import (
     type_jump_domain,
 )
 from conftest import coefficients, polynomials
-from submult.errors import ConsistencyError, ValidationError
+from submult.errors import ValidationError
 from submult.kohn import SpecialDomain
 from submult.poly import GR_I, GR_ONE, GaussianRational, Polynomial, format_poly, parse
 

@@ -1,4 +1,3 @@
-import itertools
 import random
 import warnings
 from fractions import Fraction
@@ -10,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import nonzero_polynomials, polynomials, sympy_local_colength, to_sympy
 from submult import ideals
 from submult.ideals import (
+    GREVLEX,
     LEX,
     Ideal,
     eliminant,
@@ -500,26 +500,46 @@ def test_monomial_colength_matches_lattice_count(gens):
 def test_germ_membership_examples():
     J1 = ideal(*J1_234)
     report = germ_colength(J1)
-    assert not germ_member(p("z^3"), J1, report)
-    assert not germ_member(p("z^4"), J1, report)  # the tail exponent itself stays out
-    assert germ_member(p("z^6"), J1, report)
+    assert not germ_member(p("z^3"), J1)
+    assert not germ_member(p("z^4"), J1)  # the tail exponent itself stays out
+    assert germ_member(p("z^6"), J1)
     # anything vanishing to the stabilization degree is inside
     for mono in monomials_of_degree(2, report.stabilization_degree):
-        assert germ_member(Polynomial.monomial(mono), J1, report)
+        assert germ_member(Polynomial.monomial(mono), J1)
 
 
 def test_germ_membership_of_non_isolated_germs_is_exact():
     I = ideal("z^3", "z*w")
-    report = germ_colength(I)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert germ_member(p("z^3"), I, report)
-        assert not germ_member(p("z"), I, report)
+        assert germ_member(p("z^3"), I)
+        assert not germ_member(p("z"), I)
         assert not germ_member(p("z^2"), I)
     # z = (z - z*w) / (1 - w) as germs, but z is no multiple of z - z*w
     line = ideal("z - z*w")
     assert germ_member(p("z"), line)
     assert not member(p("z"), line)
+
+
+def test_germ_report_is_computed_once_per_ideal():
+    for gens in [J1_234, ("z^2 - z", "z*w - w"), ("z^3", "z*w")]:
+        I = ideal(*gens)
+        assert germ_colength(I) is germ_colength(I)
+
+
+def test_germ_membership_matches_normal_forms_on_the_local_component():
+    # an m-primary germ ideal is its local component Q, so a normal form on
+    # GB(Q) decides membership; all but the first two have points off the origin
+    germs = [J1_234, ("z^3", "w^2 + z*w"), ("z^2 - z", "z*w - w"), ("z^3 - z^2", "z*w - w")]
+    for gens in germs + [gens for gens, _ in OFF_ORIGIN_POINTS]:
+        I = ideal(*gens)
+        report = germ_colength(I)
+        assert report.m_primary, gens
+        for degree in range(report.stabilization_degree + 1):
+            for mono in monomials_of_degree(2, degree):
+                f = Polynomial.monomial(mono)
+                expected = normal_form(f, report.basis, GREVLEX).is_zero()
+                assert germ_member(f, I) == expected, (gens, mono)
 
 
 def test_root_orders_simple():
@@ -560,10 +580,9 @@ def test_radical_step_orders_beyond_32():
 
 def test_root_order_in_second_stage_ideal():
     J1 = ideal(*J1_234)
-    report = germ_colength(J1)
     # sharp root orders, pinned by hand certificates: z^6 = z*(z*g_w) - (w/2)*(6*z^2*w)
-    assert root_order(p("z"), J1, report=report) == 6
-    assert root_order(p("w"), J1, report=report) == 4
+    assert root_order(p("z"), J1) == 6
+    assert root_order(p("w"), J1) == 4
 
 
 def test_nakayama_soundness_on_stabilized_reports():
@@ -572,7 +591,7 @@ def test_nakayama_soundness_on_stabilized_reports():
         report = germ_colength(I)
         assert report.m_primary
         for mono in monomials_of_degree(2, report.stabilization_degree):
-            assert germ_member(Polynomial.monomial(mono), I, report)
+            assert germ_member(Polynomial.monomial(mono), I)
 
 
 # -- radical stages ------------------------------------------------------------------------
@@ -638,7 +657,7 @@ def test_radical_contains_squarefree_parts_of_generators():
         for g in I.generators:
             q = squarefree_part(g)
             if report.m_primary:
-                assert germ_member(q, produced, report)
+                assert germ_member(q, produced)
             else:
                 assert member(q, produced)
 
@@ -765,7 +784,7 @@ def test_nakayama_soundness_random_m_primary_ideals():
             continue
         found += 1
         for mono in monomials_of_degree(2, report.stabilization_degree):
-            assert germ_member(Polynomial.monomial(mono), I, report)
+            assert germ_member(Polynomial.monomial(mono), I)
     assert found == 50
 
 

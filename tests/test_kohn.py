@@ -1,5 +1,4 @@
 import itertools
-import json
 
 import pytest
 
@@ -222,14 +221,14 @@ def test_run_step_cap_status():
 
 def test_run_is_deterministic():
     options = KohnOptions()
-    one = run(domain("z^2", "w^3 + w*z^4", label="x"), options).to_json()
-    two = run(domain("z^2", "w^3 + w*z^4", label="x"), options).to_json()
+    one = run(domain("z^2", "w^3 + w*z^4", label="x"), options).to_dict()
+    two = run(domain("z^2", "w^3 + w*z^4", label="x"), options).to_dict()
     assert one == two
 
 
 def test_trace_serialization_schema():
     trace = run(domain("z^2", "z*w", "w^2"))
-    doc = json.loads(trace.to_json())
+    doc = trace.to_dict()
     assert set(doc) == {"domain", "steps", "status", "max_root_order"}
     for record in doc["steps"]:
         assert set(record) == {"J_gens", "radical_method", "root_orders", "I_gens"}
@@ -242,9 +241,8 @@ def test_multiplier_ideal_grows_along_run():
     trace = run(domain("z^2", "w^3 + w*z^4"))
     for earlier, later in zip(trace.steps, trace.steps[1:]):
         bigger = Ideal(2, later.I_gens)
-        report = germ_colength(bigger)
         for g in earlier.I_gens:
-            assert germ_member(g, bigger, report)
+            assert germ_member(g, bigger)
 
 
 def test_recorded_root_orders_are_sound_and_minimal():
@@ -253,10 +251,9 @@ def test_recorded_root_orders_are_sound_and_minimal():
         if record.radical_method != "m-primary":
             continue
         J = Ideal(2, record.J_gens)
-        report = germ_colength(J)
         for g, order in record.root_orders:
-            assert germ_member(g ** order, J, report)
-            assert not germ_member(g ** (order - 1), J, report)
+            assert germ_member(g ** order, J)
+            assert not germ_member(g ** (order - 1), J)
 
 
 def test_runs_never_reach_unit_with_a_curve_inside():

@@ -1,6 +1,8 @@
-"""The package's public names and what each CLI request loads."""
+"""The package's public names, what each CLI request loads, and unread imports."""
 
+import ast
 import copy
+import glob
 import importlib
 import json
 import os
@@ -214,3 +216,29 @@ def test_checked_records_refuse_an_invalid_field_on_every_path(good, field, bad)
         setattr(record, field, bad)
     # a valid record survives every path unchanged
     assert record._replace() == cls._make(record) == copy.copy(record) == record
+
+
+# -- imports --------------------------------------------------------------------
+
+
+def _unread_imports(path):
+    """Names the module at path imports and never reads."""
+    with open(path) as handle:
+        tree = ast.parse(handle.read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    return imported - {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    package = os.path.dirname(submult.__file__)
+    tests = os.path.dirname(os.path.abspath(__file__))
+    paths = glob.glob(os.path.join(package, "*.py")) + glob.glob(os.path.join(tests, "*.py"))
+    # the package's own imports are its public re-exports
+    paths.remove(os.path.join(package, "__init__.py"))
+    unread = {path: sorted(names) for path in sorted(paths) if (names := _unread_imports(path))}
+    assert unread == {}
