@@ -384,11 +384,14 @@ def _local_algebra(basis: Sequence[Polynomial], ring_dim: int) -> tuple[int, int
     point off the origin.  A zero-dimensional Q has finitely many standard
     monomials, L of them.  V(Q) lies in the origin exactly when R/Q is local
     of length L, so exactly when m^L lies in Q.  The normal forms of the
-    degree-d monomials come from those of degree d - 1 by
-    NF(x_j x^b) = NF(x_j NF(x^b)), and a monomial one of whose divisors is
-    in Q is in Q, so only nonzero normal forms are carried up.  A standard
-    monomial's divisors are standard, so it is live, and L is counted among
-    the live monomials as the table grows.
+    degree-d monomials come from those of degree d - 1: the normal form on a
+    Groebner basis is linear, so NF(x_j x^b) = sum c_s NF(x_j s) over the
+    terms c_s s of NF(x^b), every s standard.  Each x_j s that is not
+    standard is reduced once and remembered, so there are at most n L
+    reductions, and the forms are carried as term dicts.  A monomial one of
+    whose divisors is in Q is in Q, so only nonzero normal forms are carried
+    up.  A standard monomial's divisors are standard, so it is live, and L
+    is counted among the live monomials as the table grows.
     """
     leads = [leading_mono(g, GREVLEX) for g in basis]
     if not _zero_dimensional(leads, ring_dim):
@@ -397,21 +400,42 @@ def _local_algebra(basis: Sequence[Polynomial], ring_dim: int) -> tuple[int, int
     def standard(mono: Mono) -> bool:
         return not any(_mono_divides(lm, mono) for lm in leads)
 
+    monomial_forms: dict[Mono, dict[Mono, GaussianRational]] = {}
+
+    def monomial_form(mono: Mono) -> dict[Mono, GaussianRational]:
+        form = monomial_forms.get(mono)
+        if form is None:
+            if standard(mono):
+                form = {mono: GR_ONE}
+            else:
+                one_term = Polynomial._of(ring_dim, {mono: GR_ONE})
+                form = normal_form(one_term, basis, GREVLEX, leads).terms
+            monomial_forms[mono] = form
+        return form
+
     one = (0,) * ring_dim
-    live = {one: Polynomial.constant(ring_dim, 1)} if standard(one) else {}
+    live = {one: {one: GR_ONE}} if standard(one) else {}
     colength = len(live)
     for degree in itertools.count(1):
-        forms: dict[Mono, Polynomial] = {}
+        forms: dict[Mono, dict[Mono, GaussianRational]] = {}
         for mono, r in live.items():
             for j in range(ring_dim):
                 up = mono[:j] + (mono[j] + 1,) + mono[j + 1 :]
-                if up not in forms:
-                    # x_j r, as a shift of r's exponents
-                    xr = Polynomial._of(
-                        ring_dim, {m[:j] + (m[j] + 1,) + m[j + 1 :]: c for m, c in r.terms.items()}
-                    )
-                    forms[up] = normal_form(xr, basis, GREVLEX, leads)
-        live = {mono: r for mono, r in forms.items() if not r.is_zero()}
+                if up in forms:
+                    continue
+                acc: dict[Mono, GaussianRational] = {}
+                for s, c in r.items():
+                    for m, c2 in monomial_form(s[:j] + (s[j] + 1,) + s[j + 1 :]).items():
+                        term = c if c2 is GR_ONE else c * c2  # a standard x_j s is its own form
+                        t = acc.get(m)
+                        if t is None:
+                            acc[m] = term
+                        elif t := t + term:
+                            acc[m] = t
+                        else:
+                            del acc[m]
+                forms[up] = acc
+        live = {mono: r for mono, r in forms.items() if r}
         if not live:
             return colength, degree
         colength += sum(1 for mono in live if standard(mono))
@@ -493,7 +517,10 @@ def root_order(f: Polynomial, ideal: Ideal) -> int | None:
     report = germ_colength(ideal)
     if report.m_primary:
         basis, bound = report.basis, report.stabilization_degree
-        return least_power(f, lambda p: normal_form(p, basis, GREVLEX).is_zero(), bound)
+        leads = [leading_mono(g, GREVLEX) for g in basis]
+        return least_power(
+            f, lambda p: normal_form(p, basis, GREVLEX, leads).is_zero(), bound
+        )
     if not is_germ_unit(_saturation(ideal, f)):
         return None
     return least_power(f, lambda p: germ_member(p, ideal), None)

@@ -2,12 +2,14 @@
 
 A triangular system in n variables has h_i depending only on z_1..z_i with
 pure part z_i^{m_i} (unit coefficients already normalized away).  The ladder
-walks the exponent box [1..m_1] x ... x [1..m_n]; at each position it forms a
-lower-triangular matrix of gradient rows whose determinant is the certified
-multiplier B, takes the bounded root A, and records the rows used so the
-whole trace can be re-verified mechanically.  The ladder has exactly
-prod(m_i) rungs, the multiplicity of the system, and every root taken has
-order at most n.
+walks the exponent box [1..m_1] x ... x [1..m_n]; at each position it picks
+n sources, the i-th free of every variable after z_i, so their gradient rows
+form a lower-triangular matrix whose determinant, the certified multiplier
+B, is the product of the diagonal entries d s_i / d z_i.  It takes the
+bounded root A and records the sources so the whole trace can be
+re-verified mechanically; certify checks that the recorded rows have that
+shape before it recomputes B.  The ladder has exactly prod(m_i) rungs, the
+multiplicity of the system, and every root taken has order at most n.
 """
 
 from __future__ import annotations
@@ -15,11 +17,11 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .errors import CertificationError, ConsistencyError, ValidationError
 from .ideals import Ideal, germ_colength
-from .poly import GaussianRational, Polynomial, det, divides, format_poly, least_power
+from .poly import GaussianRational, Polynomial, divides, format_poly, least_power
 
 
 class TriangularSystem(NamedTuple):
@@ -30,9 +32,6 @@ class TriangularSystem(NamedTuple):
     @property
     def n(self) -> int:
         return len(self.variables)
-
-    def jacobian_rows(self) -> tuple[tuple[Polynomial, ...], ...]:
-        return tuple(p.gradient() for p in self.h)
 
 
 def validate(h_polys, variables) -> TriangularSystem:
@@ -119,6 +118,36 @@ class EffectiveTrace(NamedTuple):
         }
 
 
+def _shape_fault(sources: Sequence[Polynomial], n: int) -> str | None:
+    """Why the gradient rows of the sources are not lower triangular, or None."""
+    if len(sources) < n:
+        return f"row {len(sources) + 1} is missing"
+    if len(sources) > n:
+        return f"row {n + 1} is one too many for {n} variables"
+    for i, s in enumerate(sources, 1):
+        if s.ring_dim != n:
+            return f"row {i} lives in another ring"
+        if any(any(m[i:]) for m in s.terms):
+            return f"row {i} depends on a variable after z_{i}"
+    return None
+
+
+def _diagonal_det(sources: Sequence[Polynomial], n: int) -> Polynomial | None:
+    """Determinant of the gradient rows of n sources, or None unless lower triangular.
+
+    In characteristic 0, d s_i / d z_j vanishes exactly when s_i is free of
+    z_j, so the rows are lower triangular when each s_i is free of every
+    later variable, and the determinant of a triangular matrix is the
+    product of its diagonal.
+    """
+    if _shape_fault(sources, n) is not None:
+        return None
+    out = sources[0].diff(0)
+    for i in range(1, n):
+        out = out * sources[i].diff(i)
+    return out
+
+
 def _derivative_ladder(system: TriangularSystem) -> list[list[Polynomial]]:
     out = []
     for i, p in enumerate(system.h):
@@ -142,7 +171,9 @@ def run_effective(system: TriangularSystem) -> EffectiveTrace:
         for i in range(1, n):
             sources.append(system.h[i] if a[i] == 1 else prefix * D[i][a[i] - 1])
             prefix = prefix * D[i][a[i]]
-        B = det([s.gradient() for s in sources])
+        B = _diagonal_det(sources, n)
+        if B is None:  # only a system built without validate
+            raise CertificationError(f"pair {index}: {_shape_fault(sources, n)}")
         A = prefix  # product of the current derivatives D^{a_i} h_i
         e = least_power(A, lambda p: divides(B, p), n)
         if e is None:
@@ -226,7 +257,7 @@ def certify(trace: EffectiveTrace, system: TriangularSystem) -> CertifyReport:
         checks.append(("colength", colength == trace.L, f"colength={colength}"))
     except ConsistencyError as exc:
         checks.append(("colength", False, str(exc)))
-    jac = det(list(system.jacobian_rows()))
+    jac = _diagonal_det(system.h, n)
     if trace.pairs:
         first = trace.pairs[0]
         checks.append(
@@ -245,12 +276,14 @@ def certify(trace: EffectiveTrace, system: TriangularSystem) -> CertifyReport:
             )
         )
     for pair in trace.pairs:
-        recomputed = det([s.gradient() for s in pair.sources])
+        recomputed = _diagonal_det(pair.sources, n)
         checks.append(
             (
                 f"pair_{pair.index}_minor",
                 recomputed == pair.B,
-                "B is the determinant of the recorded allowable rows",
+                "B is the determinant of the recorded allowable rows"
+                if recomputed is not None
+                else _shape_fault(pair.sources, n),
             )
         )
         e = least_power(pair.A, lambda p: divides(pair.B, p), n)

@@ -385,6 +385,28 @@ def test_isolated_germs_make_no_scan(monkeypatch):
     assert calls == []
 
 
+def test_local_algebra_reduces_each_nonstandard_monomial_once(monkeypatch):
+    rng = random.Random(2028)
+    systems = [random_system(rng) for _ in range(12)]
+    cases = [(s.n, Ideal(s.n, s.h).groebner()) for s in systems]
+    triangular = ideal("z^3", "w^2 + (2 - i)*z*w + z^2", "v^2 + 3*w*v - z", variables=ZWV)
+    cases.append((3, triangular.groebner()))
+    reduced = []
+
+    def counting(f, *args):
+        reduced.append(f)
+        return normal_form(f, *args)
+
+    monkeypatch.setattr(ideals, "normal_form", counting)
+    for n, basis in cases:
+        reduced.clear()
+        colength, _ = ideals._local_algebra(basis, n)
+        assert all(f.is_monomial() for f in reduced)
+        monos = [next(iter(f.terms)) for f in reduced]
+        assert len(set(monos)) == len(monos)
+        assert len(reduced) <= n * colength
+
+
 def test_isolated_origin_beside_a_curve():
     # V(I) is the origin plus the line z = 1, so I is not zero-dimensional
     for gens, colength in [(("z^2 - z", "z*w - w"), 1), (("z^3 - z^2", "z*w - w"), 2)]:
@@ -452,6 +474,13 @@ def test_colength_matches_truncation_scan_on_random_ideals():
     for _ in range(20):
         system = random_system(rng, max_n=2)
         assert _assert_matches_scan(Ideal(system.n, system.h), system.variables).m_primary
+    # three variables with exponents at most 2 keep the scan's bases small
+    drawn = 0
+    while drawn < 8:
+        system = random_system(rng)
+        if system.n == 3 and max(system.exponents) <= 2:
+            assert _assert_matches_scan(Ideal(3, system.h), system.variables).m_primary
+            drawn += 1
 
 
 @pytest.mark.parametrize("gens, colength", OFF_ORIGIN_POINTS)

@@ -3,11 +3,12 @@ import random
 
 import pytest
 
-from submult.errors import ValidationError
+from submult.errors import CertificationError, ValidationError
 from submult.ideals import Ideal, germ_member
 from submult.kohn import SpecialDomain, run
 from submult.poly import det, format_poly, parse
 from submult.triangular import (
+    TriangularSystem,
     certify,
     multiplicity,
     random_system,
@@ -20,6 +21,10 @@ ZW = ("z", "w")
 
 def system(*h, variables=ZW):
     return validate([parse(s, variables) for s in h], variables)
+
+
+def gradient_rows(polys):
+    return [p.gradient() for p in polys]
 
 
 def monic_sequence(trace, variables=ZW):
@@ -115,13 +120,13 @@ def test_ladder_mixed_tail():
 def test_first_pair_is_jacobian_determinant():
     ts = system("z^2", "w^3 + w*z^4")
     trace = run_effective(ts)
-    jac = det(list(ts.jacobian_rows()))
+    jac = det(gradient_rows(ts.h))
     assert trace.pairs[0].A == trace.pairs[0].B == jac
 
 
 def test_triangular_jacobian_is_diagonal_product():
     ts = system("z^3", "w^2 + z*(z + w)")
-    jac = det(list(ts.jacobian_rows()))
+    jac = det(gradient_rows(ts.h))
     diagonal = ts.h[0].diff(0) * ts.h[1].diff(1)
     assert jac == diagonal
 
@@ -147,10 +152,34 @@ def test_certify_flags_first_pair_off_by_a_constant():
     # B_1 is exactly the Jacobian determinant, and A_1 its diagonal product
     ts = system("z^2", "w^2")
     trace = run_effective(ts)
-    doubled = 2 * det(list(ts.jacobian_rows()))
+    doubled = 2 * det(gradient_rows(ts.h))
     first = trace.pairs[0]._replace(A=doubled, B=doubled)
     report = certify(trace._replace(pairs=(first,) + trace.pairs[1:]), ts)
     assert not {name: ok for name, ok, _ in report.checks}["first_pair"]
+
+
+@pytest.mark.parametrize(
+    "sources, detail",
+    [
+        (lambda s: s[:1], "row 2 is missing"),
+        (lambda s: (s[0], parse("w", ("z", "w", "v"))), "row 2 lives in another ring"),
+        (lambda s: (s[0] * parse("w", ZW), s[1]), "row 1 depends on a variable after z_1"),
+    ],
+    ids=["too-few-rows", "another-ring", "later-variable"],
+)
+def test_certify_fails_a_malformed_pair_without_raising(sources, detail):
+    ts = system("z^2", "w^2")
+    trace = run_effective(ts)
+    bad = trace.pairs[1]._replace(sources=sources(trace.pairs[1].sources))
+    report = certify(trace._replace(pairs=trace.pairs[:1] + (bad,) + trace.pairs[2:]), ts)
+    assert report.failures() == (f"pair_2_minor: {detail}",)
+
+
+def test_ladder_refuses_rows_that_are_not_lower_triangular():
+    # validate rejects this system; built by hand, its first row depends on w
+    ts = TriangularSystem(ZW, (parse("z + w^2", ZW), parse("w^2", ZW)), (1, 2))
+    with pytest.raises(CertificationError, match="pair 1: row 1 depends on a variable after z_1"):
+        run_effective(ts)
 
 
 def test_trace_serialization():
@@ -176,6 +205,19 @@ def test_randomized_triangular_suite():
         assert all(p.min_power <= ts.n for p in trace.pairs)
         last = trace.pairs[-1]
         assert last.A.constant_term() and last.B.constant_term()
+
+
+def test_diagonal_products_match_the_full_determinant():
+    # det of every gradient entry is the oracle for the diagonal product
+    rng = random.Random(28)
+    for _ in range(20):
+        ts = random_system(rng)
+        trace = run_effective(ts)
+        first = trace.pairs[0]
+        assert first.A == first.B == det(gradient_rows(ts.h))
+        for pair in trace.pairs:
+            assert pair.B == det(gradient_rows(pair.sources))
+        assert certify(trace, ts).passed
 
 
 # -- cross-module ------------------------------------------------------------------------
