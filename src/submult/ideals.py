@@ -59,7 +59,8 @@ def order_monic(p: Polynomial, order: MonomialOrder) -> Polynomial:
 
 
 def _monic(p: Polynomial, lead: Mono) -> Polynomial:
-    return p * (GR_ONE / p.terms[lead])
+    c = p.terms[lead]
+    return p if c == GR_ONE else p * (GR_ONE / c)
 
 
 def normal_form(

@@ -274,6 +274,14 @@ def test_interreduced_generators_are_monic_sorted_and_reduced(gens):
         assert ideals._groebner_raw(out, order) == ideals._groebner_raw(polys, order)
 
 
+def test_monic_keeps_a_polynomial_whose_lead_coefficient_is_one():
+    g = p("z^2*w - 3*v + i", ZWV)
+    for order in (ideals.GREVLEX, ideals.LEX):
+        lead = ideals.leading_mono(g, order)
+        assert ideals._monic(g, lead) is g
+        assert ideals._monic(g * GaussianRational(2, 1), lead) == g
+
+
 # The lex basis of the (3, 3, 1) cliff; sympy needs seconds to check it.
 CLIFF_331_LEX = (
     "v^9",

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import coefficients, nonzero_polynomials, polynomials
 from submult.errors import DimensionMismatchError, ParseError, ValidationError
+from submult import poly
 from submult.poly import (
     GaussianRational,
     Polynomial,
@@ -337,6 +338,68 @@ def test_det_lower_triangular_is_diagonal_product():
     assert det(rows) == p("z^2") * p("w^2")
 
 
+@pytest.mark.parametrize("rows", [[], [(p("z"), p("w"))], [(p("z"),), (p("w"), p("1"))]])
+def test_det_refuses_an_empty_or_non_square_matrix(rows):
+    with pytest.raises(ValidationError):
+        det(rows)
+
+
+def test_minors_refuse_a_matrix_without_columns():
+    with pytest.raises(ValidationError):
+        minor_dets(PolyMatrix(((), ())))
+
+
+ZWV = ("z", "w", "v")
+# zero-heavy rows over three variables: a zero entry half the time, else a
+# nonzero term plus at most one more
+_entries = st.one_of(
+    st.just(Polynomial.zero(3)),
+    st.builds(
+        lambda mono, coeff, rest: Polynomial.monomial(mono, coeff) + rest,
+        st.tuples(*[st.integers(min_value=0, max_value=2)] * 3),
+        coefficients().filter(bool),
+        polynomials(dim=3, max_degree=2, max_terms=1),
+    ),
+)
+_rows = st.tuples(_entries, _entries, _entries)
+
+
+@given(
+    st.lists(_rows, min_size=1, max_size=6),
+    st.lists(st.integers(min_value=0, max_value=6), min_size=3, max_size=6),
+)
+def test_minors_match_permutation_expansion_of_each_row_subset(pool, picks):
+    # rows repeat when a pool row is picked twice, and are zero when all
+    # three of their entries are; a zero row is always in the pool
+    pool = [(Polynomial.zero(3),) * 3, *pool]
+    rows = tuple(pool[i % len(pool)] for i in picks)
+    combos = itertools.combinations(range(len(rows)), 3)
+    assert minor_dets(PolyMatrix(rows)) == [_leibniz_det([rows[i] for i in c]) for c in combos]
+
+
+def test_minors_share_the_sub_minors_of_common_row_tails(monkeypatch):
+    # each of the 20 row subsets takes 3 products along its first row, and the
+    # 30 distinct 2 x 2 minors of later rows 2 each: 120 (separately, 180)
+    entry = "z^{} + {}*w*v^{} + v^{}"
+    rows = tuple(
+        tuple(p(entry.format(i + 1, j + 2, i, j + 1), ZWV) for j in range(3)) for i in range(6)
+    )
+    calls = []
+    product = Polynomial.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return product(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counted)
+    dets = minor_dets(PolyMatrix(rows))
+    assert len(calls) <= 120
+    monkeypatch.undo()
+    combos = itertools.combinations(range(6), 3)
+    assert dets == [_leibniz_det([rows[i] for i in c]) for c in combos]
+    assert all(not d.is_zero() for d in dets)
+
+
 # -- division, gcd, squarefree parts ------------------------------------------------
 
 
@@ -414,9 +477,11 @@ def test_gcd_and_squarefree_part_match_sympy(seed):
         return sympy.Poly.from_dict(coeffs, *gens, domain=QQ_I)
 
     a, b, shared, repeated = (_gaussian_polynomial(rng, len(gens)) for _ in range(4))
-    f = a * shared * repeated**2
+    # a monomial factor in each, which squarefree_part splits off first
+    x_f, x_g = (Polynomial.monomial(tuple(rng.randint(0, 3) for _ in gens)) for _ in range(2))
+    f = a * shared * repeated**2 * x_f
     # monic in sympy's order on both sides: equal exactly when equal up to a constant
-    for g in (b * shared * repeated, b * shared * repeated**2):
+    for g in (b * shared * repeated * x_g, b * shared * repeated**2 * x_g):
         assert to_qq_i(poly_gcd(f, g)).monic() == to_qq_i(f).gcd(to_qq_i(g)).monic()
         assert to_qq_i(squarefree_part(g)).monic() == to_qq_i(g).sqf_part().monic()
     assert to_qq_i(squarefree_part(f)).monic() == to_qq_i(f).sqf_part().monic()
@@ -440,6 +505,23 @@ def test_squarefree_of_constructed_square():
 def test_squarefree_rejects_zero():
     with pytest.raises(ValidationError):
         squarefree_part(p("0"))
+
+
+@pytest.mark.parametrize("exponents", [(), (0, 0, 0), (1, 0, 0), (0, 4, 0), (3, 1, 2), (5, 5, 5)])
+def test_squarefree_part_of_a_monomial_takes_no_gcd(exponents, monkeypatch):
+    calls = []
+    monkeypatch.setattr(poly, "poly_gcd", lambda f, g: calls.append(1))
+    unit = GaussianRational(Fraction(-2, 3), 5)
+    result = squarefree_part(Polynomial.monomial(exponents, unit))
+    # a constant's part is 1
+    assert result == Polynomial.monomial(tuple(min(e, 1) for e in exponents))
+    assert calls == []
+
+
+def test_monic_keeps_a_polynomial_whose_lead_is_one():
+    q = p("z^2 - 3*w")
+    assert q.monic() is q
+    assert p("2*z^2 - 6*w").monic() == q
 
 
 def test_real_gaussian_rationals_hash_like_their_rationals():
