@@ -264,8 +264,11 @@ def contact_bound(args):
     from . import contact as _contact
 
     base = _contact.rational(args.base, "--base")
-    ok = _contact.type_bound_check(base, _contact.rational(args.nearby, "--nearby"), args.dim)
-    _emit(args, {"ok": ok, "limit": str(_contact.type_bound_limit(base, args.dim))})
+    nearby = _contact.rational(args.nearby, "--nearby")
+    limit = _contact.type_bound_limit(base, args.dim)  # checks --base and --dim
+    if nearby <= 0:
+        raise ValidationError("contact orders must be positive")
+    _emit(args, {"ok": nearby <= limit, "limit": str(limit)})
 
 
 @_command("reproduce", ("--filter", dict(help="fnmatch pattern on case ids")))

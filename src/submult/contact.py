@@ -12,12 +12,13 @@ weight lines.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ConsistencyError, ParseError, ValidationError, checked
-from .poly import GR_I, GR_ONE, GR_ZERO, GaussianRational, Polynomial, parse
+from .poly import _POWER_BITS, GR_I, GR_ONE, GR_ZERO, GaussianRational, Polynomial, parse
 
 
 @checked
@@ -133,11 +134,16 @@ class CurveFamily(NamedTuple):
 
 
 def rational(value, name: str) -> Fraction:
-    """An input rational, read as Fraction reads it.
+    """An input rational: an integer, p/q or a decimal, read as Fraction reads it.
 
-    A malformed value or a zero denominator is a ValidationError naming the
-    input.
+    A malformed value, a zero denominator or exponent notation is a
+    ValidationError naming the input; Fraction would expand an exponent such
+    as 1e-9999999 into all of its digits.
     """
+    if isinstance(value, str) and re.search(r"[\d.][eE]", value):
+        raise ValidationError(
+            f"{name}: {value!r} is in exponent notation; write an integer, p/q or a decimal"
+        )
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
@@ -401,17 +407,28 @@ def type_jump_domain(l: int, m: int) -> AmbientDomain:
 
 
 def type_bound_limit(t_base: Fraction, dim: int) -> Fraction:
-    """The sharp jump bound t0^(n-1)/2^(n-2) on nearby contact orders."""
-    return Fraction(t_base) ** (dim - 1) / Fraction(2) ** (dim - 2)
+    """The sharp jump bound t0^(n-1)/2^(n-2) on nearby contact orders.
+
+    t0^(n-1) may take no more bits than the parser allows a '^'.
+    """
+    t_base = Fraction(t_base)
+    if t_base <= 0:
+        raise ValidationError("contact orders must be positive")
+    if dim < 2:
+        raise ValidationError("dimension must be at least 2")
+    bits = max(t_base.numerator.bit_length(), t_base.denominator.bit_length())
+    if (dim - 1) * bits > _POWER_BITS:
+        raise ValidationError(
+            f"dimension {dim} too large: t0^{dim - 1} would take more than {_POWER_BITS:,} bits"
+        )
+    return t_base ** (dim - 1) / Fraction(2) ** (dim - 2)
 
 
 def type_bound_check(t_base: Fraction, t_nearby: Fraction, dim: int) -> bool:
     """Nearby contact order against the sharp jump bound."""
-    t_base, t_nearby = Fraction(t_base), Fraction(t_nearby)
-    if t_base <= 0 or t_nearby <= 0:
+    t_nearby = Fraction(t_nearby)
+    if t_nearby <= 0:
         raise ValidationError("contact orders must be positive")
-    if dim < 2:
-        raise ValidationError("dimension must be at least 2")
     return t_nearby <= type_bound_limit(t_base, dim)
 
 

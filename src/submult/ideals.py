@@ -6,7 +6,8 @@ exactly.  Saturations I : x_i^inf, computed by eliminating a Rabinowitsch
 variable, decide whether the origin is an isolated point of V(I); only then
 is the colength finite.  It is read off the reduced basis of the local
 component Q, the m-primary component of I at the origin, which is I itself
-or one more saturation I : f^inf; each ideal caches that report.  Germ
+or one more saturation I : f^inf; each ideal caches that report.  A
+monomial ideal needs no saturation: its leads decide isolation.  Germ
 membership is the test that the quotient I : f contains a unit at the
 origin, and the root orders of an m-primary germ are normal forms on GB(Q).
 """
@@ -178,8 +179,21 @@ def _groebner_raw(gens: Sequence[Polynomial], order: MonomialOrder) -> tuple[Pol
     least lcm first, ties by index, and S-polynomials reduce against the
     active set: the elements whose leads no later lead divides.  At the end
     the active set is a minimal basis, and interreducing it makes it reduced.
+
+    A monomial ideal takes no pairs: every S-polynomial of two monomials is
+    zero, so its reduced basis is its minimal generators, monic and in
+    ascending order (Cox-Little-O'Shea, Ch. 2, Secs. 4 and 7), which is what
+    interreducing them returns.
     """
-    reduced = _interreduce(((leading_mono(g, order), g) for g in gens if not g.is_zero()), order)
+    gens = [g for g in gens if not g.is_zero()]
+    if all(g.is_monomial() for g in gens):
+        # a lead divides only monomials at or above it, so the earlier ones decide
+        minimal: list[Mono] = []
+        for m in sorted({next(iter(g.terms)) for g in gens}, key=order):
+            if not any(_mono_divides(lm, m) for lm in minimal):
+                minimal.append(m)
+        return tuple(Polynomial._of(len(m), {m: GR_ONE}) for m in minimal)
+    reduced = _interreduce(((leading_mono(g, order), g) for g in gens), order)
     leads = [lm for lm, _ in reduced]
     basis = [g for _, g in reduced]
     active: list[int] = []
@@ -483,13 +497,21 @@ def germ_colength(ideal: Ideal) -> GermReport:
     monomials of GB(Q) and the stabilization degree the least N with m^N in
     Q.  Then I + m^N = Q, so the reported basis is also the reduced basis of
     that truncation.  The report is computed once per ideal and cached.
+
+    A monomial I needs no witness: V(I) is a union of coordinate subspaces,
+    and a variable with no pure power among the leads puts its whole axis in
+    V(I), so when GB(I) is not zero-dimensional the origin is not isolated.
     """
     report = ideal._cache.get(GermReport)
     if report is not None:
         return report
     basis = ideal.groebner()
     local = _local_algebra(basis, ideal.ring_dim)
-    if local is None and (f := _isolating_witness(ideal)) is not None:
+    if (
+        local is None
+        and not all(g.is_monomial() for g in basis)  # a monomial I needs no witness
+        and (f := _isolating_witness(ideal)) is not None
+    ):
         basis = _saturation(ideal, f).groebner()
         local = _local_algebra(basis, ideal.ring_dim)
     report = GermReport(None, None) if local is None else GermReport(*local, basis)

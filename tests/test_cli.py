@@ -524,6 +524,57 @@ def test_zero_denominator_rejected(tmp_path, capsys, argv, doc):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, doc, name",
+    [
+        (["contact", "formula", "--m1", "2", "--m2", "3", "--lambda", "1e-9999999"], None,
+         "--lambda"),
+        (["contact", "formula", "--m1", "2", "--m2", "3", "--lambda", "5E-1"], None, "--lambda"),
+        (["contact", "bound", "--base", "1e99999999", "--nearby", "1", "--dim", "3"], None,
+         "--base"),
+        (["contact", "bound", "--base", "2", "--nearby", ".5e1", "--dim", "3"], None, "--nearby"),
+        (["contact", "family"],
+         {**_CURVE_DOMAIN, "family": {"components": _FAMILY_TERMS, "alpha": "1e99999999"}},
+         "'alpha'"),
+    ],
+)
+def test_exponent_notation_rejected(tmp_path, capsys, argv, doc, name):
+    # Fraction would expand the exponent into all of its digits
+    if doc is not None:
+        argv = [*argv, "--config", write_config(tmp_path, doc)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert name in err and "exponent notation" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, same",
+    [
+        (["contact", "formula", "--m1", "2", "--m2", "3", "--lambda", "0.5"], "1/2"),
+        (["contact", "bound", "--base", "4.0", "--nearby", "8", "--dim", "3"], "4"),
+        (["contact", "bound", "--base", "4", "--nearby", "7.25", "--dim", "3"], "29/4"),
+    ],
+)
+def test_decimals_read_as_their_fractions(capsys, argv, same):
+    decimal = next(a for a in argv if "." in a)
+    _, expected, _ = run_cli(capsys, *[same if a == decimal else a for a in argv])
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out == expected
+
+
+def test_contact_bound_refuses_a_power_beyond_the_parser_bound(capsys):
+    # t0^(dim - 1) of a 2-bit base would take 600 million bits
+    code, out, err = run_cli(
+        capsys, "contact", "bound", "--base", "3", "--nearby", "1", "--dim", "300000000"
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: dimension 300000000 too large") and err.count("\n") == 1
+
+
 # -- reproduce -----------------------------------------------------------------------------
 
 

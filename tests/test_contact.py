@@ -19,6 +19,7 @@ from submult.contact import (
     two_exponent_domain,
     two_exponent_family,
     type_bound_check,
+    type_bound_limit,
     type_jump_domain,
 )
 from conftest import coefficients, polynomials
@@ -354,6 +355,20 @@ def test_type_bound_rows():
     assert type_bound_check(Fraction(4), Fraction(4), 2)
     assert not type_bound_check(Fraction(4), Fraction(5), 2)
     assert type_bound_check(Fraction(6), Fraction(6), 4)
+
+
+def test_type_bound_limit_refuses_a_power_beyond_the_parser_bound():
+    # (dim - 1) times the bits of t0's numerator or denominator, at most 1,000,000
+    assert type_bound_limit(Fraction(1), 1_000_001) == Fraction(1, 2**999_999)
+    assert type_bound_limit(Fraction(1, 3), 500_001) == Fraction(1, 3**500_000 * 2**499_999)
+    for t_base, dim in [(Fraction(1), 1_000_002), (Fraction(1, 3), 500_002), (Fraction(3), 10**9)]:
+        with pytest.raises(ValidationError, match="too large"):
+            type_bound_limit(t_base, dim)
+        with pytest.raises(ValidationError, match="too large"):
+            type_bound_check(t_base, Fraction(1), dim)
+    for t_base, t_nearby, dim in [(0, 1, 3), (1, 0, 3), (1, 1, 1)]:
+        with pytest.raises(ValidationError):
+            type_bound_check(Fraction(t_base), Fraction(t_nearby), dim)
 
 
 def test_epsilon_bound():

@@ -3,7 +3,7 @@ import warnings
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import nonzero_polynomials, polynomials, sympy_local_colength, to_sympy
@@ -282,6 +282,73 @@ def test_monic_keeps_a_polynomial_whose_lead_coefficient_is_one():
         assert ideals._monic(g * GaussianRational(2, 1), lead) == g
 
 
+# -- monomial ideals: no Buchberger --------------------------------------------------
+
+ONE_TERM_COEFFS = [
+    GaussianRational(1),
+    GaussianRational(2),
+    GaussianRational(-3),
+    GaussianRational(0, 1),
+    GaussianRational(Fraction(1, 2), -1),
+]
+
+
+@st.composite
+def one_term_lists(draw):
+    # one-term generators in 2 or 3 variables, the constant 1 among them, some repeated
+    n = draw(st.integers(2, 3))
+    term = st.builds(
+        lambda mono, c: Polynomial(n, {mono: c}),
+        st.tuples(*[st.integers(0, 3)] * n),
+        st.sampled_from(ONE_TERM_COEFFS),
+    )
+    gens = draw(st.lists(term, max_size=6))
+    return gens + draw(st.lists(st.sampled_from(gens), max_size=3)) if gens else gens
+
+
+@given(one_term_lists())
+@example([])
+@example([p(g, ZWV) for g in ("2*w*v", "i*z", "w*v", "z^2*w", "2*w*v")])
+@example([p(g, ZWV) for g in ("z^3", "(1 - i)*w", "1", "z*w*v")])
+@example([p(g) for g in ("3*z*w", "z*w", "-w^2", "z^4", "i*z^2")])
+def test_monomial_basis_is_what_interreduction_returns(gens):
+    for order in (ideals.GREVLEX, ideals.LEX):
+        pairs = ideals._interreduce([(ideals.leading_mono(g, order), g) for g in gens], order)
+        assert ideals._groebner_raw(gens, order) == tuple(g for _, g in pairs)
+
+
+def test_monomial_basis_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(30)
+    for size in (1, 2, 3, 4, 5, 6):
+        gens = [
+            Polynomial(3, {tuple(rng.randint(0, 3) for _ in range(3)): rng.choice(ONE_TERM_COEFFS)})
+            for _ in range(size)
+        ]
+        _assert_kernel_matches_sympy(sympy, gens + gens[:2])
+    _assert_kernel_matches_sympy(sympy, [p(g, ZWV) for g in ("2*w*v", "i*z", "1", "w^3")])
+
+
+def test_monomial_ideal_basis_takes_no_normal_form(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return normal_form(*args, **kwargs)
+
+    monkeypatch.setattr(ideals, "normal_form", counting)
+    gens = ("z*w*v", "2*w^2*v^2", "z^2*v^2", "i*z^2*w^2", "z*w*v", "z^3*w*v^2")
+    I = ideal(*gens, variables=ZWV)
+    assert [format_poly(g, ZWV) for g in I.groebner()] == [
+        "z*w*v", "w^2*v^2", "z^2*v^2", "z^2*w^2"
+    ]
+    assert [format_poly(g, ZWV) for g in I.groebner(ideals.LEX)] == [
+        "w^2*v^2", "z*w*v", "z^2*v^2", "z^2*w^2"
+    ]
+    assert Ideal(3, []).groebner() == ()
+    assert calls == []
+
+
 # The lex basis of the (3, 3, 1) cliff; sympy needs seconds to check it.
 CLIFF_331_LEX = (
     "v^9",
@@ -515,7 +582,7 @@ def _lattice_count(exponent_sets, bound):
     # independent counting oracle for monomial ideals: walk the lattice
     count = 0
     for d in range(bound):
-        for mono in monomials_of_degree(2, d):
+        for mono in monomials_of_degree(len(exponent_sets[0]), d):
             if not any(all(m >= e for m, e in zip(mono, gen)) for gen in exponent_sets):
                 count += 1
     return count
@@ -523,12 +590,51 @@ def _lattice_count(exponent_sets, bound):
 
 @pytest.mark.parametrize(
     "gens",
-    [((2, 0), (0, 2)), ((3, 0), (1, 1), (0, 4)), ((2, 1), (1, 3), (5, 0), (0, 5))],
+    [
+        ((2, 0), (0, 2)),
+        ((3, 0), (1, 1), (0, 4)),
+        ((2, 1), (1, 3), (5, 0), (0, 5)),
+        ((2, 0, 0), (0, 2, 0), (0, 0, 2)),
+        ((3, 0, 0), (1, 1, 0), (0, 2, 0), (0, 1, 1), (1, 0, 1), (0, 0, 4)),
+        ((1, 1, 1), (4, 0, 0), (0, 3, 0), (0, 0, 2), (2, 2, 0)),
+    ],
 )
 def test_monomial_colength_matches_lattice_count(gens):
     polys = [Polynomial.monomial(g) for g in gens]
-    report = germ_colength(Ideal(2, polys))
+    report = germ_colength(Ideal(len(gens[0]), polys))
     assert report.colength == _lattice_count(gens, report.stabilization_degree + 1)
+
+
+def _random_monomial_ideals(rng, count):
+    # monomial ideals in 2 or 3 variables with some variable lacking a pure power
+    out = []
+    while len(out) < count:
+        n = rng.randint(2, 3)
+        monos = [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(0, 4))]
+        pure = {i for m in monos for i in range(n) if sum(m) == m[i]}
+        if len(pure) < n:  # no pure power of some variable, so never the constant 1
+            coeffs = [rng.choice(ONE_TERM_COEFFS) for _ in monos]
+            out.append(Ideal(n, [Polynomial.monomial(m, c) for m, c in zip(monos, coeffs)]))
+    return out
+
+
+def test_non_zero_dimensional_monomial_germs_need_no_saturation(monkeypatch):
+    cases = _random_monomial_ideals(random.Random(2030), 40)
+    # the saturation route agrees: some x_i-axis lies in V(I)
+    for I in cases:
+        assert ideals._isolating_witness(Ideal(I.ring_dim, I.generators)) is None
+    calls = []
+    eliminate = ideals._eliminate
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return eliminate(*args, **kwargs)
+
+    monkeypatch.setattr(ideals, "_eliminate", counting)
+    for I in cases:
+        report = germ_colength(I)
+        assert (report.colength, report.stabilization_degree, report.basis) == (None, None, None)
+    assert calls == []
 
 
 # -- germ membership and root orders -----------------------------------------------------
