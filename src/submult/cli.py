@@ -265,10 +265,38 @@ def contact_bound(args):
 
     base = _contact.rational(args.base, "--base")
     nearby = _contact.rational(args.nearby, "--nearby")
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no cap
+    unprintable = ValidationError(
+        f"dimension {args.dim} too large: --dim {args.dim} gives a limit of more than "
+        f"{digits:,} digits"
+    )
+    if digits and base > 0 and _limit_surely_longer(base, args.dim, digits):
+        raise unprintable
     limit = _contact.type_bound_limit(base, args.dim)  # checks --base and --dim
     if nearby <= 0:
         raise ValidationError("contact orders must be positive")
-    _emit(args, {"ok": nearby <= limit, "limit": str(limit)})
+    try:
+        text = str(limit)
+    except ValueError:  # a limit within the bit bound of _limit_surely_longer
+        raise unprintable from None
+    _emit(args, {"ok": nearby <= limit, "limit": text})
+
+
+def _limit_surely_longer(base, dim: int, digits: int) -> bool:
+    """Whether t0^(dim-1)/2^(dim-2) has a part of more digits than that, by bit lengths.
+
+    In lowest terms each part is y^(dim-1) 2^e, with y the odd part of t0's
+    numerator or t0's denominator.  A part is at least 2^((dim-1)(b-1) + e),
+    b the bit length of y, and 2^k exceeds 10^digits once k reaches the bit
+    length of 10^digits; so the power need not be built to refuse a large
+    dim, and a limit that passes has at most about twice that many bits.
+    """
+    p, q = base.numerator, base.denominator
+    twos = (p & -p).bit_length() - 1
+    shift = twos * (dim - 1) - (dim - 2)  # the power of 2 left in the numerator
+    floor = (10**digits).bit_length()
+    parts = ((p >> twos, max(shift, 0)), (q, max(-shift, 0)))
+    return any((dim - 1) * (y.bit_length() - 1) + e >= floor for y, e in parts)
 
 
 @_command("reproduce", ("--filter", dict(help="fnmatch pattern on case ids")))

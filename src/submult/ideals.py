@@ -316,13 +316,28 @@ def truncated_basis(ideal: Ideal, degree: int) -> tuple[Polynomial, ...]:
     return _groebner_raw(list(ideal.generators) + monos, GREVLEX)
 
 
-def _standard_monomial_count(basis: Sequence[Polynomial], ring_dim: int, bound: int) -> int:
+def _standard_monomial_count(basis: Sequence[Polynomial], ring_dim: int) -> int | None:
+    """dim k[x]/I for this reduced grevlex basis of I; None when it is infinite.
+
+    The standard monomials form an order ideal, every divisor of one being
+    standard, so those of degree d are the x_j s, s standard of degree
+    d - 1, that no lead divides, and the walk ends at the first degree with
+    none.  A pure-power lead in every variable makes their number finite.
+    """
     leads = [leading_mono(g, GREVLEX) for g in basis]
+    if not _zero_dimensional(leads, ring_dim):
+        return None
+
+    def standard(mono: Mono) -> bool:
+        return not any(_mono_divides(lm, mono) for lm in leads)
+
+    one = (0,) * ring_dim
+    layer = [one] if standard(one) else []
     count = 0
-    for d in range(bound):
-        for mono in monomials_of_degree(ring_dim, d):
-            if not any(_mono_divides(lm, mono) for lm in leads):
-                count += 1
+    while layer:
+        count += len(layer)
+        ups = {s[:j] + (s[j] + 1,) + s[j + 1 :] for s in layer for j in range(ring_dim)}
+        layer = [m for m in ups if standard(m)]
     return count
 
 

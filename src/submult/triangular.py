@@ -10,6 +10,13 @@ bounded root A and records the sources so the whole trace can be
 re-verified mechanically; certify checks that the recorded rows have that
 shape before it recomputes B.  The ladder has exactly prod(m_i) rungs, the
 multiplicity of the system, and every root taken has order at most n.
+
+The shape does more than fix the determinant.  The sources' diagonal
+entries share the ladder's products, so B = A C for a cofactor C built from
+them, and the least e with B | A^e is read from C alone.  And h_1 = z_1^{m_1}
+forces z_1 = 0 on V(h), after which h_i restricts to z_i^{m_i}, so V(h) is
+the origin alone: the colength of the germ is dim k[z]/(h), the number of
+standard monomials of the reduced grevlex basis.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .errors import CertificationError, ConsistencyError, ValidationError
-from .ideals import Ideal, germ_colength
+from .ideals import Ideal, _standard_monomial_count
 from .poly import GaussianRational, Polynomial, divides, format_poly, least_power
 
 
@@ -77,13 +84,23 @@ def validate(h_polys, variables) -> TriangularSystem:
 
 
 def multiplicity(system: TriangularSystem) -> int:
-    """Product of the pure-power exponents, cross-checked against the colength."""
+    """Product of the pure-power exponents, cross-checked against the colength.
+
+    A system that passes validate has V(h) = {0}: h_1 = z_1^{m_1}, and each
+    h_i is z_i^{m_i} on z_1 = ... = z_{i-1} = 0.  The germ colength is then
+    the global dim k[z]/(h), counted on the reduced grevlex basis.  The
+    shape is checked again here because it is what proves V(h) = {0}: a
+    system built by hand, such as (z^2, w^2 - w), may have points off the
+    origin that the global count would add in.
+    """
     expected = math.prod(system.exponents)
-    report = germ_colength(Ideal(system.n, system.h))
-    if report.colength != expected:
-        raise ConsistencyError(
-            f"colength {report.colength} disagrees with exponent product {expected}"
-        )
+    try:
+        validate(system.h, system.variables)
+    except ValidationError as exc:
+        raise ConsistencyError(f"the colength is not certified: {exc}") from None
+    colength = _standard_monomial_count(Ideal(system.n, system.h).groebner(), system.n)
+    if colength != expected:
+        raise ConsistencyError(f"colength {colength} disagrees with exponent product {expected}")
     return expected
 
 
@@ -159,28 +176,52 @@ def _derivative_ladder(system: TriangularSystem) -> list[list[Polynomial]]:
 
 
 def run_effective(system: TriangularSystem) -> EffectiveTrace:
-    """Walk the exponent box, producing the certified multiplier ladder."""
+    """Walk the exponent box, producing the certified multiplier ladder.
+
+    With D_i = d/dz_i, the position a takes the sources s_1 = D_1^{a_1 - 1} h_1
+    and, for i >= 2, s_i = h_i when a_i = 1 and P_i D_i^{a_i - 1} h_i
+    otherwise, where P_i = prod_{j<i} D_j^{a_j} h_j; its A is P_{n+1}.  P_i
+    is free of z_i, so d s_i / d z_i is D_i^{a_i} h_i times P_i when
+    a_i >= 2, and the diagonal product is B = A C with
+    C = prod_{i >= 2, a_i >= 2} P_i.  As A != 0, B divides A^e exactly when
+    C divides A^{e-1}: e = 1 for a constant C, and otherwise 1 plus the
+    least s <= n - 1 with C | A^s.  A prefix (a_1..a_i) keeps its sources,
+    P_{i+1} and partial cofactor for every position below it.
+    """
     n = system.n
-    m = system.exponents
     D = _derivative_ladder(system)
+    one = Polynomial.constant(n, 1)
+    # prefix (a_1..a_i) -> (s_1..s_i, P_{i+1}, the product of C's factors among them)
+    prefixes: dict[tuple[int, ...], tuple[tuple[Polynomial, ...], Polynomial, Polynomial]] = {}
+
+    def extend(a: tuple[int, ...]):
+        state = prefixes.get(a)
+        if state is None:
+            i, k = len(a) - 1, a[-1]
+            if i == 0:
+                state = ((D[0][k - 1],), D[0][k], one)  # D[0][0] is h_1
+            else:
+                sources, P, C = extend(a[:-1])
+                if k == 1:
+                    state = (sources + (system.h[i],), P * D[i][1], C)
+                else:
+                    state = (sources + (P * D[i][k - 1],), P * D[i][k], C * P)
+            prefixes[a] = state
+        return state
+
     pairs: list[MultiplierPair] = []
     # the deepest digit of the box runs fastest
-    for index, a in enumerate(itertools.product(*(range(1, k + 1) for k in m)), 1):
-        sources = [D[0][a[0] - 1]]  # D[0][0] is h_1
-        prefix = D[0][a[0]]
-        for i in range(1, n):
-            sources.append(system.h[i] if a[i] == 1 else prefix * D[i][a[i] - 1])
-            prefix = prefix * D[i][a[i]]
-        B = _diagonal_det(sources, n)
-        if B is None:  # only a system built without validate
-            raise CertificationError(f"pair {index}: {_shape_fault(sources, n)}")
-        A = prefix  # product of the current derivatives D^{a_i} h_i
-        e = least_power(A, lambda p: divides(B, p), n)
-        if e is None:
+    for index, a in enumerate(itertools.product(*(range(1, k + 1) for k in system.exponents)), 1):
+        sources, A, C = extend(a)
+        fault = _shape_fault(sources, n)
+        if fault is not None:  # only a system built without validate
+            raise CertificationError(f"pair {index}: {fault}")
+        s = 0 if C.is_constant() else least_power(A, lambda p: divides(C, p), n - 1)
+        if s is None:
             raise CertificationError(
                 f"pair {index}: certified determinant does not divide any A power up to {n}"
             )
-        pairs.append(MultiplierPair(index, B, A, tuple(sources), e))
+        pairs.append(MultiplierPair(index, A * C, A, sources, s + 1))
     last = pairs[-1]
     if not last.A.constant_term() or not last.B.constant_term():
         raise CertificationError("final pair is not a unit")

@@ -399,29 +399,25 @@ def test_triangular_run_at_high_exponent(tmp_path, capsys):
 
 def test_triangular_run_computes_the_colength_once(tmp_path, capsys, monkeypatch):
     from submult import triangular
-    from submult.ideals import germ_colength
+    from submult.ideals import _standard_monomial_count
 
-    reports = []
+    counts = []
 
-    def counting(ideal):
-        reports.append(germ_colength(ideal))
-        return reports[-1]
+    def counting(basis, ring_dim):
+        counts.append(_standard_monomial_count(basis, ring_dim))
+        return counts[-1]
 
-    monkeypatch.setattr(triangular, "germ_colength", counting)
+    monkeypatch.setattr(triangular, "_standard_monomial_count", counting)
     cfg = write_config(tmp_path, {**ZW_CONFIG, "h": ["z^2", "w^3 + w*z^4"]})
     code, out, _ = run_cli(capsys, "triangular", "run", "--config", cfg)
     assert code == 0 and json.loads(out)["multiplicity"] == 6
-    assert len(reports) == 1
+    assert counts == [6]
 
 
 def test_triangular_run_exits_on_a_colength_mismatch(tmp_path, capsys, monkeypatch):
     from submult import triangular
-    from submult.ideals import germ_colength
 
-    def wrong(ideal):
-        return germ_colength(ideal)._replace(colength=5)
-
-    monkeypatch.setattr(triangular, "germ_colength", wrong)
+    monkeypatch.setattr(triangular, "_standard_monomial_count", lambda basis, ring_dim: 5)
     cfg = write_config(tmp_path, {**ZW_CONFIG, "h": ["z^2", "w^3 + w*z^4"]})
     code, out, err = run_cli(capsys, "triangular", "run", "--config", cfg)
     assert code == 1 and out == ""
@@ -573,6 +569,24 @@ def test_contact_bound_refuses_a_power_beyond_the_parser_bound(capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error: dimension 300000000 too large") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "base, dim, printable",
+    [("3", "9013", True), ("3", "9014", False), ("3", "10000", False), ("3", "500001", False),
+     ("2", "10000", True), ("1/2", "7000", True), ("1/2", "8000", False)],
+)
+def test_contact_bound_refuses_a_limit_it_cannot_print(capsys, base, dim, printable):
+    # str() prints at most 4300 digits of an integer by default; 3^9012 has
+    # 4300 and 3^9013 has 4301, and 2^13997 has 4214 and 2^15997 has 4816
+    code, out, err = run_cli(capsys, "contact", "bound", "--base", base, "--nearby", "1",
+                             "--dim", dim)
+    if printable:
+        assert code == 0 and err == "" and json.loads(out)["limit"]
+    else:
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"--dim {dim}" in err and "4,300 digits" in err
 
 
 # -- reproduce -----------------------------------------------------------------------------

@@ -498,7 +498,7 @@ def _scan(I, cap=24):
     # the truncation scan on its own, up to a fixed degree
     prev = None
     for n in range(1, cap + 1):
-        d = _standard_monomial_count(truncated_basis(I, n), I.ring_dim, n)
+        d = _standard_monomial_count(truncated_basis(I, n), I.ring_dim)
         if d == prev:
             return d, n - 1, True
         prev = d
@@ -601,8 +601,21 @@ def _lattice_count(exponent_sets, bound):
 )
 def test_monomial_colength_matches_lattice_count(gens):
     polys = [Polynomial.monomial(g) for g in gens]
-    report = germ_colength(Ideal(len(gens[0]), polys))
+    ideal = Ideal(len(gens[0]), polys)
+    report = germ_colength(ideal)
     assert report.colength == _lattice_count(gens, report.stabilization_degree + 1)
+    # V(I) is the origin, so the global count agrees
+    assert _standard_monomial_count(ideal.groebner(), ideal.ring_dim) == report.colength
+
+
+def test_standard_monomial_count_is_global():
+    # V(z^2 - z, w^2) is the origin and (1, 0): the global count adds both points
+    ideal = Ideal.from_strings(["z^2 - z", "w^2"], ZW)
+    assert _standard_monomial_count(ideal.groebner(), 2) == 4
+    assert germ_colength(ideal).colength == 2
+    curve = Ideal.from_strings(["z^2"], ZW)
+    assert _standard_monomial_count(curve.groebner(), 2) is None
+    assert _standard_monomial_count(Ideal.from_strings(["1"], ZW).groebner(), 2) == 0
 
 
 def _random_monomial_ideals(rng, count):

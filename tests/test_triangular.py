@@ -3,12 +3,13 @@ import random
 
 import pytest
 
-from submult.errors import CertificationError, ValidationError
-from submult.ideals import Ideal, germ_member
+from submult.errors import CertificationError, ConsistencyError, ValidationError
+from submult.ideals import Ideal, _standard_monomial_count, germ_colength, germ_member
 from submult.kohn import SpecialDomain, run
-from submult.poly import det, format_poly, parse
+from submult.poly import det, divides, format_poly, least_power, parse
 from submult.triangular import (
     TriangularSystem,
+    _diagonal_det,
     certify,
     multiplicity,
     random_system,
@@ -88,6 +89,16 @@ def test_multiplicity_examples():
 
 def test_multiplicity_with_cross_terms():
     assert multiplicity(system("z^3", "w^3 + 2*z")) == 9
+
+
+def test_multiplicity_needs_the_triangular_shape():
+    # V(z^2, w^2 - w) is the origin and (0, 1): the germ colength is 2, and
+    # a bare global count would pass the exponent product 4
+    ts = TriangularSystem(ZW, (parse("z^2", ZW), parse("w^2 - w", ZW)), (2, 2))
+    with pytest.raises(ConsistencyError, match="h_2 is not normalized"):
+        multiplicity(ts)
+    report = certify(run_effective(ts), ts)
+    assert [name for name, ok, _ in report.checks if not ok] == ["colength"]
 
 
 # -- the ladder ----------------------------------------------------------------------
@@ -218,6 +229,34 @@ def test_diagonal_products_match_the_full_determinant():
         for pair in trace.pairs:
             assert pair.B == det(gradient_rows(pair.sources))
         assert certify(trace, ts).passed
+
+
+def _strata_sample(per_n=4):
+    # seeded random_system draws: the first per_n of each n, and the first
+    # of the largest stratum, exponents (3, 3, 3)
+    rng = random.Random(31)
+    by_n = {1: [], 2: [], 3: []}
+    cube = None
+    while cube is None or min(map(len, by_n.values())) < per_n:
+        ts = random_system(rng)
+        if len(by_n[ts.n]) < per_n:
+            by_n[ts.n].append(ts)
+        if cube is None and ts.exponents == (3, 3, 3):
+            cube = ts
+    return [*by_n[1], *by_n[2], *by_n[3], cube]
+
+
+def test_shortcuts_agree_with_their_definitions():
+    # B = A*C against the diagonal and the full determinant, the cofactor's
+    # least power against B | A^e, and the global count against the germ scan
+    for ts in _strata_sample():
+        trace = run_effective(ts)
+        for pair in trace.pairs:
+            assert pair.B == _diagonal_det(pair.sources, ts.n) == det(gradient_rows(pair.sources))
+            assert pair.min_power == least_power(pair.A, lambda p: divides(pair.B, p), ts.n)
+        ideal = Ideal(ts.n, ts.h)
+        count = _standard_monomial_count(ideal.groebner(), ts.n)
+        assert count == germ_colength(ideal).colength == multiplicity(ts) == trace.L
 
 
 # -- cross-module ------------------------------------------------------------------------
