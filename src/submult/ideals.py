@@ -316,15 +316,18 @@ def truncated_basis(ideal: Ideal, degree: int) -> tuple[Polynomial, ...]:
     return _groebner_raw(list(ideal.generators) + monos, GREVLEX)
 
 
-def _standard_monomial_count(basis: Sequence[Polynomial], ring_dim: int) -> int | None:
-    """dim k[x]/I for this reduced grevlex basis of I; None when it is infinite.
+def _standard_monomial_count(
+    basis: Sequence[Polynomial], ring_dim: int, order: MonomialOrder
+) -> int | None:
+    """dim k[x]/I for this reduced basis of I in order; None when it is infinite.
 
-    The standard monomials form an order ideal, every divisor of one being
-    standard, so those of degree d are the x_j s, s standard of degree
-    d - 1, that no lead divides, and the walk ends at the first degree with
-    none.  A pure-power lead in every variable makes their number finite.
+    The count is the same in every monomial order.  The standard monomials
+    form an order ideal, every divisor of one being standard, so those of
+    degree d are the x_j s, s standard of degree d - 1, that no lead
+    divides, and the walk ends at the first degree with none.  A pure-power
+    lead in every variable makes their number finite.
     """
-    leads = [leading_mono(g, GREVLEX) for g in basis]
+    leads = [leading_mono(g, order) for g in basis]
     if not _zero_dimensional(leads, ring_dim):
         return None
 

@@ -16,7 +16,10 @@ entries share the ladder's products, so B = A C for a cofactor C built from
 them, and the least e with B | A^e is read from C alone.  And h_1 = z_1^{m_1}
 forces z_1 = 0 on V(h), after which h_i restricts to z_i^{m_i}, so V(h) is
 the origin alone: the colength of the germ is dim k[z]/(h), the number of
-standard monomials of the reduced grevlex basis.
+standard monomials of a reduced basis in any order.  The lex order with
+z_n > ... > z_1 suits the shape: h_1 = z_1^{m_1}, and each h_i leads with
+a power of z_i times a monomial in earlier variables, so the system is
+nearly a lex basis already.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .errors import CertificationError, ConsistencyError, ValidationError
-from .ideals import Ideal, _standard_monomial_count
+from .ideals import LEX, Ideal, _standard_monomial_count
 from .poly import GaussianRational, Polynomial, divides, format_poly, least_power
 
 
@@ -88,17 +91,20 @@ def multiplicity(system: TriangularSystem) -> int:
 
     A system that passes validate has V(h) = {0}: h_1 = z_1^{m_1}, and each
     h_i is z_i^{m_i} on z_1 = ... = z_{i-1} = 0.  The germ colength is then
-    the global dim k[z]/(h), counted on the reduced grevlex basis.  The
-    shape is checked again here because it is what proves V(h) = {0}: a
-    system built by hand, such as (z^2, w^2 - w), may have points off the
-    origin that the global count would add in.
+    the global dim k[z]/(h), counted on the reduced lex basis with the
+    variables reversed, z_n > ... > z_1, the order in which the system is
+    nearly a basis already.  The shape is checked again here because it is
+    what proves V(h) = {0}: a system built by hand, such as (z^2, w^2 - w),
+    may have points off the origin that the global count would add in.
     """
     expected = math.prod(system.exponents)
     try:
         validate(system.h, system.variables)
     except ValidationError as exc:
         raise ConsistencyError(f"the colength is not certified: {exc}") from None
-    colength = _standard_monomial_count(Ideal(system.n, system.h).groebner(), system.n)
+    n = system.n
+    last_first = [p.lift(n, range(n - 1, -1, -1)) for p in system.h]
+    colength = _standard_monomial_count(Ideal(n, last_first).groebner(LEX), n, LEX)
     if colength != expected:
         raise ConsistencyError(f"colength {colength} disagrees with exponent product {expected}")
     return expected

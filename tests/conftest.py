@@ -14,6 +14,21 @@ settings.register_profile(
 )
 settings.load_profile("exact")
 
+# Two Groebner cliffs of the benchmark panel: draws of triangular.random_system's
+# distribution in z, w, v with exponents (3, 3, 1) and (3, 3, 3).  Their
+# grevlex bases take 35 and 22 S-pairs.  Their lex bases take 76 and 486 with
+# z > w > v, but 30 and 2 with v > w > z: there each generator's lead is a
+# power of its last variable times earlier ones, and the system is nearly a
+# lex basis already.
+CLIFFS = {
+    (3, 3, 1): ("z^3", "w^3 + (1 - i)*z^2 - z", "-w^2*v^2 + z*w^2*v + 3*w*v^2 + v - 2*w"),
+    (3, 3, 3): (
+        "z^3",
+        "z*w^3 + z^2*w^2 + w^3 - 2*z^2 - 2*z",
+        "(3 + i)*z*w^2*v - 2*z*w^3 + v^3 - 3*z*w*v",
+    ),
+}
+
 
 def coefficients():
     rational = st.fractions(min_value=-4, max_value=4, max_denominator=3)

@@ -403,8 +403,8 @@ def test_triangular_run_computes_the_colength_once(tmp_path, capsys, monkeypatch
 
     counts = []
 
-    def counting(basis, ring_dim):
-        counts.append(_standard_monomial_count(basis, ring_dim))
+    def counting(basis, ring_dim, order):
+        counts.append(_standard_monomial_count(basis, ring_dim, order))
         return counts[-1]
 
     monkeypatch.setattr(triangular, "_standard_monomial_count", counting)
@@ -417,7 +417,7 @@ def test_triangular_run_computes_the_colength_once(tmp_path, capsys, monkeypatch
 def test_triangular_run_exits_on_a_colength_mismatch(tmp_path, capsys, monkeypatch):
     from submult import triangular
 
-    monkeypatch.setattr(triangular, "_standard_monomial_count", lambda basis, ring_dim: 5)
+    monkeypatch.setattr(triangular, "_standard_monomial_count", lambda basis, ring_dim, order: 5)
     cfg = write_config(tmp_path, {**ZW_CONFIG, "h": ["z^2", "w^3 + w*z^4"]})
     code, out, err = run_cli(capsys, "triangular", "run", "--config", cfg)
     assert code == 1 and out == ""

@@ -1,3 +1,4 @@
+import math
 import random
 import warnings
 from fractions import Fraction
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import nonzero_polynomials, polynomials, sympy_local_colength, to_sympy
+from conftest import CLIFFS, nonzero_polynomials, polynomials, sympy_local_colength, to_sympy
 from submult import ideals
 from submult.ideals import (
     GREVLEX,
@@ -161,17 +162,6 @@ def test_zero_ideal_has_empty_basis():
 # -- the Groebner kernel against sympy over Q(i) -------------------------------------
 
 ZWV = ("z", "w", "v")
-# Two Groebner cliffs of the benchmark panel: draws of triangular.random_system's
-# distribution with exponents (3, 3, 1) and (3, 3, 3), whose grevlex bases
-# take 208 and 82 S-pairs under the coprime-leads criterion alone.
-CLIFFS = {
-    (3, 3, 1): ("z^3", "w^3 + (1 - i)*z^2 - z", "-w^2*v^2 + z*w^2*v + 3*w*v^2 + v - 2*w"),
-    (3, 3, 3): (
-        "z^3",
-        "z*w^3 + z^2*w^2 + w^3 - 2*z^2 - 2*z",
-        "(3 + i)*z*w^2*v - 2*z*w^3 + v^3 - 3*z*w*v",
-    ),
-}
 # Inputs on which each rule of the pair management fires under grevlex, and
 # on which interreduction of the generators drops some and changes leads.
 CRITERION_INPUTS = [
@@ -211,19 +201,21 @@ def _monic_set(basis, order):
     return {frozenset(ideals.order_monic(g, order).terms.items()) for g in basis}
 
 
-def _assert_kernel_matches_sympy(sympy, gens, kinds=("grevlex", "lex")):
+def _assert_kernel_matches_sympy(sympy, gens, kinds=("grevlex", "lex"), variables=ZWV):
+    # gens are in z, w, v; variables lists them largest first for both kernels
+    ours = [g.lift(3, [variables.index(x) for x in ZWV]) for g in gens]
     for kind in kinds:
         order = {"grevlex": ideals.GREVLEX, "lex": ideals.LEX}[kind]
         expected = sympy.groebner(
             [_gaussian_expr(sympy, g) for g in gens],
-            *sympy.symbols(ZWV),
+            *sympy.symbols(variables),
             order=kind,
             domain=sympy.QQ_I,
         )
-        found = ideals._groebner_raw(gens, order)
+        found = ideals._groebner_raw(ours, order)
         assert _monic_set(found, order) == _monic_set(
             [_from_sympy(sympy, g) for g in expected.polys], order
-        ), (kind, [format_poly(g, ZWV) for g in gens])
+        ), (kind, variables, [format_poly(g, ZWV) for g in gens])
 
 
 def test_groebner_kernel_matches_sympy_on_random_gaussian_ideals():
@@ -249,8 +241,11 @@ def test_groebner_kernel_matches_sympy_where_each_criterion_fires(gens):
 @pytest.mark.parametrize("exponents", sorted(CLIFFS))
 def test_groebner_kernel_matches_sympy_on_triangular_cliffs(exponents):
     sympy = pytest.importorskip("sympy")
-    # grevlex only: the lex basis of the (3, 3, 3) cliff takes minutes
-    _assert_kernel_matches_sympy(sympy, [p(g, ZWV) for g in CLIFFS[exponents]], ("grevlex",))
+    gens = [p(g, ZWV) for g in CLIFFS[exponents]]
+    _assert_kernel_matches_sympy(sympy, gens, ("grevlex",))
+    # lex with the last variable first, as triangular.multiplicity takes it;
+    # with z > w > v the lex basis of the (3, 3, 3) cliff takes minutes
+    _assert_kernel_matches_sympy(sympy, gens, ("lex",), ("v", "w", "z"))
 
 
 @pytest.mark.parametrize("gens", CRITERION_INPUTS)
@@ -374,6 +369,13 @@ def test_cliff_basis_reduces_few_s_pairs(monkeypatch):
     basis = ideals._groebner_raw(gens, ideals.LEX)
     assert tuple(format_poly(g, ZWV) for g in basis) == CLIFF_331_LEX
     assert len(calls) <= 100
+    # lex with v > w > z, as triangular.multiplicity takes both cliffs
+    for exponents, bound in (((3, 3, 1), 40), ((3, 3, 3), 5)):
+        calls.clear()
+        gens = [p(g, ZWV).lift(3, [2, 1, 0]) for g in CLIFFS[exponents]]
+        basis = ideals._groebner_raw(gens, ideals.LEX)
+        assert _standard_monomial_count(basis, 3, ideals.LEX) == math.prod(exponents)
+        assert len(calls) <= bound
 
 
 # -- membership ---------------------------------------------------------------------
@@ -498,7 +500,7 @@ def _scan(I, cap=24):
     # the truncation scan on its own, up to a fixed degree
     prev = None
     for n in range(1, cap + 1):
-        d = _standard_monomial_count(truncated_basis(I, n), I.ring_dim)
+        d = _standard_monomial_count(truncated_basis(I, n), I.ring_dim, GREVLEX)
         if d == prev:
             return d, n - 1, True
         prev = d
@@ -605,17 +607,18 @@ def test_monomial_colength_matches_lattice_count(gens):
     report = germ_colength(ideal)
     assert report.colength == _lattice_count(gens, report.stabilization_degree + 1)
     # V(I) is the origin, so the global count agrees
-    assert _standard_monomial_count(ideal.groebner(), ideal.ring_dim) == report.colength
+    assert _standard_monomial_count(ideal.groebner(), ideal.ring_dim, GREVLEX) == report.colength
 
 
 def test_standard_monomial_count_is_global():
     # V(z^2 - z, w^2) is the origin and (1, 0): the global count adds both points
     ideal = Ideal.from_strings(["z^2 - z", "w^2"], ZW)
-    assert _standard_monomial_count(ideal.groebner(), 2) == 4
+    for order in (GREVLEX, LEX):
+        assert _standard_monomial_count(ideal.groebner(order), 2, order) == 4
     assert germ_colength(ideal).colength == 2
     curve = Ideal.from_strings(["z^2"], ZW)
-    assert _standard_monomial_count(curve.groebner(), 2) is None
-    assert _standard_monomial_count(Ideal.from_strings(["1"], ZW).groebner(), 2) == 0
+    assert _standard_monomial_count(curve.groebner(), 2, GREVLEX) is None
+    assert _standard_monomial_count(Ideal.from_strings(["1"], ZW).groebner(), 2, GREVLEX) == 0
 
 
 def _random_monomial_ideals(rng, count):

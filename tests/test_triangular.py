@@ -3,8 +3,16 @@ import random
 
 import pytest
 
+from conftest import CLIFFS
 from submult.errors import CertificationError, ConsistencyError, ValidationError
-from submult.ideals import Ideal, _standard_monomial_count, germ_colength, germ_member
+from submult.ideals import (
+    GREVLEX,
+    LEX,
+    Ideal,
+    _standard_monomial_count,
+    germ_colength,
+    germ_member,
+)
 from submult.kohn import SpecialDomain, run
 from submult.poly import det, divides, format_poly, least_power, parse
 from submult.triangular import (
@@ -18,6 +26,7 @@ from submult.triangular import (
 )
 
 ZW = ("z", "w")
+ZWV = ("z", "w", "v")
 
 
 def system(*h, variables=ZW):
@@ -248,15 +257,21 @@ def _strata_sample(per_n=4):
 
 def test_shortcuts_agree_with_their_definitions():
     # B = A*C against the diagonal and the full determinant, the cofactor's
-    # least power against B | A^e, and the global count against the germ scan
-    for ts in _strata_sample():
+    # least power against B | A^e, and the global count, on the lex basis
+    # with z_n > ... > z_1, against the grevlex one and the germ scan
+    cliffs = [system(*h, variables=ZWV) for h in CLIFFS.values()]
+    for ts in _strata_sample() + cliffs:
         trace = run_effective(ts)
         for pair in trace.pairs:
             assert pair.B == _diagonal_det(pair.sources, ts.n) == det(gradient_rows(pair.sources))
             assert pair.min_power == least_power(pair.A, lambda p: divides(pair.B, p), ts.n)
-        ideal = Ideal(ts.n, ts.h)
-        count = _standard_monomial_count(ideal.groebner(), ts.n)
-        assert count == germ_colength(ideal).colength == multiplicity(ts) == trace.L
+        n = ts.n
+        ideal = Ideal(n, ts.h)
+        last_first = Ideal(n, [p.lift(n, range(n - 1, -1, -1)) for p in ts.h])
+        lex = _standard_monomial_count(last_first.groebner(LEX), n, LEX)
+        grevlex = _standard_monomial_count(ideal.groebner(GREVLEX), n, GREVLEX)
+        assert lex == grevlex == germ_colength(ideal).colength == multiplicity(ts) == trace.L
+        assert trace.L == math.prod(ts.exponents)
 
 
 # -- cross-module ------------------------------------------------------------------------
