@@ -80,6 +80,12 @@ class GaussianRational:
         return self._re_num != 0 or self._im_num != 0
 
     def __eq__(self, other):
+        if type(other) is GaussianRational:
+            return (
+                self._re_num == other._re_num
+                and self._im_num == other._im_num
+                and self._den == other._den
+            )
         if isinstance(other, (int, Fraction)):
             other = GaussianRational(other)
         if not isinstance(other, GaussianRational):
@@ -162,13 +168,18 @@ def _reduced(a: int, b: int, d: int) -> GaussianRational:
     """(a + b*i) / d in lowest terms.
 
     Needs no sign fix-up: every d is positive, being a stored denominator, a
-    product of two, or such a product times a norm c^2 + e^2 > 0.
+    product of two, or such a product times a norm c^2 + e^2 > 0.  A Gaussian
+    integer, d == 1, is in lowest terms already, and so is a triple whose
+    gcd is 1.
     """
-    g = math.gcd(a, b, d)
+    if d != 1:
+        g = math.gcd(a, b, d)
+        if g != 1:
+            a, b, d = a // g, b // g, d // g
     z = _new(GaussianRational)
-    _set_re_num(z, a // g)
-    _set_im_num(z, b // g)
-    _set_den(z, d // g)
+    _set_re_num(z, a)
+    _set_im_num(z, b)
+    _set_den(z, d)
     return z
 
 

@@ -13,7 +13,10 @@ multiplicity of the system, and every root taken has order at most n.
 
 The shape does more than fix the determinant.  The sources' diagonal
 entries share the ladder's products, so B = A C for a cofactor C built from
-them, and the least e with B | A^e is read from C alone.  And h_1 = z_1^{m_1}
+them, and the least e with B | A^e is read from C alone: certify recovers C
+as the exact quotient B/A.  Rungs that share a box prefix share its sources
+as objects, so run_effective forms each prefix's products once, and certify
+each prefix's diagonal product once.  And h_1 = z_1^{m_1}
 forces z_1 = 0 on V(h), after which h_i restricts to z_i^{m_i}, so V(h) is
 the origin alone: the colength of the germ is dim k[z]/(h), the number of
 standard monomials of a reduced basis in any order.  The lex order with
@@ -31,7 +34,7 @@ from typing import NamedTuple, Sequence
 
 from .errors import CertificationError, ConsistencyError, ValidationError
 from .ideals import LEX, Ideal, _standard_monomial_count
-from .poly import GaussianRational, Polynomial, divides, format_poly, least_power
+from .poly import GaussianRational, Polynomial, divides, exact_div, format_poly, least_power
 
 
 class TriangularSystem(NamedTuple):
@@ -141,34 +144,85 @@ class EffectiveTrace(NamedTuple):
         }
 
 
+def _row_fault(s: Polynomial, i: int, n: int) -> str | None:
+    """Why the gradient of s is not row i + 1 of a lower-triangular matrix, or None."""
+    if s.ring_dim != n:
+        return f"row {i + 1} lives in another ring"
+    if any(any(m[i + 1 :]) for m in s.terms):
+        return f"row {i + 1} depends on a variable after z_{i + 1}"
+    return None
+
+
 def _shape_fault(sources: Sequence[Polynomial], n: int) -> str | None:
     """Why the gradient rows of the sources are not lower triangular, or None."""
     if len(sources) < n:
         return f"row {len(sources) + 1} is missing"
     if len(sources) > n:
         return f"row {n + 1} is one too many for {n} variables"
-    for i, s in enumerate(sources, 1):
-        if s.ring_dim != n:
-            return f"row {i} lives in another ring"
-        if any(any(m[i:]) for m in s.terms):
-            return f"row {i} depends on a variable after z_{i}"
+    for i, s in enumerate(sources):
+        fault = _row_fault(s, i, n)
+        if fault is not None:
+            return fault
     return None
 
 
-def _diagonal_det(sources: Sequence[Polynomial], n: int) -> Polynomial | None:
-    """Determinant of the gradient rows of n sources, or None unless lower triangular.
+def _diagonal_det(
+    sources: Sequence[Polynomial], n: int, memo: dict
+) -> tuple[str | None, Polynomial | None]:
+    """(None, determinant of n sources' gradient rows), or (why not lower triangular, None).
 
     In characteristic 0, d s_i / d z_j vanishes exactly when s_i is free of
     z_j, so the rows are lower triangular when each s_i is free of every
     later variable, and the determinant of a triangular matrix is the
-    product of its diagonal.
+    product of its diagonal.  The memo maps the ids of a prefix of sources
+    to that prefix's verdict, so calls whose sources share a prefix form
+    its product once; the ids stay valid while the caller holds the sources.
     """
-    if _shape_fault(sources, n) is not None:
-        return None
-    out = sources[0].diff(0)
-    for i in range(1, n):
-        out = out * sources[i].diff(i)
-    return out
+    if len(sources) != n:
+        return _shape_fault(sources, n), None
+    key: tuple[int, ...] = ()
+    verdict, head = (None, None), None
+    for i, s in enumerate(sources):
+        key += (id(s),)
+        verdict = memo.get(key)
+        if verdict is None:
+            fault = _row_fault(s, i, n)
+            if fault is None:
+                d = s.diff(i)
+                verdict = (None, d if head is None else head * d)
+            else:
+                verdict = (fault, None)
+            memo[key] = verdict
+        fault, head = verdict
+        if fault is not None:
+            break
+    return verdict
+
+
+def _cofactor_power(A: Polynomial, C: Polynomial, n: int) -> int | None:
+    """Least e <= n with A C | A^e, for nonzero A and C, else None.
+
+    Cancelling A in a domain, A C divides A^e exactly when C divides
+    A^{e-1}: e = 1 for a constant C, and otherwise 1 plus the least
+    s <= n - 1 with C | A^s.
+    """
+    if C.is_constant():
+        return 1
+    s = least_power(A, lambda p: divides(C, p), n - 1) if n > 1 else None
+    return None if s is None else s + 1
+
+
+def _division_power(A: Polynomial, B: Polynomial, n: int) -> int | None:
+    """Least e <= n with B | A^e for a nonzero B, else None.
+
+    When A is nonzero and divides B, the answer is read from the cofactor
+    B/A; otherwise each power of A is divided by B.
+    """
+    if not A.is_zero():
+        C = exact_div(B, A)
+        if C is not None:
+            return _cofactor_power(A, C, n)
+    return least_power(A, lambda p: divides(B, p), n)
 
 
 def _derivative_ladder(system: TriangularSystem) -> list[list[Polynomial]]:
@@ -192,7 +246,10 @@ def run_effective(system: TriangularSystem) -> EffectiveTrace:
     C = prod_{i >= 2, a_i >= 2} P_i.  As A != 0, B divides A^e exactly when
     C divides A^{e-1}: e = 1 for a constant C, and otherwise 1 plus the
     least s <= n - 1 with C | A^s.  A prefix (a_1..a_i) keeps its sources,
-    P_{i+1} and partial cofactor for every position below it.
+    P_{i+1} and partial cofactor for every position below it, and is built
+    with its siblings: P_i D_i^k h_i is formed once for k = 1..m_i, as the
+    P_{i+1} of child k and the source of child k + 1, and the children with
+    k >= 2 share one cofactor product.
     """
     n = system.n
     D = _derivative_ladder(system)
@@ -201,18 +258,24 @@ def run_effective(system: TriangularSystem) -> EffectiveTrace:
     prefixes: dict[tuple[int, ...], tuple[tuple[Polynomial, ...], Polynomial, Polynomial]] = {}
 
     def extend(a: tuple[int, ...]):
+        # builds a with its siblings; nexts[k] is P_i D_i^k h_i
         state = prefixes.get(a)
         if state is None:
-            i, k = len(a) - 1, a[-1]
+            parent, i = a[:-1], len(a) - 1
+            m = system.exponents[i]
             if i == 0:
-                state = ((D[0][k - 1],), D[0][k], one)  # D[0][0] is h_1
+                sources, C, nexts, shared = (), one, D[0], one  # P_1 = 1
             else:
-                sources, P, C = extend(a[:-1])
-                if k == 1:
-                    state = (sources + (system.h[i],), P * D[i][1], C)
-                else:
-                    state = (sources + (P * D[i][k - 1],), P * D[i][k], C * P)
-            prefixes[a] = state
+                sources, P, C = extend(parent)
+                nexts = [D[i][0], *(P * d for d in D[i][1:])]
+                shared = C * P if m > 1 else None
+            for k in range(1, m + 1):
+                prefixes[parent + (k,)] = (
+                    sources + (nexts[k - 1],),
+                    nexts[k],
+                    C if k == 1 else shared,
+                )
+            state = prefixes[a]
         return state
 
     pairs: list[MultiplierPair] = []
@@ -222,12 +285,12 @@ def run_effective(system: TriangularSystem) -> EffectiveTrace:
         fault = _shape_fault(sources, n)
         if fault is not None:  # only a system built without validate
             raise CertificationError(f"pair {index}: {fault}")
-        s = 0 if C.is_constant() else least_power(A, lambda p: divides(C, p), n - 1)
-        if s is None:
+        e = _cofactor_power(A, C, n)
+        if e is None:
             raise CertificationError(
                 f"pair {index}: certified determinant does not divide any A power up to {n}"
             )
-        pairs.append(MultiplierPair(index, A * C, A, sources, s + 1))
+        pairs.append(MultiplierPair(index, A * C, A, sources, e))
     last = pairs[-1]
     if not last.A.constant_term() or not last.B.constant_term():
         raise CertificationError("final pair is not a unit")
@@ -288,7 +351,14 @@ def _random_tail(rng, n: int, top_var: int) -> Polynomial:
 
 
 def certify(trace: EffectiveTrace, system: TriangularSystem) -> CertifyReport:
-    """Re-verify every invariant of a ladder, itemizing any failures."""
+    """Re-verify every invariant of a ladder, itemizing any failures.
+
+    Each rung's diagonal product is formed through a memo keyed by the ids of
+    its source prefixes, which the trace holds for the whole call: rungs of
+    one box prefix share those objects, and the first pair's are system.h.
+    The least e with B | A^e comes from the cofactor B/A when A divides B
+    (_division_power), and a zero B fails its division check.
+    """
     checks: list[tuple[str, bool, str]] = []
     n = system.n
     expected_L = math.prod(system.exponents)
@@ -304,7 +374,8 @@ def certify(trace: EffectiveTrace, system: TriangularSystem) -> CertifyReport:
         checks.append(("colength", colength == trace.L, f"colength={colength}"))
     except ConsistencyError as exc:
         checks.append(("colength", False, str(exc)))
-    jac = _diagonal_det(system.h, n)
+    diagonals: dict[tuple[int, ...], tuple[str | None, Polynomial | None]] = {}
+    _, jac = _diagonal_det(system.h, n, diagonals)
     if trace.pairs:
         first = trace.pairs[0]
         checks.append(
@@ -323,23 +394,19 @@ def certify(trace: EffectiveTrace, system: TriangularSystem) -> CertifyReport:
             )
         )
     for pair in trace.pairs:
-        recomputed = _diagonal_det(pair.sources, n)
+        fault, recomputed = _diagonal_det(pair.sources, n, diagonals)
         checks.append(
             (
                 f"pair_{pair.index}_minor",
                 recomputed == pair.B,
-                "B is the determinant of the recorded allowable rows"
-                if recomputed is not None
-                else _shape_fault(pair.sources, n),
+                fault or "B is the determinant of the recorded allowable rows",
             )
         )
-        e = least_power(pair.A, lambda p: divides(pair.B, p), n)
-        ok = e is not None and e == pair.min_power
-        checks.append(
-            (
-                f"pair_{pair.index}_division",
-                ok,
-                f"minimal power {e} (recorded {pair.min_power}, bound {n})",
-            )
-        )
+        if pair.B.is_zero():
+            ok, detail = False, f"B is zero (recorded {pair.min_power}, bound {n})"
+        else:
+            e = _division_power(pair.A, pair.B, n)
+            ok = e is not None and e == pair.min_power
+            detail = f"minimal power {e} (recorded {pair.min_power}, bound {n})"
+        checks.append((f"pair_{pair.index}_division", ok, detail))
     return CertifyReport(tuple(checks))

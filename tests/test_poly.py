@@ -530,6 +530,14 @@ def test_real_gaussian_rationals_hash_like_their_rationals():
     half = Fraction(1, 2)
     assert len({GaussianRational(half), half}) == 1
     assert len({GaussianRational(3, 1), 3}) == 2
+    # equality with numbers and foreign types, and hashes, as the formulas say
+    assert GaussianRational(half) == half and GaussianRational(half) != Fraction(1, 3)
+    assert GaussianRational(3, 1) != 3 and GaussianRational(0) == 0
+    for foreign in (3.0, 3j, "3", None, (3, 0, 1)):
+        assert GaussianRational(3).__eq__(foreign) is NotImplemented
+        assert GaussianRational(3) != foreign
+    assert hash(GaussianRational(3, 1)) == hash((Fraction(3), Fraction(1)))
+    assert hash(GaussianRational(half, -2)) == hash((half, Fraction(-2)))
 
 
 @pytest.mark.parametrize("part", [0.1, 1.0, 1j, "1", Decimal("0.1")])
@@ -595,6 +603,12 @@ def test_coefficient_arithmetic_matches_the_textbook_formulas(x, y):
     if v:
         assert (u * v) / v == u
     assert (u + v) - v == u
+    # a Gaussian integer is stored as computed, and any other triple reduced
+    m, k = a.numerator * b.denominator, b.numerator * a.denominator
+    den = a.denominator * b.denominator
+    assert _triple(poly._reduced(m, k, 1)) == (m, k, 1)
+    assert _triple(poly._reduced(m, k, den)) == _triple(u)
+    assert _triple(poly._reduced(6 * m, 6 * k, 6 * den)) == _triple(u)
     values = [u, v, u + v, u - v, u * v, -u, (u + v) - v, v + u, u.conjugate().conjugate()]
     if v:
         values += [u / v, (u * v) / v]

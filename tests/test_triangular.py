@@ -14,10 +14,11 @@ from submult.ideals import (
     germ_member,
 )
 from submult.kohn import SpecialDomain, run
-from submult.poly import det, divides, format_poly, least_power, parse
+from submult.poly import Polynomial, det, divides, format_poly, least_power, parse
 from submult.triangular import (
     TriangularSystem,
     _diagonal_det,
+    _division_power,
     certify,
     multiplicity,
     random_system,
@@ -39,6 +40,12 @@ def gradient_rows(polys):
 
 def monic_sequence(trace, variables=ZW):
     return [format_poly(p.A.monic(), variables) for p in trace.pairs]
+
+
+def replace_pair(trace, position, **fields):
+    """The trace with the pair at position (from 0) changed in the given fields."""
+    bad = trace.pairs[position]._replace(**fields)
+    return trace._replace(pairs=trace.pairs[:position] + (bad,) + trace.pairs[position + 1 :])
 
 
 # -- validation ------------------------------------------------------------------
@@ -262,16 +269,73 @@ def test_shortcuts_agree_with_their_definitions():
     cliffs = [system(*h, variables=ZWV) for h in CLIFFS.values()]
     for ts in _strata_sample() + cliffs:
         trace = run_effective(ts)
-        for pair in trace.pairs:
-            assert pair.B == _diagonal_det(pair.sources, ts.n) == det(gradient_rows(pair.sources))
-            assert pair.min_power == least_power(pair.A, lambda p: divides(pair.B, p), ts.n)
         n = ts.n
+        for pair in trace.pairs:
+            _, diagonal = _diagonal_det(pair.sources, n, {})
+            assert pair.B == diagonal == det(gradient_rows(pair.sources))
+            direct = least_power(pair.A, lambda p: divides(pair.B, p), n)
+            assert pair.min_power == direct == _division_power(pair.A, pair.B, n)
+            # tampered pairs: A not dividing B, a zero A, and B = A^2
+            last = Polynomial.variable(n, n - 1)
+            zero = Polynomial.zero(n)
+            for A, B in [(pair.A + last, pair.B), (zero, pair.B), (pair.A, pair.A * pair.A)]:
+                direct = least_power(A, lambda p: divides(B, p), n)
+                assert _division_power(A, B, n) == direct
         ideal = Ideal(n, ts.h)
         last_first = Ideal(n, [p.lift(n, range(n - 1, -1, -1)) for p in ts.h])
         lex = _standard_monomial_count(last_first.groebner(LEX), n, LEX)
         grevlex = _standard_monomial_count(ideal.groebner(GREVLEX), n, GREVLEX)
         assert lex == grevlex == germ_colength(ideal).colength == multiplicity(ts) == trace.L
         assert trace.L == math.prod(ts.exponents)
+    # certify forms a diagonal once per source prefix, keyed by the sources'
+    # identity: a fresh row that is not lower triangular fails its own pair
+    # only, and the pairs sharing its untouched prefix still pass
+    cube = _strata_sample()[-1]
+    trace = run_effective(cube)
+    target = trace.pairs[13]  # the box position (2, 2, 2)
+    head = target.sources[:2]
+    siblings = [p for p in trace.pairs if p is not target and p.sources[0] is head[0]]
+    assert len(siblings) == 8
+    assert sum(p.sources[1] is head[1] for p in siblings) == 2
+    v = Polynomial.variable(3, 2)
+    for sources, failures in [
+        ((head[0], head[1] * v, target.sources[2]), ("row 2 depends on a variable after z_2",)),
+        ((head[0] * v, *target.sources[1:]), ("row 1 depends on a variable after z_1",)),
+        (tuple(Polynomial(3, dict(s.terms)) for s in target.sources), ()),  # equal fresh rows
+    ]:
+        report = certify(replace_pair(trace, 13, sources=sources), cube)
+        assert report.failures() == tuple(f"pair_14_minor: {detail}" for detail in failures)
+    # zero multipliers are failed checks, not exceptions: B | A^e fails for
+    # B = 0, and A = 0 gives e = 1, as B | 0, against the recorded 3
+    assert target.min_power == 3
+    zero = Polynomial.zero(3)
+    report = certify(replace_pair(trace, 13, B=zero), cube)
+    assert report.failures() == (
+        "pair_14_minor: B is the determinant of the recorded allowable rows",
+        "pair_14_division: B is zero (recorded 3, bound 3)",
+    )
+    report = certify(replace_pair(trace, 13, A=zero), cube)
+    assert report.failures() == ("pair_14_division: minimal power 1 (recorded 3, bound 3)",)
+
+
+def test_ladder_products_are_shared_across_box_prefixes(monkeypatch):
+    # each box prefix forms its children's products P_i D_i^k h_i and their
+    # cofactor once, and certify each prefix's diagonal once; the (3, 3, 3)
+    # draw takes 83 and 44 products
+    cube = _strata_sample()[-1]
+    calls = []
+    product = Polynomial.__mul__
+
+    def counting(f, g):
+        calls.append(1)
+        return product(f, g)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counting)
+    trace = run_effective(cube)
+    assert len(calls) <= 90
+    calls.clear()
+    assert certify(trace, cube).passed
+    assert len(calls) <= 50
 
 
 # -- cross-module ------------------------------------------------------------------------
