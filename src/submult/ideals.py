@@ -319,13 +319,16 @@ def truncated_basis(ideal: Ideal, degree: int) -> tuple[Polynomial, ...]:
 def _standard_monomial_count(
     basis: Sequence[Polynomial], ring_dim: int, order: MonomialOrder
 ) -> int | None:
-    """dim k[x]/I for this reduced basis of I in order; None when it is infinite.
+    """dim k[x]/I for this Groebner basis of I in order; None when it is infinite.
 
-    The count is the same in every monomial order.  The standard monomials
+    The count is the same in every monomial order, and the basis need not be
+    reduced: the leads of any Groebner basis generate the same leading
+    ideal, so they leave the same standard monomials.  The standard monomials
     form an order ideal, every divisor of one being standard, so those of
     degree d are the x_j s, s standard of degree d - 1, that no lead
-    divides, and the walk ends at the first degree with none.  A pure-power
-    lead in every variable makes their number finite.
+    divides, and the walk ends at the first degree with none.  Taking j no
+    earlier than the last variable of s reaches each of them once.  A
+    pure-power lead in every variable makes their number finite.
     """
     leads = [leading_mono(g, order) for g in basis]
     if not _zero_dimensional(leads, ring_dim):
@@ -335,12 +338,16 @@ def _standard_monomial_count(
         return not any(_mono_divides(lm, mono) for lm in leads)
 
     one = (0,) * ring_dim
-    layer = [one] if standard(one) else []
+    layer = [(one, 0)] if standard(one) else []  # (s, the last variable of s)
     count = 0
     while layer:
         count += len(layer)
-        ups = {s[:j] + (s[j] + 1,) + s[j + 1 :] for s in layer for j in range(ring_dim)}
-        layer = [m for m in ups if standard(m)]
+        layer = [
+            (up, j)
+            for s, last in layer
+            for j in range(last, ring_dim)
+            if standard(up := s[:j] + (s[j] + 1,) + s[j + 1 :])
+        ]
     return count
 
 

@@ -331,10 +331,18 @@ class Polynomial:
         return (-self) + other
 
     def __mul__(self, other):
+        # a constant factor c, a scalar or a constant polynomial, only scales
+        # the other factor f's coefficients, and c = 1 leaves f as it is
         if isinstance(other, (int, Fraction, GaussianRational)):
-            c = GaussianRational.coerce(other)
-            return Polynomial._of(self.ring_dim, {m: v * c for m, v in self.terms.items()})
-        self._check_dim(other)
+            f, c = self, GaussianRational.coerce(other)
+        else:
+            self._check_dim(other)
+            f, g = (self, other) if len(self.terms) >= len(other.terms) else (other, self)
+            c = g.terms.get((0,) * self.ring_dim) if len(g.terms) == 1 else None
+        if c is not None:
+            if c == GR_ONE:
+                return f  # polynomials are immutable
+            return Polynomial._of(f.ring_dim, {m: v * c for m, v in f.terms.items()})
         out: dict[Mono, GaussianRational] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -368,9 +376,9 @@ class Polynomial:
             e = mono[index]
             if e == 0:
                 continue
-            new = list(mono)
-            new[index] = e - 1
-            out[tuple(new)] = _reduced(coeff._re_num * e, coeff._im_num * e, coeff._den)
+            if e > 1:
+                coeff = _reduced(coeff._re_num * e, coeff._im_num * e, coeff._den)
+            out[mono[:index] + (e - 1,) + mono[index + 1 :]] = coeff
         return Polynomial._of(self.ring_dim, out)
 
     def gradient(self) -> tuple["Polynomial", ...]:
@@ -416,7 +424,7 @@ class Polynomial:
             for i, e in enumerate(mono):
                 new[var_map[i]] += e
             out[tuple(new)] = coeff
-        return Polynomial(new_dim, out)
+        return Polynomial._of(new_dim, out)
 
     def conjugate_coeffs(self) -> "Polynomial":
         return Polynomial._of(self.ring_dim, {m: c.conjugate() for m, c in self.terms.items()})
@@ -743,31 +751,36 @@ def exact_div(f: Polynomial, g: Polynomial) -> Polynomial | None:
     One division loop on a term dict: the grlex-leading work term must be a
     multiple of lm(g); its quotient term is recorded and that multiple of
     g's tail subtracted.  Each step removes the leading term and adds only
-    terms below it, so the recorded shifts are distinct.
+    terms below it, so the recorded shifts are distinct.  The work dict is
+    keyed by (degree, monomial), its grlex key, so each step's max compares
+    the keys themselves.
     """
     if g.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     f._check_dim(g)
     g_mono, g_coeff = g.leading()
-    tail = [(m, c) for m, c in g.terms.items() if m != g_mono]
-    work = dict(f.terms)
+    g_degree = sum(g_mono)
+    # (its degree less that of lm(g), monomial, coefficient) for each tail term
+    tail = [(sum(m) - g_degree, m, c) for m, c in g.terms.items() if m != g_mono]
+    work = {(sum(m), m): c for m, c in f.terms.items()}
     quotient: dict[Mono, GaussianRational] = {}
     while work:
-        mono = max(work, key=_grlex_key)
+        key = max(work)
+        degree, mono = key
         if not _mono_divides(g_mono, mono):
             return None
         shift = tuple(map(sub, mono, g_mono))
-        q = quotient[shift] = work.pop(mono) / g_coeff
-        for m2, c2 in tail:
-            mm = tuple(map(add, m2, shift))
+        q = quotient[shift] = work.pop(key) / g_coeff
+        for d2, m2, c2 in tail:
+            kk = (degree + d2, tuple(map(add, m2, shift)))
             t = q * c2
-            acc = work.get(mm)
+            acc = work.get(kk)
             if acc is None:
-                work[mm] = -t
+                work[kk] = -t
             elif acc := acc - t:
-                work[mm] = acc
+                work[kk] = acc
             else:
-                del work[mm]
+                del work[kk]
     return Polynomial._of(f.ring_dim, quotient)
 
 
@@ -779,7 +792,10 @@ def least_power(f: Polynomial, holds: Callable[[Polynomial], bool], bound: int |
     """Least s <= bound with holds(f**s), else None; each power costs one product.
 
     A bound of None searches every s: the caller has shown that some power holds.
+    A bound below 1 admits no s.
     """
+    if bound is not None and bound < 1:
+        return None
     power = f
     for s in itertools.count(1):
         if holds(power):

@@ -19,10 +19,10 @@ as objects, so run_effective forms each prefix's products once, and certify
 each prefix's diagonal product once.  And h_1 = z_1^{m_1}
 forces z_1 = 0 on V(h), after which h_i restricts to z_i^{m_i}, so V(h) is
 the origin alone: the colength of the germ is dim k[z]/(h), the number of
-standard monomials of a reduced basis in any order.  The lex order with
+standard monomials of a Groebner basis in any order.  The lex order with
 z_n > ... > z_1 suits the shape: h_1 = z_1^{m_1}, and each h_i leads with
 a power of z_i times a monomial in earlier variables, so the system is
-nearly a lex basis already.
+nearly a lex basis already, and is one when every lead is a pure power.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .errors import CertificationError, ConsistencyError, ValidationError
-from .ideals import LEX, Ideal, _standard_monomial_count
+from .ideals import LEX, Ideal, _standard_monomial_count, leading_mono
 from .poly import GaussianRational, Polynomial, divides, exact_div, format_poly, least_power
 
 
@@ -63,7 +63,7 @@ def validate(h_polys, variables) -> TriangularSystem:
     for i, p in enumerate(h):
         if p.ring_dim != n:
             raise ValidationError(f"h_{i + 1} lives in the wrong ring")
-        pure = Polynomial(n, {m: c for m, c in p.terms.items() if sum(m) == m[i]})
+        pure = Polynomial._of(n, {m: c for m, c in p.terms.items() if sum(m) == m[i]})
         if pure.is_zero():
             raise ValidationError(
                 f"condition 2 fails for h_{i + 1}: it vanishes on the {vs[i]} axis"
@@ -94,11 +94,14 @@ def multiplicity(system: TriangularSystem) -> int:
 
     A system that passes validate has V(h) = {0}: h_1 = z_1^{m_1}, and each
     h_i is z_i^{m_i} on z_1 = ... = z_{i-1} = 0.  The germ colength is then
-    the global dim k[z]/(h), counted on the reduced lex basis with the
-    variables reversed, z_n > ... > z_1, the order in which the system is
-    nearly a basis already.  The shape is checked again here because it is
-    what proves V(h) = {0}: a system built by hand, such as (z^2, w^2 - w),
-    may have points off the origin that the global count would add in.
+    the global dim k[z]/(h), counted on a lex basis with the variables
+    reversed, z_n > ... > z_1, the order in which the system is nearly a
+    basis already.  When its lex leads are pairwise coprime, h is that basis
+    by Buchberger's first criterion (Cox-Little-O'Shea, Ch. 2, Sec. 9), each
+    lead being the pure power z_i^{m_i}; otherwise Buchberger's algorithm
+    gives the reduced one.  The shape is checked again here because it is what
+    proves V(h) = {0}: a system built by hand, such as (z^2, w^2 - w), may
+    have points off the origin that the global count would add in.
     """
     expected = math.prod(system.exponents)
     try:
@@ -106,8 +109,11 @@ def multiplicity(system: TriangularSystem) -> int:
     except ValidationError as exc:
         raise ConsistencyError(f"the colength is not certified: {exc}") from None
     n = system.n
-    last_first = [p.lift(n, range(n - 1, -1, -1)) for p in system.h]
-    colength = _standard_monomial_count(Ideal(n, last_first).groebner(LEX), n, LEX)
+    basis = [p.lift(n, range(n - 1, -1, -1)) for p in system.h]
+    leads = [leading_mono(p, LEX) for p in basis]
+    if any(sum(1 for lm in leads if lm[j]) > 1 for j in range(n)):  # leads not coprime
+        basis = Ideal(n, basis).groebner(LEX)
+    colength = _standard_monomial_count(basis, n, LEX)
     if colength != expected:
         raise ConsistencyError(f"colength {colength} disagrees with exponent product {expected}")
     return expected
@@ -199,16 +205,16 @@ def _diagonal_det(
     return verdict
 
 
-def _cofactor_power(A: Polynomial, C: Polynomial, n: int) -> int | None:
-    """Least e <= n with A C | A^e, for nonzero A and C, else None.
+def _cofactor_power(A: Polynomial, C: Polynomial, bound: int) -> int | None:
+    """Least e <= bound + 1 with A C | A^e, for nonzero A and C, else None.
 
     Cancelling A in a domain, A C divides A^e exactly when C divides
     A^{e-1}: e = 1 for a constant C, and otherwise 1 plus the least
-    s <= n - 1 with C | A^s.
+    s <= bound with C | A^s.
     """
     if C.is_constant():
         return 1
-    s = least_power(A, lambda p: divides(C, p), n - 1) if n > 1 else None
+    s = least_power(A, lambda p: divides(C, p), bound)
     return None if s is None else s + 1
 
 
@@ -221,7 +227,7 @@ def _division_power(A: Polynomial, B: Polynomial, n: int) -> int | None:
     if not A.is_zero():
         C = exact_div(B, A)
         if C is not None:
-            return _cofactor_power(A, C, n)
+            return _cofactor_power(A, C, n - 1)
     return least_power(A, lambda p: divides(B, p), n)
 
 
@@ -245,13 +251,20 @@ def run_effective(system: TriangularSystem) -> EffectiveTrace:
     a_i >= 2, and the diagonal product is B = A C with
     C = prod_{i >= 2, a_i >= 2} P_i.  As A != 0, B divides A^e exactly when
     C divides A^{e-1}: e = 1 for a constant C, and otherwise 1 plus the
-    least s <= n - 1 with C | A^s.  A prefix (a_1..a_i) keeps its sources,
-    P_{i+1} and partial cofactor for every position below it, and is built
-    with its siblings: P_i D_i^k h_i is formed once for k = 1..m_i, as the
-    P_{i+1} of child k and the source of child k + 1, and the children with
-    k >= 2 share one cofactor product.
+    least s with C | A^s.  Each of C's c factors P_i divides A, so C | A^c:
+    only s < c is searched, and s = c otherwise.  A prefix (a_1..a_i) keeps
+    its sources, P_{i+1} and partial cofactor for every position below it,
+    and is built with its siblings: P_i D_i^k h_i is formed once for
+    k = 1..m_i, as the P_{i+1} of child k and the source of child k + 1, and
+    the children with k >= 2 share one cofactor product.  The shape is
+    checked once, on the first rung, whose sources are h: products and
+    z_i-derivatives of the h_j keep each source free of the variables after
+    its own.
     """
     n = system.n
+    fault = _shape_fault(system.h, n)
+    if fault is not None:  # only a system built without validate
+        raise CertificationError(f"pair 1: {fault}")
     D = _derivative_ladder(system)
     one = Polynomial.constant(n, 1)
     # prefix (a_1..a_i) -> (s_1..s_i, P_{i+1}, the product of C's factors among them)
@@ -282,14 +295,8 @@ def run_effective(system: TriangularSystem) -> EffectiveTrace:
     # the deepest digit of the box runs fastest
     for index, a in enumerate(itertools.product(*(range(1, k + 1) for k in system.exponents)), 1):
         sources, A, C = extend(a)
-        fault = _shape_fault(sources, n)
-        if fault is not None:  # only a system built without validate
-            raise CertificationError(f"pair {index}: {fault}")
-        e = _cofactor_power(A, C, n)
-        if e is None:
-            raise CertificationError(
-                f"pair {index}: certified determinant does not divide any A power up to {n}"
-            )
+        c = sum(k > 1 for k in a[1:])  # the number of C's factors P_i
+        e = _cofactor_power(A, C, c - 1) or c + 1  # C | A^c
         pairs.append(MultiplierPair(index, A * C, A, sources, e))
     last = pairs[-1]
     if not last.A.constant_term() or not last.B.constant_term():
@@ -357,7 +364,7 @@ def certify(trace: EffectiveTrace, system: TriangularSystem) -> CertifyReport:
     its source prefixes, which the trace holds for the whole call: rungs of
     one box prefix share those objects, and the first pair's are system.h.
     The least e with B | A^e comes from the cofactor B/A when A divides B
-    (_division_power), and a zero B fails its division check.
+    (_division_power), and a zero B or a zero A fails its division check.
     """
     checks: list[tuple[str, bool, str]] = []
     n = system.n
@@ -404,6 +411,8 @@ def certify(trace: EffectiveTrace, system: TriangularSystem) -> CertifyReport:
         )
         if pair.B.is_zero():
             ok, detail = False, f"B is zero (recorded {pair.min_power}, bound {n})"
+        elif pair.A.is_zero():  # B | 0 for every B
+            ok, detail = False, f"A is zero (recorded {pair.min_power}, bound {n})"
         else:
             e = _division_power(pair.A, pair.B, n)
             ok = e is not None and e == pair.min_power

@@ -20,7 +20,9 @@ from submult.poly import (
     det,
     exact_div,
     format_poly,
+    least_power,
     minor_dets,
+    monomials_of_degree,
     parse,
     poly_gcd,
     squarefree_part,
@@ -211,6 +213,14 @@ def test_exponents_must_be_non_negative_ints(mono):
 def test_scalar_multiplication():
     assert 2 * p("z") == p("2*z")
     assert p("z") * Fraction(1, 2) == p("1/2*z")
+
+
+@given(polynomials(), coefficients())
+def test_a_constant_polynomial_factor_scales_the_coefficients(a, c):
+    const = Polynomial(2, {(0, 0): c})
+    assert a * const == const * a == a * c
+    one = Polynomial.constant(2, 1)
+    assert a * one == one * a == a
 
 
 # -- differentiation, composition, vanishing order ------------------------------
@@ -433,6 +443,34 @@ def test_exact_division_quotient_times_divisor_is_dividend(g, h, f):
         q = exact_div(dividend, g)
         if q is not None:
             assert q * g == dividend
+
+
+def same_degree_polynomials(degree):
+    # at least two terms, all of one total degree in three variables
+    monos = st.sampled_from(list(monomials_of_degree(3, degree)))
+    return st.dictionaries(monos, coefficients(), min_size=2, max_size=4).map(
+        lambda terms: Polynomial(3, terms)
+    ).filter(lambda p: len(p.terms) >= 2)
+
+
+@given(same_degree_polynomials(2), same_degree_polynomials(2), same_degree_polynomials(3))
+def test_exact_division_with_terms_of_equal_degree(g, h, r):
+    # the work terms tie on degree at every step, so the monomial decides the lead
+    f = g * h
+    assert exact_div(f, g) == h
+    for dividend in (f, f + r, r):
+        q = exact_div(dividend, g)
+        if q is not None:
+            assert q * g == dividend
+
+
+def test_least_power_searches_only_up_to_its_bound():
+    z, z_cubed = p("z"), p("z^3")
+    for bound, s in [(3, 3), (2, None), (None, 3)]:
+        assert least_power(z, lambda f: f == z_cubed, bound) == s
+    # a bound below 1 admits no power, not even the first
+    for bound in (0, -1):
+        assert least_power(z, lambda f: True, bound) is None
 
 
 @given(

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from conftest import CLIFFS
+from submult import ideals
 from submult.errors import CertificationError, ConsistencyError, ValidationError
 from submult.ideals import (
     GREVLEX,
@@ -105,6 +106,37 @@ def test_multiplicity_examples():
 
 def test_multiplicity_with_cross_terms():
     assert multiplicity(system("z^3", "w^3 + 2*z")) == 9
+
+
+def counting_groebner(monkeypatch):
+    """The list of _groebner_raw calls, one entry each, from now on."""
+    calls = []
+    groebner = ideals._groebner_raw
+
+    def counting(gens, order):
+        calls.append(1)
+        return groebner(gens, order)
+
+    monkeypatch.setattr(ideals, "_groebner_raw", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "h, variables, buchberger",
+    [
+        (("z^2", "w^3 + 2*z"), ZW, False),  # lex leads z^2, w^3: a basis already
+        (("z^2", "w^2 + z*w^3"), ZW, True),  # lead z*w^3 shares z with z^2
+        *((h, ZWV, True) for h in CLIFFS.values()),
+    ],
+    ids=["coprime-leads", "shared-variable", "cliff-331", "cliff-333"],
+)
+def test_multiplicity_runs_buchberger_only_without_coprime_leads(
+    monkeypatch, h, variables, buchberger
+):
+    ts = system(*h, variables=variables)
+    calls = counting_groebner(monkeypatch)
+    assert multiplicity(ts) == math.prod(ts.exponents)
+    assert bool(calls) == buchberger
 
 
 def test_multiplicity_needs_the_triangular_shape():
@@ -265,8 +297,12 @@ def _strata_sample(per_n=4):
 def test_shortcuts_agree_with_their_definitions():
     # B = A*C against the diagonal and the full determinant, the cofactor's
     # least power against B | A^e, and the global count, on the lex basis
-    # with z_n > ... > z_1, against the grevlex one and the germ scan
+    # with z_n > ... > z_1, against the grevlex one and the germ scan; the
+    # count on h's own lex leads is that count when they are pairwise
+    # coprime, and otherwise a lead misses its pure power and the count is
+    # infinite, so multiplicity runs Buchberger's algorithm exactly then
     cliffs = [system(*h, variables=ZWV) for h in CLIFFS.values()]
+    direct_counts = []
     for ts in _strata_sample() + cliffs:
         trace = run_effective(ts)
         n = ts.n
@@ -282,11 +318,19 @@ def test_shortcuts_agree_with_their_definitions():
                 direct = least_power(A, lambda p: divides(B, p), n)
                 assert _division_power(A, B, n) == direct
         ideal = Ideal(n, ts.h)
-        last_first = Ideal(n, [p.lift(n, range(n - 1, -1, -1)) for p in ts.h])
-        lex = _standard_monomial_count(last_first.groebner(LEX), n, LEX)
+        reversed_h = [p.lift(n, range(n - 1, -1, -1)) for p in ts.h]
+        lex = _standard_monomial_count(Ideal(n, reversed_h).groebner(LEX), n, LEX)
         grevlex = _standard_monomial_count(ideal.groebner(GREVLEX), n, GREVLEX)
-        assert lex == grevlex == germ_colength(ideal).colength == multiplicity(ts) == trace.L
+        assert lex == grevlex == germ_colength(ideal).colength == trace.L
         assert trace.L == math.prod(ts.exponents)
+        direct = _standard_monomial_count(reversed_h, n, LEX)
+        assert direct in (lex, None)
+        direct_counts.append(direct)
+        with pytest.MonkeyPatch.context() as patch:
+            calls = counting_groebner(patch)
+            assert multiplicity(ts) == lex
+        assert bool(calls) == (direct is None)
+    assert direct_counts.count(None) not in (0, len(direct_counts))
     # certify forms a diagonal once per source prefix, keyed by the sources'
     # identity: a fresh row that is not lower triangular fails its own pair
     # only, and the pairs sharing its untouched prefix still pass
@@ -306,7 +350,7 @@ def test_shortcuts_agree_with_their_definitions():
         report = certify(replace_pair(trace, 13, sources=sources), cube)
         assert report.failures() == tuple(f"pair_14_minor: {detail}" for detail in failures)
     # zero multipliers are failed checks, not exceptions: B | A^e fails for
-    # B = 0, and A = 0 gives e = 1, as B | 0, against the recorded 3
+    # B = 0, and B | 0 holds for every B, so a zero A fails too
     assert target.min_power == 3
     zero = Polynomial.zero(3)
     report = certify(replace_pair(trace, 13, B=zero), cube)
@@ -315,13 +359,23 @@ def test_shortcuts_agree_with_their_definitions():
         "pair_14_division: B is zero (recorded 3, bound 3)",
     )
     report = certify(replace_pair(trace, 13, A=zero), cube)
-    assert report.failures() == ("pair_14_division: minimal power 1 (recorded 3, bound 3)",)
+    assert report.failures() == ("pair_14_division: A is zero (recorded 3, bound 3)",)
+
+
+def test_certify_fails_a_zero_a_recorded_with_power_one():
+    # pair 3 of (z^2, w^2) is the box position (2, 1), with e = 1; a zero A
+    # there would pass a division check alone, as B | 0
+    ts = system("z^2", "w^2")
+    trace = run_effective(ts)
+    assert trace.pairs[2].min_power == 1
+    report = certify(replace_pair(trace, 2, A=Polynomial.zero(2)), ts)
+    assert report.failures() == ("pair_3_division: A is zero (recorded 1, bound 2)",)
 
 
 def test_ladder_products_are_shared_across_box_prefixes(monkeypatch):
     # each box prefix forms its children's products P_i D_i^k h_i and their
     # cofactor once, and certify each prefix's diagonal once; the (3, 3, 3)
-    # draw takes 83 and 44 products
+    # draw takes 75 and 44 products
     cube = _strata_sample()[-1]
     calls = []
     product = Polynomial.__mul__
@@ -332,10 +386,10 @@ def test_ladder_products_are_shared_across_box_prefixes(monkeypatch):
 
     monkeypatch.setattr(Polynomial, "__mul__", counting)
     trace = run_effective(cube)
-    assert len(calls) <= 90
+    assert len(calls) <= 75
     calls.clear()
     assert certify(trace, cube).passed
-    assert len(calls) <= 50
+    assert len(calls) <= 44
 
 
 # -- cross-module ------------------------------------------------------------------------
