@@ -7,9 +7,10 @@ variable, decide whether the origin is an isolated point of V(I); only then
 is the colength finite.  It is read off the reduced basis of the local
 component Q, the m-primary component of I at the origin, which is I itself
 or one more saturation I : f^inf; each ideal caches that report.  A
-monomial ideal needs no saturation: its leads decide isolation.  Germ
-membership is the test that the quotient I : f contains a unit at the
-origin, and the root orders of an m-primary germ are normal forms on GB(Q).
+homogeneous ideal needs no saturation: V(I) is a cone, so its leads decide
+isolation.  Germ membership is the test that the quotient I : f contains a
+unit at the origin, and global membership for a homogeneous I; the root
+orders of an m-primary germ are normal forms on GB(Q).
 """
 
 from __future__ import annotations
@@ -310,6 +311,11 @@ def member(f: Polynomial, ideal: Ideal) -> bool:
     return normal_form(f, ideal.groebner(), ideal.default_order()).is_zero()
 
 
+def is_homogeneous(ideal: Ideal) -> bool:
+    """Is I homogeneous?  Exactly when every element of its reduced grevlex basis is."""
+    return all(g.ord_vanish() == g.total_degree() for g in ideal.groebner())
+
+
 def truncated_basis(ideal: Ideal, degree: int) -> tuple[Polynomial, ...]:
     """Reduced grevlex basis of I + m^degree."""
     monos = [Polynomial.monomial(m) for m in monomials_of_degree(ideal.ring_dim, degree)]
@@ -523,9 +529,9 @@ def germ_colength(ideal: Ideal) -> GermReport:
     Q.  Then I + m^N = Q, so the reported basis is also the reduced basis of
     that truncation.  The report is computed once per ideal and cached.
 
-    A monomial I needs no witness: V(I) is a union of coordinate subspaces,
-    and a variable with no pure power among the leads puts its whole axis in
-    V(I), so when GB(I) is not zero-dimensional the origin is not isolated.
+    A homogeneous I needs no witness: V(I) is a cone, so the origin is
+    isolated only when V(I) is the origin alone, and then GB(I) is
+    zero-dimensional.
     """
     report = ideal._cache.get(GermReport)
     if report is not None:
@@ -534,7 +540,7 @@ def germ_colength(ideal: Ideal) -> GermReport:
     local = _local_algebra(basis, ideal.ring_dim)
     if (
         local is None
-        and not all(g.is_monomial() for g in basis)  # a monomial I needs no witness
+        and not is_homogeneous(ideal)  # a homogeneous I needs no witness
         and (f := _isolating_witness(ideal)) is not None
     ):
         basis = _saturation(ideal, f).groebner()
@@ -548,9 +554,13 @@ def germ_member(f: Polynomial, ideal: Ideal) -> bool:
     """Membership in the germ ideal at the origin, exact in both directions.
 
     f lies in the germ ideal exactly when u f lies in I for some u with
-    u(0) != 0, that is, when I : f is the unit germ.
+    u(0) != 0, that is, when I : f is the unit germ.  A homogeneous I needs
+    no quotient: its associated primes are homogeneous, so they lie in m and
+    miss u, which is then a non-zero-divisor mod I, and u f in I forces f in I.
     """
-    return member(f, ideal) or is_germ_unit(_quotient(ideal, f))
+    return member(f, ideal) or (
+        not is_homogeneous(ideal) and is_germ_unit(_quotient(ideal, f))
+    )
 
 
 def root_order(f: Polynomial, ideal: Ideal) -> int | None:

@@ -139,7 +139,9 @@ def _minor_state(h_rows: tuple[tuple[Polynomial, ...], ...], stage: Ideal) -> Ko
     J_{k+1} = I_k + minors(dh, dGB(I_k)).  Minors are multilinear and
     d(a f) = a df + f da, so rows from any generating set of I_k, or from any
     earlier stage I_j <= I_k, give the same ideal modulo I_k; rows need not
-    accumulate across steps.
+    accumulate across steps.  Constant rows, the gradients of linear forms,
+    that span k^n give a nonzero constant maximal minor, so J is the unit
+    ideal without the other minors.
     """
     n = stage.ring_dim
     basis = stage.groebner()
@@ -149,9 +151,31 @@ def _minor_state(h_rows: tuple[tuple[Polynomial, ...], ...], stage: Ideal) -> Ko
         if any(not p.is_zero() for p in grad) and grad not in rows:
             rows.append(grad)
     matrix = PolyMatrix(tuple(rows))
-    minors = minor_dets(matrix) if matrix.nrows >= n else []
-    J = Ideal(n, basis + tuple(minors)).reduced()
+    if _spans_constants(rows, n):
+        J = Ideal(n, (Polynomial.constant(n, 1),))
+    else:
+        minors = minor_dets(matrix) if matrix.nrows >= n else []
+        J = Ideal(n, basis + tuple(minors)).reduced()
     return KohnState(matrix, J, h_rows, stage)
+
+
+def _spans_constants(rows: list[tuple[Polynomial, ...]], n: int) -> bool:
+    """Do the constant rows span k^n?  Gaussian elimination, column by column."""
+    vectors = [
+        [p.constant_term() for p in row] for row in rows if all(p.is_constant() for p in row)
+    ]
+    for col in range(n):
+        i = next((i for i, v in enumerate(vectors) if v[col]), None)
+        if i is None:  # the columns up to col have rank at most col
+            return False
+        pivot = vectors.pop(i)
+        for v in vectors:  # clear column col from the rest; earlier columns are not read again
+            if v[col]:
+                scale = v[col] / pivot[col]
+                for j in range(col + 1, n):
+                    if pivot[j]:
+                        v[j] = v[j] - scale * pivot[j]
+    return True
 
 
 def step(state: KohnState, options: KohnOptions = KohnOptions()) -> tuple[KohnState, KohnStepRecord]:

@@ -265,6 +265,8 @@ def run_effective(system: TriangularSystem) -> EffectiveTrace:
     fault = _shape_fault(system.h, n)
     if fault is not None:  # only a system built without validate
         raise CertificationError(f"pair 1: {fault}")
+    if len(system.exponents) != n:
+        raise CertificationError(f"{len(system.exponents)} exponents for {n} functions")
     D = _derivative_ladder(system)
     one = Polynomial.constant(n, 1)
     # prefix (a_1..a_i) -> (s_1..s_i, P_{i+1}, the product of C's factors among them)

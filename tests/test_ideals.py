@@ -17,6 +17,7 @@ from submult.ideals import (
     germ_colength,
     germ_member,
     is_germ_unit,
+    is_homogeneous,
     member,
     normal_form,
     radical_step,
@@ -699,6 +700,113 @@ def test_germ_membership_matches_normal_forms_on_the_local_component():
                 f = Polynomial.monomial(mono)
                 expected = normal_form(f, report.basis, GREVLEX).is_zero()
                 assert germ_member(f, I) == expected, (gens, mono)
+
+
+def _homogeneous_ideals(rng, count):
+    """Seeded homogeneous ideals in 2-3 variables, with real coefficients.
+
+    They come in four kinds, in turn: monomial, binomial and general forms,
+    and forms listed as f_1, f_1 + f_2, ... with degrees that differ, whose
+    generators are not homogeneous although the ideal is.
+    """
+    out = []
+    for index in range(count):
+        kind = ("monomial", "binomial", "form", "hidden")[index % 4]
+        n = rng.randint(2, 3)
+        degrees = rng.sample(range(1, 4), 2) if kind == "hidden" else [
+            rng.randint(1, 3) for _ in range(rng.randint(1, 3))
+        ]
+        forms = []
+        for d in degrees:
+            monos = list(monomials_of_degree(n, d))
+            size = {"monomial": 1, "binomial": 2}.get(kind, rng.randint(2, 3))
+            forms.append(sum(
+                (Polynomial.monomial(m, rng.choice([1, -1, 2, Fraction(-1, 3)]))
+                 for m in rng.sample(monos, min(size, len(monos)))),
+                Polynomial.zero(n),
+            ))
+        if kind == "hidden":
+            forms = [forms[0]] + [forms[0] + f for f in forms[1:]]
+        out.append(Ideal(n, forms))
+    return out
+
+
+# the zero ideal in two and three variables, (z, z + w^2) = (z, w^2), and seeded draws
+HOMOGENEOUS_CASES = (
+    [Ideal(2, ()), Ideal(3, ()), ideal("z", "z + w^2")]
+    + _homogeneous_ideals(random.Random(2035), 16)
+)
+
+
+def test_homogeneity_is_read_off_the_reduced_basis():
+    generators_homogeneous = [
+        all(g.ord_vanish() == g.total_degree() for g in I.generators) for I in HOMOGENEOUS_CASES
+    ]
+    assert all(is_homogeneous(I) for I in HOMOGENEOUS_CASES)
+    assert generators_homogeneous.count(False) >= 4  # (z, z + w^2) and the hidden kind
+    for gens in [("z + w^2",), ("z - z*w",), ("z^2 - z", "w^2"), ("z^3", "z*w + w^3")]:
+        assert not is_homogeneous(ideal(*gens)), gens
+
+
+def test_homogeneous_germ_membership_matches_both_oracles():
+    # the quotient route and sympy's local ring, on homogeneous ideals
+    sympy = pytest.importorskip("sympy")
+    checked = 0
+    for I in HOMOGENEOUS_CASES:
+        n = I.ring_dim
+        variables = ("z", "w", "v")[:n]
+        ring = sympy.QQ.old_poly_ring(*sympy.symbols(variables), order="igrevlex")
+        local = ring.ideal(*[to_sympy(sympy, g, variables).as_expr() for g in I.generators])
+        unit = 1 - Polynomial.variable(n, n - 1)
+        candidates = [Polynomial.monomial(m) for d in (1, 2, 3) for m in monomials_of_degree(n, d)]
+        candidates += list(I.generators) + [unit * g for g in I.generators]
+        candidates += [Polynomial.variable(n, 0) + Polynomial.variable(n, 1) ** 2]
+        for f in candidates:
+            quotient_route = member(f, I) or is_germ_unit(ideals._quotient(I, f))
+            expected = local.contains(to_sympy(sympy, f, variables).as_expr())
+            assert germ_member(f, I) == quotient_route == expected, (I.generators, f)
+            checked += 1
+    assert checked
+
+
+def test_homogeneous_germ_colength_matches_both_oracles():
+    # an isolated origin: sympy's local ring counts it; otherwise no saturation finds a witness
+    sympy = pytest.importorskip("sympy")
+    m_primary = 0
+    for I in HOMOGENEOUS_CASES:
+        report = germ_colength(I)
+        if report.m_primary:
+            variables = ("z", "w", "v")[: I.ring_dim]
+            assert report.colength == sympy_local_colength(sympy, I.generators, variables)
+            m_primary += 1
+        else:
+            assert ideals._isolating_witness(Ideal(I.ring_dim, I.generators)) is None
+    assert 0 < m_primary < len(HOMOGENEOUS_CASES)
+
+
+def test_homogeneous_germ_questions_take_no_elimination(monkeypatch):
+    # fresh copies, so that no cached report answers for the code under test
+    cases = [
+        Ideal(I.ring_dim, I.generators) for I in HOMOGENEOUS_CASES if not germ_colength(I).m_primary
+    ]
+    assert len(cases) >= 4
+    calls = []
+    for name in ("_quotient", "_eliminate"):
+        original = getattr(ideals, name)
+
+        def counting(*args, _original=original, _name=name):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(ideals, name, counting)
+    for I in cases:
+        n = I.ring_dim
+        assert germ_colength(I).colength is None
+        for d in (1, 2, 3):
+            for m in monomials_of_degree(n, d):
+                germ_member(Polynomial.monomial(m), I)
+        germ_member(Polynomial.variable(n, 0) + Polynomial.variable(n, 1) ** 2, I)
+    assert calls == []
 
 
 def test_root_orders_simple():

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from conftest import sympy_local_colength, to_sympy
-from submult import ideals
+from submult import corpus, ideals, kohn
 from submult.errors import ConsistencyError, ValidationError
 from submult.ideals import GermReport, Ideal, germ_colength, germ_member, is_germ_unit, member
 from submult.kohn import (
@@ -413,6 +413,102 @@ def test_stall_check_builds_no_basis_before_a_second_stage(monkeypatch):
     trace = run(domain("z^3", "z*w"))
     assert trace.status == "stalled" and trace.steps[-1].I_gens
     assert len(calls) >= 1
+
+
+def _corpus_kohn_domains():
+    runners = {corpus._run_kohn_init, corpus._run_kohn_run, corpus._run_curve_annihilation}
+    return [
+        (tuple(c.payload["variables"]), c.payload["h"]) for c in corpus.CASES if c.run in runners
+    ]
+
+
+# Domain sets whose runs reach a stage with constant rows that span k^n: the
+# kohn-3d benchmark panel with both probes (the north star and the capped
+# domain first; two with unit coefficients as the benchmark draws them), the
+# paper family, and the corpus's Kohn domains.
+UNIT_SHORTCUT_SETS = {
+    "kohn-3d panel": [
+        (ZWV, h)
+        for h in [
+            ("z^2", "w^3 + w*z^4", "v^2"),
+            ("z^3", "w^2", "v^2 + z*w"),
+            ("z^2", "w^2", "v^2"),
+            ("z", "w^2 + z*v", "v^2"),
+            ("z", "w", "v^2"),
+            ("z", "w", "v^3"),
+            ("z^2", "w", "v"),
+            ("z^3", "w", "v"),
+            ("z", "w^2 + z*v", "v"),
+            ("z", "w", "v^2 + z*w"),
+            ("i*z", "-w", "-i*v^2"),
+            ("-i*z", "i*w^2 - z*v", "-v"),
+        ]
+    ],
+    "paper family": [
+        (ZW, (f"z^{M}", f"w^{N} + w*z^{K}"))
+        for M in (2, 3, 4)
+        for N in (2, 3, 4)
+        for K in range(1, 8)
+    ],
+    "corpus": _corpus_kohn_domains(),
+}
+
+
+@pytest.mark.parametrize("name", list(UNIT_SHORTCUT_SETS))
+def test_unit_shortcut_gives_the_minor_ideal(monkeypatch, name):
+    # every minor ideal equals stage + all maximal minors, shortcut or not
+    minor_state = kohn._minor_state
+    shortcuts = []
+
+    def checking(h_rows, stage):
+        state = minor_state(h_rows, stage)
+        n = stage.ring_dim
+        minors = minor_dets(state.rows) if state.rows.nrows >= n else []
+        expected = Ideal(n, stage.groebner() + tuple(minors)).reduced()
+        assert state.multipliers.generators == expected.generators, stage.generators
+        shortcuts.append(kohn._spans_constants(state.rows.rows, n))
+        return state
+
+    monkeypatch.setattr(kohn, "_minor_state", checking)
+    assert UNIT_SHORTCUT_SETS[name]
+    for variables, h in UNIT_SHORTCUT_SETS[name]:
+        run(domain(*h, variables=variables))
+    assert any(shortcuts) and not all(shortcuts)
+
+
+@pytest.mark.parametrize(
+    "rows, spans",
+    [
+        (["1, 0, 0", "0, 1, 0", "0, 0, 1"], True),
+        (["i, 0, 0", "1, 0, 0", "0, -1, 0"], False),  # the first two are dependent
+        (["i, 0, 0", "1, 0, 0", "0, -1, 0", "0, 1, 2"], True),
+        (["1, 1, 0", "0, 1, 1", "1, 0, -1"], False),  # the third is the first less the second
+        (["1, 1, 0", "0, 1, 1", "1, 0, 1"], True),
+        (["z, 0, 0", "0, 1, 0", "0, 0, 1"], False),  # a row that is not constant
+        (["0, 1, 0", "0, 0, 1"], False),
+    ],
+)
+def test_constant_rows_span_by_elimination(rows, spans):
+    parsed = [tuple(parse(e, ZWV) for e in row.split(", ")) for row in rows]
+    assert kohn._spans_constants(parsed, 3) is spans
+    if len(rows) >= 3:  # the same answer as a nonzero constant maximal minor
+        minors = minor_dets(PolyMatrix(tuple(parsed)))
+        assert any(m.is_constant() and not m.is_zero() for m in minors) is spans
+
+
+def test_unit_shortcut_takes_no_minors(monkeypatch):
+    calls = []
+
+    def counting(matrix):
+        calls.append(matrix.nrows)
+        return minor_dets(matrix)
+
+    monkeypatch.setattr(kohn, "minor_dets", counting)
+    state = init_state(domain("z", "w", "v^2", variables=ZWV))
+    assert calls == [3]  # dz, dw and dv^2: two constant rows do not span k^3
+    while not is_germ_unit(state.multipliers):
+        state, _ = step(state)
+    assert calls == [3]  # the stage (v) adds the constant row dv
 
 
 # -- finite type ----------------------------------------------------------------------

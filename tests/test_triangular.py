@@ -241,6 +241,17 @@ def test_ladder_refuses_rows_that_are_not_lower_triangular():
         run_effective(ts)
 
 
+@pytest.mark.parametrize("exponents", [(2,), (2, 2, 2)], ids=["short", "long"])
+def test_ladder_refuses_exponents_that_do_not_match_h(exponents):
+    good = system("z^2", "w^2")
+    ts = good._replace(exponents=exponents)
+    with pytest.raises(CertificationError, match=f"{len(exponents)} exponents for 2 functions"):
+        run_effective(ts)
+    # the box product and the colength disagree; every check on the pairs still passes
+    report = certify(run_effective(good), ts)
+    assert [name for name, ok, _ in report.checks if not ok] == ["length", "colength"]
+
+
 def test_trace_serialization():
     trace = run_effective(system("z^2", "w^2"))
     doc = trace.to_dict()
