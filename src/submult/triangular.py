@@ -1,7 +1,8 @@
 """Certified multiplier ladders for triangular systems.
 
 A triangular system in n variables has h_i depending only on z_1..z_i with
-pure part z_i^{m_i} (unit coefficients already normalized away).  The ladder
+pure part z_i^{m_i} (unit coefficients already normalized away), and a
+TriangularSystem refuses any other data when it is built.  The ladder
 walks the exponent box [1..m_1] x ... x [1..m_n]; at each position it picks
 n sources, the i-th free of every variable after z_i, so their gradient rows
 form a lower-triangular matrix whose determinant, the certified multiplier
@@ -27,87 +28,88 @@ nearly a lex basis already, and is one when every lead is a pure power.
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .errors import CertificationError, ConsistencyError, ValidationError
+from .errors import ConsistencyError, ValidationError, checked
 from .ideals import LEX, Ideal, _standard_monomial_count, leading_mono
 from .poly import GaussianRational, Polynomial, divides, exact_div, format_poly, least_power
 
 
+@checked
 class TriangularSystem(NamedTuple):
+    """A normalized triangular system: h_i is free of every variable after
+    z_i, and its pure part in z_i is the monomial z_i^{m_i} with m_i >= 1.
+
+    Inputs must already be normalized, with unit coefficient on each pure
+    part.  Coordinate changes that absorb non-constant units are out of
+    scope and refused with a message.
+    """
+
     variables: tuple[str, ...]
     h: tuple[Polynomial, ...]
-    exponents: tuple[int, ...]
+
+    def _check(self):
+        vs, h = self.variables, self.h
+        n = len(vs)
+        if len(h) != n:
+            raise ValidationError(f"need exactly {n} functions in {n} variables, got {len(h)}")
+        for i, p in enumerate(h):
+            if p.ring_dim != n:
+                raise ValidationError(f"h_{i + 1} lives in the wrong ring")
+            pure = {m: c for m, c in p.terms.items() if sum(m) == m[i]}
+            if not pure:
+                raise ValidationError(
+                    f"condition 2 fails for h_{i + 1}: it vanishes on the {vs[i]} axis"
+                )
+            for j in range(i + 1, n):
+                if p.degree_in(j) > 0:
+                    raise ValidationError(
+                        f"condition 1 fails for h_{i + 1}: it depends on {vs[j]}"
+                    )
+            if len(pure) != 1:
+                raise ValidationError(
+                    f"h_{i + 1} is not normalized: its pure part in {vs[i]} is not a single monomial"
+                )
+            ((mono, coeff),) = pure.items()
+            if coeff != 1:
+                raise ValidationError(
+                    f"h_{i + 1} is not normalized: pure part has non-unit coefficient {coeff!r}"
+                )
+            if mono[i] < 1:
+                raise ValidationError(f"h_{i + 1} must vanish at the origin")
 
     @property
     def n(self) -> int:
         return len(self.variables)
 
+    @property
+    def exponents(self) -> tuple[int, ...]:
+        """The m_i of the pure parts z_i^{m_i}, read off h on each access: read it once."""
+        return tuple(
+            next(m[i] for m in p.terms if sum(m) == m[i]) for i, p in enumerate(self.h)
+        )
+
 
 def validate(h_polys, variables) -> TriangularSystem:
-    """Check the triangular conditions and extract the pure-power exponents.
-
-    Inputs must already be normalized: the pure part of h_i in z_i is the
-    monomial z_i^{m_i} with unit coefficient.  Coordinate changes that absorb
-    non-constant units are out of scope and rejected with a message.
-    """
-    vs = tuple(variables)
-    n = len(vs)
-    h = tuple(h_polys)
-    if len(h) != n:
-        raise ValidationError(f"need exactly {n} functions in {n} variables, got {len(h)}")
-    exponents = []
-    for i, p in enumerate(h):
-        if p.ring_dim != n:
-            raise ValidationError(f"h_{i + 1} lives in the wrong ring")
-        pure = Polynomial._of(n, {m: c for m, c in p.terms.items() if sum(m) == m[i]})
-        if pure.is_zero():
-            raise ValidationError(
-                f"condition 2 fails for h_{i + 1}: it vanishes on the {vs[i]} axis"
-            )
-        for j in range(i + 1, n):
-            if p.degree_in(j) > 0:
-                raise ValidationError(
-                    f"condition 1 fails for h_{i + 1}: it depends on {vs[j]}"
-                )
-        if not pure.is_monomial():
-            raise ValidationError(
-                f"h_{i + 1} is not normalized: its pure part in {vs[i]} is not a single monomial"
-            )
-        mono, coeff = pure.leading()
-        if coeff != 1:
-            raise ValidationError(
-                f"h_{i + 1} is not normalized: pure part has non-unit coefficient {coeff!r}"
-            )
-        m = mono[i]
-        if m < 1:
-            raise ValidationError(f"h_{i + 1} must vanish at the origin")
-        exponents.append(m)
-    return TriangularSystem(vs, h, tuple(exponents))
+    """The TriangularSystem of h_polys in variables, which checks itself."""
+    return TriangularSystem(tuple(variables), tuple(h_polys))
 
 
 def multiplicity(system: TriangularSystem) -> int:
     """Product of the pure-power exponents, cross-checked against the colength.
 
-    A system that passes validate has V(h) = {0}: h_1 = z_1^{m_1}, and each
-    h_i is z_i^{m_i} on z_1 = ... = z_{i-1} = 0.  The germ colength is then
-    the global dim k[z]/(h), counted on a lex basis with the variables
+    A TriangularSystem has V(h) = {0}: h_1 = z_1^{m_1}, and each h_i is
+    z_i^{m_i} on z_1 = ... = z_{i-1} = 0.  The germ colength is then the
+    global dim k[z]/(h), counted on a lex basis with the variables
     reversed, z_n > ... > z_1, the order in which the system is nearly a
     basis already.  When its lex leads are pairwise coprime, h is that basis
     by Buchberger's first criterion (Cox-Little-O'Shea, Ch. 2, Sec. 9), each
     lead being the pure power z_i^{m_i}; otherwise Buchberger's algorithm
-    gives the reduced one.  The shape is checked again here because it is what
-    proves V(h) = {0}: a system built by hand, such as (z^2, w^2 - w), may
-    have points off the origin that the global count would add in.
+    gives the reduced one.
     """
     expected = math.prod(system.exponents)
-    try:
-        validate(system.h, system.variables)
-    except ValidationError as exc:
-        raise ConsistencyError(f"the colength is not certified: {exc}") from None
     n = system.n
     basis = [p.lift(n, range(n - 1, -1, -1)) for p in system.h]
     leads = [leading_mono(p, LEX) for p in basis]
@@ -130,7 +132,10 @@ class MultiplierPair(NamedTuple):
 class EffectiveTrace(NamedTuple):
     system: TriangularSystem
     pairs: tuple[MultiplierPair, ...]
-    L: int
+
+    @property
+    def L(self) -> int:
+        return len(self.pairs)
 
     def to_dict(self) -> dict:
         vs = self.system.variables
@@ -159,19 +164,6 @@ def _row_fault(s: Polynomial, i: int, n: int) -> str | None:
     return None
 
 
-def _shape_fault(sources: Sequence[Polynomial], n: int) -> str | None:
-    """Why the gradient rows of the sources are not lower triangular, or None."""
-    if len(sources) < n:
-        return f"row {len(sources) + 1} is missing"
-    if len(sources) > n:
-        return f"row {n + 1} is one too many for {n} variables"
-    for i, s in enumerate(sources):
-        fault = _row_fault(s, i, n)
-        if fault is not None:
-            return fault
-    return None
-
-
 def _diagonal_det(
     sources: Sequence[Polynomial], n: int, memo: dict
 ) -> tuple[str | None, Polynomial | None]:
@@ -184,8 +176,10 @@ def _diagonal_det(
     to that prefix's verdict, so calls whose sources share a prefix form
     its product once; the ids stay valid while the caller holds the sources.
     """
-    if len(sources) != n:
-        return _shape_fault(sources, n), None
+    if len(sources) < n:
+        return f"row {len(sources) + 1} is missing", None
+    if len(sources) > n:
+        return f"row {n + 1} is one too many for {n} variables", None
     key: tuple[int, ...] = ()
     verdict, head = (None, None), None
     for i, s in enumerate(sources):
@@ -231,16 +225,6 @@ def _division_power(A: Polynomial, B: Polynomial, n: int) -> int | None:
     return least_power(A, lambda p: divides(B, p), n)
 
 
-def _derivative_ladder(system: TriangularSystem) -> list[list[Polynomial]]:
-    out = []
-    for i, p in enumerate(system.h):
-        ladder = [p]
-        for _ in range(system.exponents[i]):
-            ladder.append(ladder[-1].diff(i))
-        out.append(ladder)
-    return out
-
-
 def run_effective(system: TriangularSystem) -> EffectiveTrace:
     """Walk the exponent box, producing the certified multiplier ladder.
 
@@ -252,58 +236,39 @@ def run_effective(system: TriangularSystem) -> EffectiveTrace:
     C = prod_{i >= 2, a_i >= 2} P_i.  As A != 0, B divides A^e exactly when
     C divides A^{e-1}: e = 1 for a constant C, and otherwise 1 plus the
     least s with C | A^s.  Each of C's c factors P_i divides A, so C | A^c:
-    only s < c is searched, and s = c otherwise.  A prefix (a_1..a_i) keeps
-    its sources, P_{i+1} and partial cofactor for every position below it,
-    and is built with its siblings: P_i D_i^k h_i is formed once for
+    only s < c is searched, and s = c otherwise.  The ladder is built level
+    by level, in box order (the deepest digit runs fastest): each prefix
+    (a_1..a_i) holds its sources, P_{i+1}, partial cofactor and c, and
+    yields its children together, so P_i D_i^k h_i is formed once for
     k = 1..m_i, as the P_{i+1} of child k and the source of child k + 1, and
-    the children with k >= 2 share one cofactor product.  The shape is
-    checked once, on the first rung, whose sources are h: products and
+    the children with k >= 2 share one cofactor product.  The products and
     z_i-derivatives of the h_j keep each source free of the variables after
-    its own.
+    its own, and the last A, prod_j D_j^{m_j} h_j, has constant term
+    prod_j m_j! != 0.
     """
     n = system.n
-    fault = _shape_fault(system.h, n)
-    if fault is not None:  # only a system built without validate
-        raise CertificationError(f"pair 1: {fault}")
-    if len(system.exponents) != n:
-        raise CertificationError(f"{len(system.exponents)} exponents for {n} functions")
-    D = _derivative_ladder(system)
+    D = []  # D[i][k] = D_i^k h_i
+    for i, (p, m) in enumerate(zip(system.h, system.exponents)):
+        D.append([p])
+        for _ in range(m):
+            D[i].append(D[i][-1].diff(i))
     one = Polynomial.constant(n, 1)
-    # prefix (a_1..a_i) -> (s_1..s_i, P_{i+1}, the product of C's factors among them)
-    prefixes: dict[tuple[int, ...], tuple[tuple[Polynomial, ...], Polynomial, Polynomial]] = {}
-
-    def extend(a: tuple[int, ...]):
-        # builds a with its siblings; nexts[k] is P_i D_i^k h_i
-        state = prefixes.get(a)
-        if state is None:
-            parent, i = a[:-1], len(a) - 1
-            m = system.exponents[i]
-            if i == 0:
-                sources, C, nexts, shared = (), one, D[0], one  # P_1 = 1
-            else:
-                sources, P, C = extend(parent)
-                nexts = [D[i][0], *(P * d for d in D[i][1:])]
-                shared = C * P if m > 1 else None
-            for k in range(1, m + 1):
-                prefixes[parent + (k,)] = (
-                    sources + (nexts[k - 1],),
-                    nexts[k],
-                    C if k == 1 else shared,
-                )
-            state = prefixes[a]
-        return state
-
-    pairs: list[MultiplierPair] = []
-    # the deepest digit of the box runs fastest
-    for index, a in enumerate(itertools.product(*(range(1, k + 1) for k in system.exponents)), 1):
-        sources, A, C = extend(a)
-        c = sum(k > 1 for k in a[1:])  # the number of C's factors P_i
-        e = _cofactor_power(A, C, c - 1) or c + 1  # C | A^c
-        pairs.append(MultiplierPair(index, A * C, A, sources, e))
-    last = pairs[-1]
-    if not last.A.constant_term() or not last.B.constant_term():
-        raise CertificationError("final pair is not a unit")
-    return EffectiveTrace(system, tuple(pairs), len(pairs))
+    # one (s_1..s_i, P_{i+1}, the product of C's factors among them, their number) per prefix
+    level = [((D[0][k - 1],), D[0][k], one, 0) for k in range(1, len(D[0]))]  # P_1 = 1
+    for i in range(1, n):
+        deeper = []
+        for sources, P, C, c in level:
+            nexts = [D[i][0], *(P * d for d in D[i][1:])]  # nexts[k] = P_i D_i^k h_i
+            shared = C * P if len(nexts) > 2 else None
+            for k in range(1, len(nexts)):
+                cofactor = (C, c) if k == 1 else (shared, c + 1)
+                deeper.append((sources + (nexts[k - 1],), nexts[k], *cofactor))
+        level = deeper
+    pairs = [
+        MultiplierPair(index, A * C, A, sources, _cofactor_power(A, C, c - 1) or c + 1)
+        for index, (sources, A, C, c) in enumerate(level, 1)  # C | A^c
+    ]
+    return EffectiveTrace(system, tuple(pairs))
 
 
 class CertifyReport(NamedTuple):

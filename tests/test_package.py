@@ -199,8 +199,12 @@ def _term():
         (lambda: submult.SpecialDomain(("z",), (_z(),)), "h", ()),
         (lambda: submult.KohnOptions(), "max_steps", 0),
         (lambda: submult.PolyMatrix(((_z(),),)), "rows", ()),
+        (lambda: submult.TriangularSystem(("z",), (_z(),)), "h", (_z() + 1,)),
     ],
-    ids=["AmbientDomain", "CurveTerm", "CurveFamily", "SpecialDomain", "KohnOptions", "PolyMatrix"],
+    ids=[
+        "AmbientDomain", "CurveTerm", "CurveFamily", "SpecialDomain", "KohnOptions", "PolyMatrix",
+        "TriangularSystem",
+    ],
 )
 def test_checked_records_refuse_an_invalid_field_on_every_path(good, field, bad):
     record = good()

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -5,7 +6,7 @@ import pytest
 
 from conftest import CLIFFS
 from submult import ideals
-from submult.errors import CertificationError, ConsistencyError, ValidationError
+from submult.errors import ValidationError
 from submult.ideals import (
     GREVLEX,
     LEX,
@@ -94,6 +95,29 @@ def test_validate_needs_square_shape():
         validate([parse("z^2", ZW)], ZW)
 
 
+@pytest.mark.parametrize(
+    "h, message",
+    [
+        # V(z^2, w^2 - w) is the origin and (0, 1): the germ colength is 2, and
+        # a global count on h would pass the exponent product 4
+        (("z^2", "w^2 - w"), "h_2 is not normalized"),
+        # the first gradient row would depend on w
+        (("z + w^2", "w^2"), "condition 1 fails for h_1"),
+    ],
+    ids=["point-off-the-origin", "later-variable"],
+)
+def test_system_refuses_a_shape_that_is_not_triangular_when_built(h, message):
+    with pytest.raises(ValidationError, match=message):
+        TriangularSystem(ZW, tuple(parse(s, ZW) for s in h))
+
+
+def test_exponents_are_read_off_the_pure_parts():
+    # the exponent of h_2 is its pure power w^2, not its degree in w
+    ts = TriangularSystem(ZW, (parse("z^2", ZW), parse("w^2 + z*w^3", ZW)))
+    assert ts.h[1].degree_in(1) == 3
+    assert ts.exponents == (2, 2)
+
+
 # -- multiplicity -------------------------------------------------------------------
 
 
@@ -137,16 +161,6 @@ def test_multiplicity_runs_buchberger_only_without_coprime_leads(
     calls = counting_groebner(monkeypatch)
     assert multiplicity(ts) == math.prod(ts.exponents)
     assert bool(calls) == buchberger
-
-
-def test_multiplicity_needs_the_triangular_shape():
-    # V(z^2, w^2 - w) is the origin and (0, 1): the germ colength is 2, and
-    # a bare global count would pass the exponent product 4
-    ts = TriangularSystem(ZW, (parse("z^2", ZW), parse("w^2 - w", ZW)), (2, 2))
-    with pytest.raises(ConsistencyError, match="h_2 is not normalized"):
-        multiplicity(ts)
-    report = certify(run_effective(ts), ts)
-    assert [name for name, ok, _ in report.checks if not ok] == ["colength"]
 
 
 # -- the ladder ----------------------------------------------------------------------
@@ -234,22 +248,14 @@ def test_certify_fails_a_malformed_pair_without_raising(sources, detail):
     assert report.failures() == (f"pair_2_minor: {detail}",)
 
 
-def test_ladder_refuses_rows_that_are_not_lower_triangular():
-    # validate rejects this system; built by hand, its first row depends on w
-    ts = TriangularSystem(ZW, (parse("z + w^2", ZW), parse("w^2", ZW)), (1, 2))
-    with pytest.raises(CertificationError, match="pair 1: row 1 depends on a variable after z_1"):
-        run_effective(ts)
-
-
-@pytest.mark.parametrize("exponents", [(2,), (2, 2, 2)], ids=["short", "long"])
-def test_ladder_refuses_exponents_that_do_not_match_h(exponents):
-    good = system("z^2", "w^2")
-    ts = good._replace(exponents=exponents)
-    with pytest.raises(CertificationError, match=f"{len(exponents)} exponents for 2 functions"):
-        run_effective(ts)
-    # the box product and the colength disagree; every check on the pairs still passes
-    report = certify(run_effective(good), ts)
-    assert [name for name, ok, _ in report.checks if not ok] == ["length", "colength"]
+def test_ladder_builds_many_variables_without_deep_calls():
+    # h_i = z_i has the one-position box (1, ..., 1), whose sources are h;
+    # the ladder is built level by level, so no call depth grows with n
+    n = 1100
+    h = tuple(Polynomial.variable(n, i) for i in range(n))
+    trace = run_effective(validate(h, (f"z{i}" for i in range(n))))
+    assert len(trace.pairs) == 1
+    assert all(s is p for s, p in zip(trace.pairs[0].sources, h, strict=True))
 
 
 def test_trace_serialization():
@@ -381,6 +387,33 @@ def test_certify_fails_a_zero_a_recorded_with_power_one():
     assert trace.pairs[2].min_power == 1
     report = certify(replace_pair(trace, 2, A=Polynomial.zero(2)), ts)
     assert report.failures() == ("pair_3_division: A is zero (recorded 1, bound 2)",)
+
+
+def _d(p, i, k):
+    """D_i^k p."""
+    for _ in range(k):
+        p = p.diff(i)
+    return p
+
+
+def test_ladder_walks_the_box_in_order():
+    # rung k is the k-th position a of the box in itertools.product order; its
+    # A is prod_j D_j^{a_j} h_j, and its sources are D_1^{a_1 - 1} h_1, then
+    # h_i when a_i = 1 and P_i D_i^{a_i - 1} h_i otherwise, where P_i is the
+    # product over j < i
+    cliffs = [system(*h, variables=ZWV) for h in CLIFFS.values()]
+    for ts in _strata_sample() + cliffs:
+        trace, h = run_effective(ts), ts.h
+        box = list(itertools.product(*(range(1, m + 1) for m in ts.exponents)))
+        assert [p.index for p in trace.pairs] == list(range(1, len(box) + 1))
+        for pair, a in zip(trace.pairs, box, strict=True):
+            sources = [_d(h[0], 0, a[0] - 1)]
+            P = _d(h[0], 0, a[0])
+            for i in range(1, ts.n):
+                sources.append(h[i] if a[i] == 1 else P * _d(h[i], i, a[i] - 1))
+                P = P * _d(h[i], i, a[i])
+            assert pair.sources == tuple(sources)
+            assert pair.A == P
 
 
 def test_ladder_products_are_shared_across_box_prefixes(monkeypatch):
