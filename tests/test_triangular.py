@@ -248,6 +248,27 @@ def test_certify_fails_a_malformed_pair_without_raising(sources, detail):
     assert report.failures() == (f"pair_2_minor: {detail}",)
 
 
+@pytest.mark.parametrize(
+    "exponents, failing",
+    [((2,), ["length", "colength", "final_unit"]), ((2, 2, 2), ["length", "colength"])],
+    ids=["short", "long"],
+)
+def test_ladder_refuses_exponents_that_do_not_match_h(exponents, failing):
+    # exponents is read off h, not stored, so a system cannot carry a box of
+    # another length than h
+    good = system("z^2", "w^2")
+    with pytest.raises(ValueError, match="unexpected field names"):
+        good._replace(exponents=exponents)
+    with pytest.raises(ValidationError, match=f"got {len(exponents)}"):
+        TriangularSystem(ZW, (good.h * 2)[: len(exponents)])
+    # a ladder one rung short of or past the box (2, 2) fails the box product
+    # and the colength; a short one also ends on a non-unit
+    trace = run_effective(good)
+    pairs = trace.pairs[:-1] if len(exponents) < 2 else trace.pairs + trace.pairs[-1:]
+    report = certify(trace._replace(pairs=pairs), good)
+    assert [name for name, ok, _ in report.checks if not ok] == failing
+
+
 def test_ladder_builds_many_variables_without_deep_calls():
     # h_i = z_i has the one-position box (1, ..., 1), whose sources are h;
     # the ladder is built level by level, so no call depth grows with n
