@@ -7,7 +7,6 @@ layers it uses.
 
 from .errors import (
     CapExceededError,
-    CertificationError,
     ConsistencyError,
     DimensionMismatchError,
     ParseError,

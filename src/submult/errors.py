@@ -35,10 +35,6 @@ class ConsistencyError(SubmultError):
     """Two independent computations of the same quantity disagree."""
 
 
-class CertificationError(SubmultError):
-    """A multiplier certificate failed re-verification."""
-
-
 def checked(cls):
     """Make every construction of the NamedTuple ``cls`` run ``cls._check``.
 

@@ -327,17 +327,18 @@ def _standard_monomial_count(
 ) -> int | None:
     """dim k[x]/I for this Groebner basis of I in order; None when it is infinite.
 
-    The count is the same in every monomial order, and the basis need not be
-    reduced: the leads of any Groebner basis generate the same leading
-    ideal, so they leave the same standard monomials.  The standard monomials
-    form an order ideal, every divisor of one being standard, so those of
-    degree d are the x_j s, s standard of degree d - 1, that no lead
-    divides, and the walk ends at the first degree with none.  Taking j no
-    earlier than the last variable of s reaches each of them once.  A
-    pure-power lead in every variable makes their number finite.
+    The package's one count of standard monomials.  The count is the same in
+    every monomial order, and the basis need not be reduced: the leads of
+    any Groebner basis generate the same leading ideal, so they leave the
+    same standard monomials.  Their number is finite exactly when some lead
+    is a pure power of each variable.  The standard monomials form an order
+    ideal, every divisor of one being standard, so those of degree d are the
+    x_j s, s standard of degree d - 1, that no lead divides, and the walk
+    ends at the first degree with none.  Taking j no earlier than the last
+    variable of s reaches each of them once.
     """
     leads = [leading_mono(g, order) for g in basis]
-    if not _zero_dimensional(leads, ring_dim):
+    if not all(any(sum(lm) == lm[i] for lm in leads) for i in range(ring_dim)):
         return None
 
     def standard(mono: Mono) -> bool:
@@ -394,11 +395,6 @@ def _quotient(ideal: Ideal, f: Polynomial) -> Ideal:
     return Ideal(ideal.ring_dim, [exact_div(g, f) for g in meet.generators])
 
 
-def _zero_dimensional(leads: Sequence[Mono], ring_dim: int) -> bool:
-    # a pure-power lead in every variable leaves finitely many standard monomials
-    return all(any(sum(lm) == lm[i] for lm in leads) for i in range(ring_dim))
-
-
 def _isolating_witness(ideal: Ideal) -> Polynomial | None:
     """f with f(0) != 0 vanishing on V(I) minus the origin, else None.
 
@@ -428,20 +424,20 @@ def _local_algebra(basis: Sequence[Polynomial], ring_dim: int) -> tuple[int, int
 
     Q is the ideal with this reduced grevlex basis; None means V(Q) has a
     point off the origin.  A zero-dimensional Q has finitely many standard
-    monomials, L of them.  V(Q) lies in the origin exactly when R/Q is local
-    of length L, so exactly when m^L lies in Q.  The normal forms of the
-    degree-d monomials come from those of degree d - 1: the normal form on a
-    Groebner basis is linear, so NF(x_j x^b) = sum c_s NF(x_j s) over the
-    terms c_s s of NF(x^b), every s standard.  Each x_j s that is not
-    standard is reduced once and remembered, so there are at most n L
-    reductions, and the forms are carried as term dicts.  A monomial one of
-    whose divisors is in Q is in Q, so only nonzero normal forms are carried
-    up.  A standard monomial's divisors are standard, so it is live, and L
-    is counted among the live monomials as the table grows.
+    monomials, L of them, counted by _standard_monomial_count.  V(Q) lies in
+    the origin exactly when R/Q is local of length L, so exactly when m^L
+    lies in Q.  The normal forms of the degree-d monomials come from those
+    of degree d - 1: the normal form on a Groebner basis is linear, so
+    NF(x_j x^b) = sum c_s NF(x_j s) over the terms c_s s of NF(x^b), every s
+    standard.  Each x_j s that is not standard is reduced once and
+    remembered, so there are at most n L reductions, and the forms are
+    carried as term dicts.  A monomial one of whose divisors is in Q is in
+    Q, so only nonzero normal forms are carried up.
     """
-    leads = [leading_mono(g, GREVLEX) for g in basis]
-    if not _zero_dimensional(leads, ring_dim):
+    colength = _standard_monomial_count(basis, ring_dim, GREVLEX)
+    if colength is None:
         return None
+    leads = [leading_mono(g, GREVLEX) for g in basis]
 
     def standard(mono: Mono) -> bool:
         return not any(_mono_divides(lm, mono) for lm in leads)
@@ -461,7 +457,6 @@ def _local_algebra(basis: Sequence[Polynomial], ring_dim: int) -> tuple[int, int
 
     one = (0,) * ring_dim
     live = {one: {one: GR_ONE}} if standard(one) else {}
-    colength = len(live)
     for degree in itertools.count(1):
         forms: dict[Mono, dict[Mono, GaussianRational]] = {}
         for mono, r in live.items():
@@ -484,9 +479,7 @@ def _local_algebra(basis: Sequence[Polynomial], ring_dim: int) -> tuple[int, int
         live = {mono: r for mono, r in forms.items() if r}
         if not live:
             return colength, degree
-        colength += sum(1 for mono in live if standard(mono))
-        # every degree below L has a standard monomial, so the count is final here
-        if degree >= colength:
+        if degree >= colength:  # m^degree, inside m^L, is not in Q
             return None
 
 

@@ -20,6 +20,7 @@ from .ideals import (
     RadicalOutcome,
     germ_colength,
     germ_member,
+    is_germ_unit,
     radical_step,
     root_order,
     variable_root_order,
@@ -203,14 +204,13 @@ def step(state: KohnState, options: KohnOptions = KohnOptions()) -> tuple[KohnSt
 def run(domain: SpecialDomain, options: KohnOptions = KohnOptions()) -> KohnTrace:
     """Iterate until a unit is reached, the ideal stops growing, or the cap."""
     state = init_state(domain)
-    n = domain.n
     steps: list[KohnStepRecord] = []
     status = "step_cap"
     for _ in range(options.max_steps):
         prev = state.stage
         state, record = step(state, options)
         steps.append(record)
-        if record.I_gens == (Polynomial.constant(n, 1),):
+        if is_germ_unit(state.stage):
             status = "unit_reached"
             break
         # Stall test.  I_{k-1} <= J_k because the minors keep the previous

@@ -80,17 +80,15 @@ class GaussianRational:
         return self._re_num != 0 or self._im_num != 0
 
     def __eq__(self, other):
-        if type(other) is GaussianRational:
-            return (
-                self._re_num == other._re_num
-                and self._im_num == other._im_num
-                and self._den == other._den
-            )
-        if isinstance(other, (int, Fraction)):
-            other = GaussianRational(other)
         if not isinstance(other, GaussianRational):
-            return NotImplemented
-        return (self._re_num, self._im_num, self._den) == (other._re_num, other._im_num, other._den)
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = GaussianRational(other)
+        return (
+            self._re_num == other._re_num
+            and self._im_num == other._im_num
+            and self._den == other._den
+        )
 
     def __hash__(self):
         # a real value equals its int or Fraction, so it must hash like it

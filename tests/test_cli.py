@@ -408,20 +408,21 @@ def test_triangular_run_computes_the_colength_once(tmp_path, capsys, monkeypatch
         return counts[-1]
 
     monkeypatch.setattr(triangular, "_standard_monomial_count", counting)
-    cfg = write_config(tmp_path, {**ZW_CONFIG, "h": ["z^2", "w^3 + w*z^4"]})
+    # the lead z*w^3 shares z with z^2, so the standard monomials are counted
+    cfg = write_config(tmp_path, {**ZW_CONFIG, "h": ["z^2", "w^2 + z*w^3"]})
     code, out, _ = run_cli(capsys, "triangular", "run", "--config", cfg)
-    assert code == 0 and json.loads(out)["multiplicity"] == 6
-    assert counts == [6]
+    assert code == 0 and json.loads(out)["multiplicity"] == 4
+    assert counts == [4]
 
 
 def test_triangular_run_exits_on_a_colength_mismatch(tmp_path, capsys, monkeypatch):
     from submult import triangular
 
     monkeypatch.setattr(triangular, "_standard_monomial_count", lambda basis, ring_dim, order: 5)
-    cfg = write_config(tmp_path, {**ZW_CONFIG, "h": ["z^2", "w^3 + w*z^4"]})
+    cfg = write_config(tmp_path, {**ZW_CONFIG, "h": ["z^2", "w^2 + z*w^3"]})
     code, out, err = run_cli(capsys, "triangular", "run", "--config", cfg)
     assert code == 1 and out == ""
-    assert "colength 5 disagrees with exponent product 6" in err
+    assert "colength 5 disagrees with exponent product 4" in err
 
 
 def test_triangular_run_rejects_bad_system(tmp_path, capsys):

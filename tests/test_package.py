@@ -18,7 +18,7 @@ import submult
 # The exported names, each with the module that defines it.
 PUBLIC = {
     "errors": (
-        "CapExceededError", "CertificationError", "ConsistencyError", "DimensionMismatchError",
+        "CapExceededError", "ConsistencyError", "DimensionMismatchError",
         "ParseError", "SubmultError", "ValidationError",
     ),
     "poly": (

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from conftest import CLIFFS
-from submult import ideals
+from submult import ideals, triangular
 from submult.errors import ValidationError
 from submult.ideals import (
     GREVLEX,
@@ -157,10 +157,21 @@ def counting_groebner(monkeypatch):
 def test_multiplicity_runs_buchberger_only_without_coprime_leads(
     monkeypatch, h, variables, buchberger
 ):
+    # coprime leads are the pure powers z_i^{m_i}, whose box gives the
+    # colength with no walk; the standard monomials are counted only on a
+    # basis that Buchberger's algorithm built
     ts = system(*h, variables=variables)
     calls = counting_groebner(monkeypatch)
+    counts = []
+
+    def counting(basis, ring_dim, order):
+        counts.append(_standard_monomial_count(basis, ring_dim, order))
+        return counts[-1]
+
+    monkeypatch.setattr(triangular, "_standard_monomial_count", counting)
     assert multiplicity(ts) == math.prod(ts.exponents)
     assert bool(calls) == buchberger
+    assert counts == ([math.prod(ts.exponents)] if buchberger else [])
 
 
 # -- the ladder ----------------------------------------------------------------------
@@ -271,12 +282,15 @@ def test_ladder_refuses_exponents_that_do_not_match_h(exponents, failing):
 
 def test_ladder_builds_many_variables_without_deep_calls():
     # h_i = z_i has the one-position box (1, ..., 1), whose sources are h;
-    # the ladder is built level by level, so no call depth grows with n
+    # the ladder is built level by level, so no call depth grows with n, and
+    # its leads are coprime, so certify's colength needs no staircase walk
     n = 1100
     h = tuple(Polynomial.variable(n, i) for i in range(n))
-    trace = run_effective(validate(h, (f"z{i}" for i in range(n))))
+    ts = validate(h, (f"z{i}" for i in range(n)))
+    trace = run_effective(ts)
     assert len(trace.pairs) == 1
     assert all(s is p for s, p in zip(trace.pairs[0].sources, h, strict=True))
+    assert certify(trace, ts).passed
 
 
 def test_trace_serialization():
