@@ -1,21 +1,18 @@
 """Groebner-basis kernel and germ-at-origin ideal computations.
 
 Global questions (membership, elimination) run over the polynomial ring with
-Buchberger's algorithm.  Local questions at the origin reduce to global ones
-exactly.  Saturations I : x_i^inf, computed by eliminating a Rabinowitsch
-variable, decide whether the origin is an isolated point of V(I); only then
-is the colength finite.  It is read off the reduced basis of the local
-component Q, the m-primary component of I at the origin, which is I itself
-or one more saturation I : f^inf; each ideal caches that report.  A
-homogeneous ideal needs no saturation: V(I) is a cone, so its leads decide
-isolation.  Germ membership is the test that the quotient I : f contains a
-unit at the origin, and global membership for a homogeneous I; the root
-orders of an m-primary germ are normal forms on GB(Q).
+Buchberger's algorithm.  Local questions at the origin are read off one
+standard basis per ideal for the local order LOCAL, negative degree reverse
+lex, computed by Lazard's method: Buchberger's algorithm on the homogenized
+generators, then t = 1.  Its leads give the colength of the germ ideal and
+the least N with m^N in it, and they decide whether two nested ideals have
+the same germ, which answers germ membership and Kohn's stall test.  Each
+ideal caches its bases and its germ report; the root orders of an
+m-primary germ are normal forms on a global basis of the germ ideal.
 """
 
 from __future__ import annotations
 
-import itertools
 from heapq import heapify, heappop, heappush
 from operator import add, neg, sub
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -28,7 +25,6 @@ from .poly import (
     Polynomial,
     _mono_divides,
     divides,
-    exact_div,
     least_power,
     monomials_of_degree,
     parse,
@@ -36,7 +32,8 @@ from .poly import (
 )
 
 
-# A total monomial order with x_0 > x_1 > ..., given by its sort key.
+# A total monomial order with x_0 > x_1 > ..., given by its sort key.  LEX
+# and GREVLEX are well-orders; LOCAL puts lower degrees first, so it is not.
 MonomialOrder = Callable[[Mono], tuple]
 
 
@@ -46,6 +43,10 @@ def LEX(mono: Mono) -> tuple:
 
 def GREVLEX(mono: Mono) -> tuple:
     return (sum(mono), *map(neg, reversed(mono)))
+
+
+def LOCAL(mono: Mono) -> tuple:
+    return (-sum(mono), *map(neg, reversed(mono)))
 
 
 def leading_mono(p: Polynomial, order: MonomialOrder) -> Mono:
@@ -253,10 +254,38 @@ def _groebner_raw(gens: Sequence[Polynomial], order: MonomialOrder) -> tuple[Pol
     return tuple(g for _, g in _interreduce([(leads[g], basis[g]) for g in active], order))
 
 
+def _homogenized(mono: Mono) -> tuple:
+    """Degree, then LOCAL on x, for monomials of k[t, x] with t as variable 0."""
+    return (sum(mono), *LOCAL(mono[1:]))
+
+
+def _standard_basis(gens: Sequence[Polynomial]) -> tuple[Polynomial, ...]:
+    """A standard basis of (gens) for LOCAL, by Lazard's method.
+
+    Greuel-Pfister, *A Singular Introduction to Commutative Algebra*,
+    Sec. 1.7.  Each term c x^a of a generator g becomes c t^(deg g - |a|) x^a.
+    The order _homogenized is a well-order on k[t, x], so Buchberger's
+    algorithm gives a Groebner basis of the homogenized generators, and
+    setting t = 1 in it gives a standard basis.  A homogeneous element's
+    terms have distinct x-parts, so t = 1 merges none of them and keeps the
+    lead.
+    """
+    lifted = []
+    for g in gens:
+        d = g.total_degree()
+        terms = {(d - sum(m), *m): c for m, c in g.terms.items()}
+        lifted.append(Polynomial._of(g.ring_dim + 1, terms))
+    return tuple(
+        Polynomial._of(h.ring_dim - 1, {m[1:]: c for m, c in h.terms.items()})
+        for h in _groebner_raw(lifted, _homogenized)
+    )
+
+
 class Ideal:
     """Generator list plus a cache of derived data, each computed once.
 
-    The cache holds the reduced Groebner basis per order and, under the key
+    The cache holds the reduced Groebner basis per global order, the
+    standard basis of _standard_basis under LOCAL and, under the key
     GermReport, the germ report of germ_colength.  It is the only mutable
     state; concurrent fills race benignly because regeneration is
     deterministic and values are identical.
@@ -292,7 +321,10 @@ class Ideal:
         order = order or self.default_order()
         cached = self._cache.get(order)
         if cached is None:
-            cached = _groebner_raw(self.generators, order)
+            if order is LOCAL:
+                cached = _standard_basis(self.generators)
+            else:
+                cached = _groebner_raw(self.generators, order)
             self._cache[order] = cached
         return cached
 
@@ -311,51 +343,50 @@ def member(f: Polynomial, ideal: Ideal) -> bool:
     return normal_form(f, ideal.groebner(), ideal.default_order()).is_zero()
 
 
-def is_homogeneous(ideal: Ideal) -> bool:
-    """Is I homogeneous?  Exactly when every element of its reduced grevlex basis is."""
-    return all(g.ord_vanish() == g.total_degree() for g in ideal.groebner())
-
-
 def truncated_basis(ideal: Ideal, degree: int) -> tuple[Polynomial, ...]:
-    """Reduced grevlex basis of I + m^degree."""
+    """Reduced grevlex basis of I + m^degree, built on the reduced basis of I."""
     monos = [Polynomial.monomial(m) for m in monomials_of_degree(ideal.ring_dim, degree)]
-    return _groebner_raw(list(ideal.generators) + monos, GREVLEX)
+    return _groebner_raw(list(ideal.groebner()) + monos, GREVLEX)
 
 
 def _standard_monomial_count(
     basis: Sequence[Polynomial], ring_dim: int, order: MonomialOrder
-) -> int | None:
-    """dim k[x]/I for this Groebner basis of I in order; None when it is infinite.
+) -> tuple[int, int] | tuple[None, None]:
+    """(count, layers) of the monomials that no lead of the basis divides.
 
-    The package's one count of standard monomials.  The count is the same in
-    every monomial order, and the basis need not be reduced: the leads of
-    any Groebner basis generate the same leading ideal, so they leave the
-    same standard monomials.  Their number is finite exactly when some lead
-    is a pure power of each variable.  The standard monomials form an order
-    ideal, every divisor of one being standard, so those of degree d are the
-    x_j s, s standard of degree d - 1, that no lead divides, and the walk
-    ends at the first degree with none.  Taking j no earlier than the last
-    variable of s reaches each of them once.
+    The package's one count of standard monomials; (None, None) when they
+    are infinitely many.  On a Groebner basis of I in a global order the
+    count is dim k[x]/I, the same in every such order.  On a standard basis
+    of I in LOCAL it is dim O/I O, the colength of the germ of I at the
+    origin (Cox-Little-O'Shea, *Using Algebraic Geometry*, Ch. 4).  The basis
+    need not be reduced: its leads generate the leading ideal all the same.
+    The count is finite exactly when some lead is a pure power of each
+    variable.  The standard monomials form an order ideal, every divisor of
+    one being standard, so those of degree d are the x_j s, s standard of
+    degree d - 1, that no lead divides, and the walk ends at the first
+    degree with none; layers is the number of degrees before it.  Taking j
+    no earlier than the last variable of s reaches each of them once.
     """
     leads = [leading_mono(g, order) for g in basis]
     if not all(any(sum(lm) == lm[i] for lm in leads) for i in range(ring_dim)):
-        return None
+        return None, None
 
     def standard(mono: Mono) -> bool:
         return not any(_mono_divides(lm, mono) for lm in leads)
 
     one = (0,) * ring_dim
     layer = [(one, 0)] if standard(one) else []  # (s, the last variable of s)
-    count = 0
+    count = layers = 0
     while layer:
         count += len(layer)
+        layers += 1
         layer = [
             (up, j)
             for s, last in layer
             for j in range(last, ring_dim)
             if standard(up := s[:j] + (s[j] + 1,) + s[j + 1 :])
         ]
-    return count
+    return count, layers
 
 
 def _eliminate(gens: Sequence[Polynomial], ring_dim: int, drop: int) -> Ideal:
@@ -387,104 +418,8 @@ def _saturation(ideal: Ideal, f: Polynomial) -> Ideal:
     return _eliminate(gens + [1 - t * _lift_t(f)], ideal.ring_dim, 1)
 
 
-def _quotient(ideal: Ideal, f: Polynomial) -> Ideal:
-    """I : f, as (I meet (f)) / f with I meet (f) = (t I + (1 - t) f) meet k[x]."""
-    t = Polynomial.variable(ideal.ring_dim + 1, 0)
-    gens = [t * _lift_t(g) for g in ideal.generators]
-    meet = _eliminate(gens + [(1 - t) * _lift_t(f)], ideal.ring_dim, 1)
-    return Ideal(ideal.ring_dim, [exact_div(g, f) for g in meet.generators])
-
-
-def _isolating_witness(ideal: Ideal) -> Polynomial | None:
-    """f with f(0) != 0 vanishing on V(I) minus the origin, else None.
-
-    V(I : x_i^inf) is the closure of V(I) off the hyperplane x_i = 0, so the
-    origin is isolated exactly when no such closure contains it, that is,
-    when every saturation has a generator g_i with g_i(0) != 0.  Each g_i
-    vanishes on V(I) off x_i = 0, so their product vanishes on V(I) off the
-    origin.
-    """
-    n = ideal.ring_dim
-    f = Polynomial.constant(n, 1)
-    for i in range(n):
-        units = [
-            g
-            for g in _saturation(ideal, Polynomial.variable(n, i)).generators
-            if g.constant_term()
-        ]
-        if not units:
-            return None
-        # the smallest witness keeps the last saturation small
-        f = f * min(units, key=lambda g: (g.total_degree(), len(g.terms)))
-    return f
-
-
-def _local_algebra(basis: Sequence[Polynomial], ring_dim: int) -> tuple[int, int] | None:
-    """(dim R/Q, least N >= 1 with m^N in Q) when V(Q) lies in the origin.
-
-    Q is the ideal with this reduced grevlex basis; None means V(Q) has a
-    point off the origin.  A zero-dimensional Q has finitely many standard
-    monomials, L of them, counted by _standard_monomial_count.  V(Q) lies in
-    the origin exactly when R/Q is local of length L, so exactly when m^L
-    lies in Q.  The normal forms of the degree-d monomials come from those
-    of degree d - 1: the normal form on a Groebner basis is linear, so
-    NF(x_j x^b) = sum c_s NF(x_j s) over the terms c_s s of NF(x^b), every s
-    standard.  Each x_j s that is not standard is reduced once and
-    remembered, so there are at most n L reductions, and the forms are
-    carried as term dicts.  A monomial one of whose divisors is in Q is in
-    Q, so only nonzero normal forms are carried up.
-    """
-    colength = _standard_monomial_count(basis, ring_dim, GREVLEX)
-    if colength is None:
-        return None
-    leads = [leading_mono(g, GREVLEX) for g in basis]
-
-    def standard(mono: Mono) -> bool:
-        return not any(_mono_divides(lm, mono) for lm in leads)
-
-    monomial_forms: dict[Mono, dict[Mono, GaussianRational]] = {}
-
-    def monomial_form(mono: Mono) -> dict[Mono, GaussianRational]:
-        form = monomial_forms.get(mono)
-        if form is None:
-            if standard(mono):
-                form = {mono: GR_ONE}
-            else:
-                one_term = Polynomial._of(ring_dim, {mono: GR_ONE})
-                form = normal_form(one_term, basis, GREVLEX, leads).terms
-            monomial_forms[mono] = form
-        return form
-
-    one = (0,) * ring_dim
-    live = {one: {one: GR_ONE}} if standard(one) else {}
-    for degree in itertools.count(1):
-        forms: dict[Mono, dict[Mono, GaussianRational]] = {}
-        for mono, r in live.items():
-            for j in range(ring_dim):
-                up = mono[:j] + (mono[j] + 1,) + mono[j + 1 :]
-                if up in forms:
-                    continue
-                acc: dict[Mono, GaussianRational] = {}
-                for s, c in r.items():
-                    for m, c2 in monomial_form(s[:j] + (s[j] + 1,) + s[j + 1 :]).items():
-                        term = c if c2 is GR_ONE else c * c2  # a standard x_j s is its own form
-                        t = acc.get(m)
-                        if t is None:
-                            acc[m] = term
-                        elif t := t + term:
-                            acc[m] = t
-                        else:
-                            del acc[m]
-                forms[up] = acc
-        live = {mono: r for mono, r in forms.items() if r}
-        if not live:
-            return colength, degree
-        if degree >= colength:  # m^degree, inside m^L, is not in Q
-            return None
-
-
 class GermReport(NamedTuple):
-    """Colength of the germ ideal at the origin, read off its local component.
+    """Colength of the germ ideal at the origin, read off its LOCAL standard basis.
 
     ``colength`` is None when it is infinite, that is, when the origin is not
     an isolated point of V(I); ``to_dict`` renders that as "infinite".
@@ -514,46 +449,52 @@ class GermReport(NamedTuple):
 def germ_colength(ideal: Ideal) -> GermReport:
     """Colength of the germ ideal; infinite unless the origin is isolated.
 
-    For an isolated origin the germ ideal is the local component Q, the
-    m-primary component of I at the origin: Q = I when V(I) is the origin
-    alone, and otherwise Q = I : f^inf for a witness f with f(0) != 0 that
-    vanishes on V(I) off the origin.  The colength is the number of standard
-    monomials of GB(Q) and the stabilization degree the least N with m^N in
-    Q.  Then I + m^N = Q, so the reported basis is also the reduced basis of
-    that truncation.  The report is computed once per ideal and cached.
-
-    A homogeneous I needs no witness: V(I) is a cone, so the origin is
-    isolated only when V(I) is the origin alone, and then GB(I) is
-    zero-dimensional.
+    Both numbers come from the walk over the leads of the LOCAL standard
+    basis.  LOCAL is a degree order, so m^N lies in I O exactly when every
+    monomial of degree N is a multiple of a lead: reducing the finitely many
+    terms of degree N then leaves terms of higher degree only, so m^N lies
+    in I O + m^(N+1), and Nakayama's lemma drops the m^(N+1).  The
+    stabilization degree, the least N >= 1 with m^N in I O, is therefore the
+    number of layers, or 1 for the unit ideal.  The reported
+    basis is the reduced grevlex basis of the local component Q = I O meet
+    k[x], which equals I + m^N.  It is GB(I) when the global count equals
+    the local one, since then V(I) is the origin alone and Q = I; otherwise
+    it is the truncation.  The report is computed once per ideal and cached.
     """
     report = ideal._cache.get(GermReport)
     if report is not None:
         return report
-    basis = ideal.groebner()
-    local = _local_algebra(basis, ideal.ring_dim)
-    if (
-        local is None
-        and not is_homogeneous(ideal)  # a homogeneous I needs no witness
-        and (f := _isolating_witness(ideal)) is not None
-    ):
-        basis = _saturation(ideal, f).groebner()
-        local = _local_algebra(basis, ideal.ring_dim)
-    report = GermReport(None, None) if local is None else GermReport(*local, basis)
+    n = ideal.ring_dim
+    colength, layers = _standard_monomial_count(ideal.groebner(LOCAL), n, LOCAL)
+    if colength is None:
+        report = GermReport(None, None)
+    else:
+        degree = max(1, layers)
+        basis = ideal.groebner()
+        if _standard_monomial_count(basis, n, GREVLEX)[0] != colength:
+            basis = truncated_basis(ideal, degree)
+        report = GermReport(colength, degree, basis)
     ideal._cache[GermReport] = report
     return report
 
 
-def germ_member(f: Polynomial, ideal: Ideal) -> bool:
-    """Membership in the germ ideal at the origin, exact in both directions.
+def same_germ(smaller: Ideal, larger: Ideal) -> bool:
+    """Do I <= J have the same germ at the origin?
 
-    f lies in the germ ideal exactly when u f lies in I for some u with
-    u(0) != 0, that is, when I : f is the unit germ.  A homogeneous I needs
-    no quotient: its associated primes are homogeneous, so they lie in m and
-    miss u, which is then a non-zero-divisor mod I, and u f in I forces f in I.
+    Exactly when every LOCAL lead of J's standard basis is a multiple of one
+    of I's, that is, when the two leading ideals agree: then the standard
+    basis of I, which lies in J, is one of J too, and both generate J O.
     """
-    return member(f, ideal) or (
-        not is_homogeneous(ideal) and is_germ_unit(_quotient(ideal, f))
+    leads = [leading_mono(g, LOCAL) for g in smaller.groebner(LOCAL)]
+    return all(
+        any(_mono_divides(lm, leading_mono(g, LOCAL)) for lm in leads)
+        for g in larger.groebner(LOCAL)
     )
+
+
+def germ_member(f: Polynomial, ideal: Ideal) -> bool:
+    """Membership in the germ ideal at the origin: f in I, or I + (f) has the germ of I."""
+    return member(f, ideal) or same_germ(ideal, Ideal(ideal.ring_dim, ideal.generators + (f,)))
 
 
 def root_order(f: Polynomial, ideal: Ideal) -> int | None:

@@ -19,10 +19,10 @@ from .ideals import (
     Ideal,
     RadicalOutcome,
     germ_colength,
-    germ_member,
     is_germ_unit,
     radical_step,
     root_order,
+    same_germ,
     variable_root_order,
 )
 from .poly import Polynomial, PolyMatrix, format_poly, minor_dets, parse
@@ -217,8 +217,8 @@ def run(domain: SpecialDomain, options: KohnOptions = KohnOptions()) -> KohnTrac
         # stage, and J_k <= I_k in every radical branch (sqfree(p) divides p,
         # a non-unit J lies in m, partial and none keep J's generators), so
         # the stages only grow, and the germ ideal stops growing exactly when
-        # I_k lies in the germ of I_{k-1}.
-        if len(steps) > 1 and all(germ_member(g, prev) for g in record.I_gens):
+        # I_k has the germ of I_{k-1}.
+        if len(steps) > 1 and same_germ(prev, state.stage):
             status = "stalled"
             break
     return KohnTrace(domain, tuple(steps), status)

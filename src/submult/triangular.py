@@ -117,7 +117,7 @@ def multiplicity(system: TriangularSystem) -> int:
     basis = [p.lift(n, range(n - 1, -1, -1)) for p in system.h]
     leads = [leading_mono(p, LEX) for p in basis]
     if any(sum(1 for lm in leads if lm[j]) > 1 for j in range(n)):  # leads not coprime
-        colength = _standard_monomial_count(Ideal(n, basis).groebner(LEX), n, LEX)
+        colength, _ = _standard_monomial_count(Ideal(n, basis).groebner(LEX), n, LEX)
     else:
         colength = math.prod(sum(lm) for lm in leads)
     if colength != expected:

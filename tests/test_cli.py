@@ -412,13 +412,15 @@ def test_triangular_run_computes_the_colength_once(tmp_path, capsys, monkeypatch
     cfg = write_config(tmp_path, {**ZW_CONFIG, "h": ["z^2", "w^2 + z*w^3"]})
     code, out, _ = run_cli(capsys, "triangular", "run", "--config", cfg)
     assert code == 0 and json.loads(out)["multiplicity"] == 4
-    assert counts == [4]
+    assert [count for count, _ in counts] == [4]
 
 
 def test_triangular_run_exits_on_a_colength_mismatch(tmp_path, capsys, monkeypatch):
     from submult import triangular
 
-    monkeypatch.setattr(triangular, "_standard_monomial_count", lambda basis, ring_dim, order: 5)
+    monkeypatch.setattr(
+        triangular, "_standard_monomial_count", lambda basis, ring_dim, order: (5, 3)
+    )
     cfg = write_config(tmp_path, {**ZW_CONFIG, "h": ["z^2", "w^2 + z*w^3"]})
     code, out, err = run_cli(capsys, "triangular", "run", "--config", cfg)
     assert code == 1 and out == ""

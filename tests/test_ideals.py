@@ -12,16 +12,17 @@ from submult import ideals
 from submult.ideals import (
     GREVLEX,
     LEX,
+    LOCAL,
     Ideal,
     eliminant,
     germ_colength,
     germ_member,
     is_germ_unit,
-    is_homogeneous,
     member,
     normal_form,
     radical_step,
     root_order,
+    same_germ,
     truncated_basis,
     variable_root_order,
     _standard_monomial_count,
@@ -375,7 +376,7 @@ def test_cliff_basis_reduces_few_s_pairs(monkeypatch):
         calls.clear()
         gens = [p(g, ZWV).lift(3, [2, 1, 0]) for g in CLIFFS[exponents]]
         basis = ideals._groebner_raw(gens, ideals.LEX)
-        assert _standard_monomial_count(basis, 3, ideals.LEX) == math.prod(exponents)
+        assert _standard_monomial_count(basis, 3, ideals.LEX)[0] == math.prod(exponents)
         assert len(calls) <= bound
 
 
@@ -459,30 +460,11 @@ def test_isolated_germs_make_no_scan(monkeypatch):
     assert germ_colength(ideal(*triangular, variables=("z", "w", "v"))).colength == 12
     for M, N, K in [(2, 3, 4), (3, 4, 6), (4, 2, 5)]:
         assert germ_colength(ideal(f"z^{M}", f"w^{N} + w*z^{K}")).colength == M * N
-    assert germ_colength(ideal("z^2 - z", "w^2")).colength == 2  # through a saturation
     assert calls == []
-
-
-def test_local_algebra_reduces_each_nonstandard_monomial_once(monkeypatch):
-    rng = random.Random(2028)
-    systems = [random_system(rng) for _ in range(12)]
-    cases = [(s.n, Ideal(s.n, s.h).groebner()) for s in systems]
-    triangular = ideal("z^3", "w^2 + (2 - i)*z*w + z^2", "v^2 + 3*w*v - z", variables=ZWV)
-    cases.append((3, triangular.groebner()))
-    reduced = []
-
-    def counting(f, *args):
-        reduced.append(f)
-        return normal_form(f, *args)
-
-    monkeypatch.setattr(ideals, "normal_form", counting)
-    for n, basis in cases:
-        reduced.clear()
-        colength, _ = ideals._local_algebra(basis, n)
-        assert all(f.is_monomial() for f in reduced)
-        monos = [next(iter(f.terms)) for f in reduced]
-        assert len(set(monos)) == len(monos)
-        assert len(reduced) <= n * colength
+    # a point off the origin makes the germ ideal I + m^N: one truncation, at N alone
+    I = ideal("z^2 - z", "w^2")
+    report = germ_colength(I)
+    assert report.colength == 2 and calls == [(I, report.stabilization_degree)]
 
 
 def test_isolated_origin_beside_a_curve():
@@ -501,7 +483,7 @@ def _scan(I, cap=24):
     # the truncation scan on its own, up to a fixed degree
     prev = None
     for n in range(1, cap + 1):
-        d = _standard_monomial_count(truncated_basis(I, n), I.ring_dim, GREVLEX)
+        d, _ = _standard_monomial_count(truncated_basis(I, n), I.ring_dim, GREVLEX)
         if d == prev:
             return d, n - 1, True
         prev = d
@@ -561,6 +543,89 @@ def test_colength_matches_truncation_scan_on_random_ideals():
             drawn += 1
 
 
+def _random_poly(rng, n):
+    # up to three terms of degree 1 to 4, a fifth of them with Gaussian coefficients
+    out = Polynomial.zero(n)
+    for _ in range(rng.randint(1, 3)):
+        mono = tuple(rng.randint(0, 4) for _ in range(n))
+        if 1 <= sum(mono) <= 4:
+            im = rng.randint(-1, 1) if rng.random() < 0.2 else 0
+            out = out + Polynomial.monomial(mono, GaussianRational(rng.randint(-3, 3), im))
+    return out
+
+
+def _germ_oracle_draws(rng):
+    """(ideal, candidates) pairs: 45 random ideals, then 15 shifted triangular systems.
+
+    Every other random ideal gets a pure power of each variable in turn,
+    which usually isolates the origin.  A triangular system of degree at most
+    3 has one generator h_i multiplied by 1 - x_j, a unit at the origin, so
+    the germ is unchanged while V(I) gains points off it; h_i is then a germ
+    member that is no global member.
+    """
+    out = []
+    while len(out) < 45:
+        n = rng.randint(2, 3)
+        gens = [_random_poly(rng, n) for _ in range(rng.randint(n, n + 1))]
+        if len(out) % 2:
+            gens = [g + Polynomial.variable(n, j % n) ** rng.randint(1, 4) for j, g in enumerate(gens)]
+        out.append((Ideal(n, gens), []))
+    while len(out) < 60:
+        system = random_system(rng)
+        if system.n < 2 or max(g.total_degree() for g in system.h) > 3:
+            continue
+        n, i = system.n, rng.randrange(system.n)
+        shift = 1 - Polynomial.variable(n, rng.randrange(n))
+        gens = [g * shift if j == i else g for j, g in enumerate(system.h)]
+        out.append((Ideal(n, gens), [system.h[i]]))
+    return out
+
+
+def test_germ_oracle_matches_the_scan_and_sympy_on_random_ideals():
+    # the LOCAL standard basis against the truncation scan, and germ
+    # membership against sympy's local ring where the coefficients are real
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(2040)
+    kinds = {True: 0, False: 0}
+    answers = {True: 0, False: 0}
+    for I, extra in _germ_oracle_draws(rng):
+        n = I.ring_dim
+        report = germ_colength(I)
+        colength, degree, m_primary = _scan(I, cap=16)
+        assert report[:2] == (colength, degree), I.generators
+        assert report.basis == (truncated_basis(I, degree) if m_primary else None)
+        kinds[m_primary] += 1
+        if any(c.im for g in I.generators for c in g.terms.values()):
+            continue
+        variables = ZWV[:n]
+        ring = sympy.QQ.old_poly_ring(*sympy.symbols(variables), order="igrevlex")
+        local = ring.ideal(*[to_sympy(sympy, g, variables).as_expr() for g in I.generators])
+        candidates = [Polynomial.monomial(rng.choice(list(monomials_of_degree(n, d)))) for d in (1, 2)]
+        if m_primary:  # a member
+            candidates.append(Polynomial.monomial(rng.choice(list(monomials_of_degree(n, degree)))))
+        for f in candidates + [_random_poly(rng, n)] + extra:
+            if any(c.im for c in f.terms.values()):
+                continue
+            got = germ_member(f, I)
+            assert got == local.contains(to_sympy(sympy, f, variables).as_expr()), (I.generators, f)
+            answers[got] += 1
+    assert min(kinds.values()) >= 15 and min(answers.values()) >= 30, (kinds, answers)
+
+
+def test_germ_membership_beside_points_off_the_origin_is_prompt():
+    # germ membership through the lex quotient I : f ran for minutes here;
+    # f is a multiple of w*v^2, and sympy's local ring, over QQ, answers for it
+    gens = ["z^3", "z^2*w^2 - 3*z^2 + w^2 + z", "z*w + v^2 - 4*z - 2*w"]
+    I = ideal(*gens, "(-2 - i)*z^4*w^2", variables=ZWV)
+    assert not germ_member(p("(-3 + i)*w*v^2", ZWV), I)
+    assert germ_colength(I)[:2] == (12, 12)
+    sympy = pytest.importorskip("sympy")
+    # z^4*w^2 is a multiple of z^3 whatever its coefficient
+    ring = sympy.QQ.old_poly_ring(*sympy.symbols(ZWV), order="igrevlex")
+    local = ring.ideal(*[to_sympy(sympy, p(g, ZWV), ZWV).as_expr() for g in gens])
+    assert not local.contains(to_sympy(sympy, p("w*v^2", ZWV), ZWV).as_expr())
+
+
 @pytest.mark.parametrize("gens, colength", OFF_ORIGIN_POINTS)
 def test_off_origin_colength_matches_sympy_local_ring(gens, colength):
     sympy = pytest.importorskip("sympy")
@@ -608,18 +673,23 @@ def test_monomial_colength_matches_lattice_count(gens):
     report = germ_colength(ideal)
     assert report.colength == _lattice_count(gens, report.stabilization_degree + 1)
     # V(I) is the origin, so the global count agrees
-    assert _standard_monomial_count(ideal.groebner(), ideal.ring_dim, GREVLEX) == report.colength
+    assert _standard_monomial_count(ideal.groebner(), ideal.ring_dim, GREVLEX)[0] == report.colength
 
 
 def test_standard_monomial_count_is_global():
-    # V(z^2 - z, w^2) is the origin and (1, 0): the global count adds both points
+    # V(z^2 - z, w^2) is the origin and (1, 0): the global count adds both
+    # points, while the LOCAL standard basis (z, w^2) counts the origin alone
     ideal = Ideal.from_strings(["z^2 - z", "w^2"], ZW)
     for order in (GREVLEX, LEX):
-        assert _standard_monomial_count(ideal.groebner(order), 2, order) == 4
+        assert _standard_monomial_count(ideal.groebner(order), 2, order) == (4, 3)
+    assert _standard_monomial_count(ideal.groebner(LOCAL), 2, LOCAL) == (2, 2)
     assert germ_colength(ideal).colength == 2
     curve = Ideal.from_strings(["z^2"], ZW)
-    assert _standard_monomial_count(curve.groebner(), 2, GREVLEX) is None
-    assert _standard_monomial_count(Ideal.from_strings(["1"], ZW).groebner(), 2, GREVLEX) == 0
+    for order in (GREVLEX, LOCAL):
+        assert _standard_monomial_count(curve.groebner(order), 2, order) == (None, None)
+    unit = Ideal.from_strings(["1"], ZW)
+    assert _standard_monomial_count(unit.groebner(), 2, GREVLEX) == (0, 0)
+    assert germ_colength(unit)[:2] == (0, 1)
 
 
 def _random_monomial_ideals(rng, count):
@@ -635,11 +705,9 @@ def _random_monomial_ideals(rng, count):
     return out
 
 
-def test_non_zero_dimensional_monomial_germs_need_no_saturation(monkeypatch):
-    cases = _random_monomial_ideals(random.Random(2030), 40)
-    # the saturation route agrees: some x_i-axis lies in V(I)
-    for I in cases:
-        assert ideals._isolating_witness(Ideal(I.ring_dim, I.generators)) is None
+def _count_eliminations(monkeypatch):
+    # the germ questions read a LOCAL standard basis; only root_order's
+    # saturation and eliminant take a lex elimination
     calls = []
     eliminate = ideals._eliminate
 
@@ -648,9 +716,25 @@ def test_non_zero_dimensional_monomial_germs_need_no_saturation(monkeypatch):
         return eliminate(*args, **kwargs)
 
     monkeypatch.setattr(ideals, "_eliminate", counting)
+    return calls
+
+
+def _grown(I, f):
+    return Ideal(I.ring_dim, I.generators + (f,))
+
+
+def test_non_zero_dimensional_monomial_germs_need_no_saturation(monkeypatch):
+    cases = _random_monomial_ideals(random.Random(2030), 40)
+    calls = _count_eliminations(monkeypatch)
     for I in cases:
+        n = I.ring_dim
         report = germ_colength(I)
         assert (report.colength, report.stabilization_degree, report.basis) == (None, None, None)
+        # a monomial ideal is homogeneous, so its germ members are its members
+        for m in monomials_of_degree(n, 2):
+            f = Polynomial.monomial(m)
+            assert germ_member(f, I) == member(f, I)
+            assert same_germ(I, _grown(I, f)) == member(f, I)
     assert calls == []
 
 
@@ -738,21 +822,19 @@ HOMOGENEOUS_CASES = (
 )
 
 
-def test_homogeneity_is_read_off_the_reduced_basis():
-    generators_homogeneous = [
-        all(g.ord_vanish() == g.total_degree() for g in I.generators) for I in HOMOGENEOUS_CASES
-    ]
-    assert all(is_homogeneous(I) for I in HOMOGENEOUS_CASES)
-    assert generators_homogeneous.count(False) >= 4  # (z, z + w^2) and the hidden kind
-    for gens in [("z + w^2",), ("z - z*w",), ("z^2 - z", "w^2"), ("z^3", "z*w + w^3")]:
-        assert not is_homogeneous(ideal(*gens)), gens
+def _fresh_homogeneous_cases():
+    # fresh copies, so that no cached basis or report answers for the code under test
+    return [Ideal(I.ring_dim, I.generators) for I in HOMOGENEOUS_CASES]
 
 
-def test_homogeneous_germ_membership_matches_both_oracles():
-    # the quotient route and sympy's local ring, on homogeneous ideals
+def test_homogeneous_germ_membership_matches_both_oracles(monkeypatch):
+    # sympy's local ring, and global membership: the associated primes of a
+    # homogeneous I lie in m, so a unit u is a non-zero-divisor mod I, and
+    # u f in I forces f in I
     sympy = pytest.importorskip("sympy")
+    calls = _count_eliminations(monkeypatch)
     checked = 0
-    for I in HOMOGENEOUS_CASES:
+    for I in _fresh_homogeneous_cases():
         n = I.ring_dim
         variables = ("z", "w", "v")[:n]
         ring = sympy.QQ.old_poly_ring(*sympy.symbols(variables), order="igrevlex")
@@ -762,49 +844,42 @@ def test_homogeneous_germ_membership_matches_both_oracles():
         candidates += list(I.generators) + [unit * g for g in I.generators]
         candidates += [Polynomial.variable(n, 0) + Polynomial.variable(n, 1) ** 2]
         for f in candidates:
-            quotient_route = member(f, I) or is_germ_unit(ideals._quotient(I, f))
             expected = local.contains(to_sympy(sympy, f, variables).as_expr())
-            assert germ_member(f, I) == quotient_route == expected, (I.generators, f)
+            assert germ_member(f, I) == member(f, I) == expected, (I.generators, f)
             checked += 1
-    assert checked
+    assert checked and calls == []
 
 
-def test_homogeneous_germ_colength_matches_both_oracles():
-    # an isolated origin: sympy's local ring counts it; otherwise no saturation finds a witness
+def test_homogeneous_germ_colength_matches_both_oracles(monkeypatch):
+    # sympy's local ring, and the global count: V(I) is a cone, so the origin
+    # is isolated exactly when V(I) is the origin alone, and then I is m-primary
     sympy = pytest.importorskip("sympy")
+    calls = _count_eliminations(monkeypatch)
     m_primary = 0
-    for I in HOMOGENEOUS_CASES:
+    for I in _fresh_homogeneous_cases():
         report = germ_colength(I)
+        global_count, _ = _standard_monomial_count(I.groebner(), I.ring_dim, GREVLEX)
+        assert report.colength == global_count
         if report.m_primary:
             variables = ("z", "w", "v")[: I.ring_dim]
             assert report.colength == sympy_local_colength(sympy, I.generators, variables)
             m_primary += 1
-        else:
-            assert ideals._isolating_witness(Ideal(I.ring_dim, I.generators)) is None
     assert 0 < m_primary < len(HOMOGENEOUS_CASES)
+    assert calls == []
 
 
 def test_homogeneous_germ_questions_take_no_elimination(monkeypatch):
-    # fresh copies, so that no cached report answers for the code under test
-    cases = [
-        Ideal(I.ring_dim, I.generators) for I in HOMOGENEOUS_CASES if not germ_colength(I).m_primary
-    ]
+    cases = [I for I in _fresh_homogeneous_cases() if not germ_colength(I).m_primary]
     assert len(cases) >= 4
-    calls = []
-    for name in ("_quotient", "_eliminate"):
-        original = getattr(ideals, name)
-
-        def counting(*args, _original=original, _name=name):
-            calls.append(_name)
-            return _original(*args)
-
-        monkeypatch.setattr(ideals, name, counting)
+    cases = [Ideal(I.ring_dim, I.generators) for I in cases]
+    calls = _count_eliminations(monkeypatch)
     for I in cases:
         n = I.ring_dim
         assert germ_colength(I).colength is None
         for d in (1, 2, 3):
             for m in monomials_of_degree(n, d):
-                germ_member(Polynomial.monomial(m), I)
+                f = Polynomial.monomial(m)
+                assert same_germ(I, _grown(I, f)) == germ_member(f, I)
         germ_member(Polynomial.variable(n, 0) + Polynomial.variable(n, 1) ** 2, I)
     assert calls == []
 

@@ -404,9 +404,9 @@ def test_stall_check_builds_no_basis_before_a_second_stage(monkeypatch):
 
     def counting(*args, **kwargs):
         calls.append(args)
-        return germ_member(*args, **kwargs)
+        return ideals.same_germ(*args, **kwargs)
 
-    monkeypatch.setattr(kohn, "germ_member", counting)
+    monkeypatch.setattr(kohn, "same_germ", counting)
     trace = run(domain("z^2", "z*w", "w^2"))
     assert trace.status == "unit_reached" and len(trace.steps) == 2
     assert calls == []

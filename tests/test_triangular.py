@@ -171,7 +171,7 @@ def test_multiplicity_runs_buchberger_only_without_coprime_leads(
     monkeypatch.setattr(triangular, "_standard_monomial_count", counting)
     assert multiplicity(ts) == math.prod(ts.exponents)
     assert bool(calls) == buchberger
-    assert counts == ([math.prod(ts.exponents)] if buchberger else [])
+    assert [count for count, _ in counts] == ([math.prod(ts.exponents)] if buchberger else [])
 
 
 # -- the ladder ----------------------------------------------------------------------
@@ -371,11 +371,11 @@ def test_shortcuts_agree_with_their_definitions():
                 assert _division_power(A, B, n) == direct
         ideal = Ideal(n, ts.h)
         reversed_h = [p.lift(n, range(n - 1, -1, -1)) for p in ts.h]
-        lex = _standard_monomial_count(Ideal(n, reversed_h).groebner(LEX), n, LEX)
-        grevlex = _standard_monomial_count(ideal.groebner(GREVLEX), n, GREVLEX)
+        lex, _ = _standard_monomial_count(Ideal(n, reversed_h).groebner(LEX), n, LEX)
+        grevlex, _ = _standard_monomial_count(ideal.groebner(GREVLEX), n, GREVLEX)
         assert lex == grevlex == germ_colength(ideal).colength == trace.L
         assert trace.L == math.prod(ts.exponents)
-        direct = _standard_monomial_count(reversed_h, n, LEX)
+        direct, _ = _standard_monomial_count(reversed_h, n, LEX)
         assert direct in (lex, None)
         direct_counts.append(direct)
         with pytest.MonkeyPatch.context() as patch:
