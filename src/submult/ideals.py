@@ -6,9 +6,9 @@ standard basis per ideal for the local order LOCAL, negative degree reverse
 lex, computed by Lazard's method: Buchberger's algorithm on the homogenized
 generators, then t = 1.  Its leads give the colength of the germ ideal and
 the least N with m^N in it, and they decide whether two nested ideals have
-the same germ, which answers germ membership and Kohn's stall test.  Each
-ideal caches its bases and its germ report; the root orders of an
-m-primary germ are normal forms on a global basis of the germ ideal.
+the same germ, which answers Kohn's stall test.  Germ membership and root
+orders are normal forms on it behind m^N where the germ is m-primary, and
+that test elsewhere.  Each ideal caches both.
 """
 
 from __future__ import annotations
@@ -285,10 +285,10 @@ class Ideal:
     """Generator list plus a cache of derived data, each computed once.
 
     The cache holds the reduced Groebner basis per global order, the
-    standard basis of _standard_basis under LOCAL and, under the key
-    GermReport, the germ report of germ_colength.  It is the only mutable
-    state; concurrent fills race benignly because regeneration is
-    deterministic and values are identical.
+    standard basis of _standard_basis under LOCAL, and under the keys
+    GermReport and germ_member the germ report and the divisors of germ
+    membership.  It is the only mutable state; concurrent fills race
+    benignly because regeneration is deterministic and values are identical.
     """
 
     __slots__ = ("ring_dim", "generators", "_cache")
@@ -344,7 +344,10 @@ def member(f: Polynomial, ideal: Ideal) -> bool:
 
 
 def truncated_basis(ideal: Ideal, degree: int) -> tuple[Polynomial, ...]:
-    """Reduced grevlex basis of I + m^degree, built on the reduced basis of I."""
+    """Reduced grevlex basis of I + m^degree, the truncation-scan oracle.
+
+    No engine caller; kept under this name because bench/tracer.py wraps it.
+    """
     monos = [Polynomial.monomial(m) for m in monomials_of_degree(ideal.ring_dim, degree)]
     return _groebner_raw(list(ideal.groebner()) + monos, GREVLEX)
 
@@ -406,20 +409,15 @@ def _eliminate(gens: Sequence[Polynomial], ring_dim: int, drop: int) -> Ideal:
     )
 
 
-def _lift_t(p: Polynomial) -> Polynomial:
-    """p in k[t, x], with t as variable 0."""
-    return p.lift(p.ring_dim + 1, range(1, p.ring_dim + 1))
-
-
 def _saturation(ideal: Ideal, f: Polynomial) -> Ideal:
     """I : f^inf, as (I + (1 - t f)) meet k[x] (Cox-Little-O'Shea, Sec. 4.4)."""
-    t = Polynomial.variable(ideal.ring_dim + 1, 0)
-    gens = [_lift_t(g) for g in ideal.generators]
-    return _eliminate(gens + [1 - t * _lift_t(f)], ideal.ring_dim, 1)
+    n = ideal.ring_dim
+    *gens, f = [g.lift(n + 1, range(1, n + 1)) for g in ideal.generators + (f,)]
+    return _eliminate(gens + [1 - Polynomial.variable(n + 1, 0) * f], n, 1)
 
 
 class GermReport(NamedTuple):
-    """Colength of the germ ideal at the origin, read off its LOCAL standard basis.
+    """Colength and stabilization degree of the germ ideal, read off its LOCAL basis.
 
     ``colength`` is None when it is infinite, that is, when the origin is not
     an isolated point of V(I); ``to_dict`` renders that as "infinite".
@@ -427,7 +425,6 @@ class GermReport(NamedTuple):
 
     colength: int | None
     stabilization_degree: int | None
-    basis: tuple[Polynomial, ...] | None = None  # grevlex, of Q
 
     @property
     def m_primary(self) -> bool:
@@ -455,26 +452,13 @@ def germ_colength(ideal: Ideal) -> GermReport:
     terms of degree N then leaves terms of higher degree only, so m^N lies
     in I O + m^(N+1), and Nakayama's lemma drops the m^(N+1).  The
     stabilization degree, the least N >= 1 with m^N in I O, is therefore the
-    number of layers, or 1 for the unit ideal.  The reported
-    basis is the reduced grevlex basis of the local component Q = I O meet
-    k[x], which equals I + m^N.  It is GB(I) when the global count equals
-    the local one, since then V(I) is the origin alone and Q = I; otherwise
-    it is the truncation.  The report is computed once per ideal and cached.
+    number of layers, or 1 for the unit ideal.  Each ideal caches its report.
     """
     report = ideal._cache.get(GermReport)
-    if report is not None:
-        return report
-    n = ideal.ring_dim
-    colength, layers = _standard_monomial_count(ideal.groebner(LOCAL), n, LOCAL)
-    if colength is None:
-        report = GermReport(None, None)
-    else:
-        degree = max(1, layers)
-        basis = ideal.groebner()
-        if _standard_monomial_count(basis, n, GREVLEX)[0] != colength:
-            basis = truncated_basis(ideal, degree)
-        report = GermReport(colength, degree, basis)
-    ideal._cache[GermReport] = report
+    if report is None:
+        colength, layers = _standard_monomial_count(ideal.groebner(LOCAL), ideal.ring_dim, LOCAL)
+        report = GermReport(colength, None if colength is None else max(1, layers))
+        ideal._cache[GermReport] = report
     return report
 
 
@@ -493,29 +477,44 @@ def same_germ(smaller: Ideal, larger: Ideal) -> bool:
 
 
 def germ_member(f: Polynomial, ideal: Ideal) -> bool:
-    """Membership in the germ ideal at the origin: f in I, or I + (f) has the germ of I."""
-    return member(f, ideal) or same_germ(ideal, Ideal(ideal.ring_dim, ideal.generators + (f,)))
+    """Membership in the germ ideal at the origin, read off its LOCAL standard basis."""
+    if f.ring_dim != ideal.ring_dim:
+        raise ValidationError("polynomial lives in the wrong ring")
+    bound = germ_colength(ideal).stabilization_degree
+    if bound is None:
+        return same_germ(ideal, Ideal(ideal.ring_dim, ideal.generators + (f,)))
+    divisors = ideal._cache.get(germ_member)
+    if divisors is None:
+        # A term of degree >= N meets a one-term divisor first and is dropped,
+        # sound as m^N lies in I O; the basis's monomials spare those of m^N
+        # they divide, and x - x^2 would take x^k to x^(k+1) forever.  Other
+        # reductions add only lower terms, finitely many of degree < N, so the
+        # division ends; a nonzero remainder leads with a standard monomial,
+        # and no element of I O does.
+        standard = ideal.groebner(LOCAL)
+        ones = [next(iter(g.terms)) for g in standard if g.is_monomial()]
+        high = monomials_of_degree(ideal.ring_dim, bound)
+        ones += [m for m in high if not any(_mono_divides(o, m) for o in ones)]
+        basis = [Polynomial._of(ideal.ring_dim, {m: GR_ONE}) for m in ones]
+        basis += [g for g in standard if not g.is_monomial()]
+        divisors = ideal._cache[germ_member] = basis, [leading_mono(g, LOCAL) for g in basis]
+    basis, leads = divisors
+    return normal_form(f, basis, LOCAL, leads).is_zero()
 
 
 def root_order(f: Polynomial, ideal: Ideal) -> int | None:
     """Least s with f^s in the germ ideal, or None when no power lies in it.
 
-    An m-primary germ ideal Q contains m^N, N the stabilization degree, so
-    f^N lies in Q for every f in m and the search, by normal forms on GB(Q),
-    stops at N.  Otherwise some power of f is in the germ ideal exactly when
-    the saturation I : f^inf is the unit germ, and only then is the search
-    begun.
+    An m-primary germ ideal contains m^N, N the stabilization degree, so the
+    search stops at N.  Otherwise some power of f is in it exactly when the
+    saturation I : f^inf is the unit germ, and only then is the search begun.
     """
-    report = germ_colength(ideal)
-    if report.m_primary:
-        basis, bound = report.basis, report.stabilization_degree
-        leads = [leading_mono(g, GREVLEX) for g in basis]
-        return least_power(
-            f, lambda p: normal_form(p, basis, GREVLEX, leads).is_zero(), bound
-        )
-    if not is_germ_unit(_saturation(ideal, f)):
+    if f.ring_dim != ideal.ring_dim:
+        raise ValidationError("polynomial lives in the wrong ring")
+    bound = germ_colength(ideal).stabilization_degree
+    if bound is None and not is_germ_unit(_saturation(ideal, f)):
         return None
-    return least_power(f, lambda p: germ_member(p, ideal), None)
+    return least_power(f, lambda p: germ_member(p, ideal), bound)
 
 
 def is_germ_unit(ideal: Ideal) -> bool:

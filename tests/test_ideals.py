@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import CLIFFS, nonzero_polynomials, polynomials, sympy_local_colength, to_sympy
 from submult import ideals
+from submult.errors import ValidationError
 from submult.ideals import (
     GREVLEX,
     LEX,
@@ -31,6 +32,7 @@ from submult.poly import (
     GaussianRational,
     Polynomial,
     format_poly,
+    least_power,
     monomials_of_degree,
     parse,
 )
@@ -460,11 +462,12 @@ def test_isolated_germs_make_no_scan(monkeypatch):
     assert germ_colength(ideal(*triangular, variables=("z", "w", "v"))).colength == 12
     for M, N, K in [(2, 3, 4), (3, 4, 6), (4, 2, 5)]:
         assert germ_colength(ideal(f"z^{M}", f"w^{N} + w*z^{K}")).colength == M * N
-    assert calls == []
-    # a point off the origin makes the germ ideal I + m^N: one truncation, at N alone
+    # a point off the origin needs no truncation either: the LOCAL basis decides
     I = ideal("z^2 - z", "w^2")
-    report = germ_colength(I)
-    assert report.colength == 2 and calls == [(I, report.stabilization_degree)]
+    assert germ_colength(I)[:2] == (2, 2)
+    assert [root_order(p(x), I) for x in ZW] == [1, 2]
+    assert not germ_member(p("w"), I) and germ_member(p("z - z*w"), I)
+    assert calls == []
 
 
 def test_isolated_origin_beside_a_curve():
@@ -509,13 +512,34 @@ OFF_ORIGIN_POINTS = [
 ]
 
 
+def _assert_answers_match_the_truncation(I, degree, polys):
+    # an m-primary germ ideal is its local component I + m^N, N the scan's
+    # degree, so normal forms on the grevlex basis of the truncation decide
+    basis = truncated_basis(I, degree)
+
+    def in_truncation(f):
+        return normal_form(f, basis, GREVLEX).is_zero()
+
+    for f in polys:
+        assert germ_member(f, I) == in_truncation(f), (I.generators, f)
+        assert root_order(f, I) == least_power(f, in_truncation, degree), (I.generators, f)
+
+
+def _scan_candidates(I):
+    # the variables, their sum, each generator, and a unit
+    n = I.ring_dim
+    xs = [Polynomial.variable(n, i) for i in range(n)]
+    return xs + [sum(xs, Polynomial.zero(n))] + list(I.generators) + [1 + xs[0]]
+
+
 def _assert_matches_scan(I, variables=ZW):
     report = germ_colength(I)
     got = (report.colength, report.stabilization_degree, report.m_primary)
     gens = [format_poly(g, variables) for g in I.generators]
-    assert got == _scan(I), gens
+    scanned = _scan(I)
+    assert got == scanned, gens
     if report.m_primary:
-        assert report.basis == truncated_basis(I, report.stabilization_degree), gens
+        _assert_answers_match_the_truncation(I, scanned[1], _scan_candidates(I))
     return report
 
 
@@ -592,8 +616,9 @@ def test_germ_oracle_matches_the_scan_and_sympy_on_random_ideals():
         n = I.ring_dim
         report = germ_colength(I)
         colength, degree, m_primary = _scan(I, cap=16)
-        assert report[:2] == (colength, degree), I.generators
-        assert report.basis == (truncated_basis(I, degree) if m_primary else None)
+        assert tuple(report) == (colength, degree), I.generators
+        if m_primary:
+            _assert_answers_match_the_truncation(I, degree, _scan_candidates(I) + extra)
         kinds[m_primary] += 1
         if any(c.im for g in I.generators for c in g.terms.values()):
             continue
@@ -729,7 +754,7 @@ def test_non_zero_dimensional_monomial_germs_need_no_saturation(monkeypatch):
     for I in cases:
         n = I.ring_dim
         report = germ_colength(I)
-        assert (report.colength, report.stabilization_degree, report.basis) == (None, None, None)
+        assert tuple(report) == (None, None)
         # a monomial ideal is homogeneous, so its germ members are its members
         for m in monomials_of_degree(n, 2):
             f = Polynomial.monomial(m)
@@ -772,18 +797,55 @@ def test_germ_report_is_computed_once_per_ideal():
 
 
 def test_germ_membership_matches_normal_forms_on_the_local_component():
-    # an m-primary germ ideal is its local component Q, so a normal form on
-    # GB(Q) decides membership; all but the first two have points off the origin
+    # an m-primary germ ideal is its local component I + m^N, N the scan's
+    # degree, so a normal form on the grevlex basis of the truncation decides
+    # membership; all but the first two have points off the origin
     germs = [J1_234, ("z^3", "w^2 + z*w"), ("z^2 - z", "z*w - w"), ("z^3 - z^2", "z*w - w")]
     for gens in germs + [gens for gens, _ in OFF_ORIGIN_POINTS]:
         I = ideal(*gens)
-        report = germ_colength(I)
-        assert report.m_primary, gens
-        for degree in range(report.stabilization_degree + 1):
-            for mono in monomials_of_degree(2, degree):
-                f = Polynomial.monomial(mono)
-                expected = normal_form(f, report.basis, GREVLEX).is_zero()
-                assert germ_member(f, I) == expected, (gens, mono)
+        _, scanned, m_primary = _scan(I)
+        assert m_primary and germ_colength(I).stabilization_degree == scanned, gens
+        monos = [Polynomial.monomial(m) for d in range(scanned + 1) for m in monomials_of_degree(2, d)]
+        _assert_answers_match_the_truncation(I, scanned, monos + _scan_candidates(I))
+
+
+@pytest.mark.parametrize("gens", [("z^2", "w^3"), ("z^2",)])
+@pytest.mark.parametrize("question", [root_order, germ_member, member])
+def test_germ_questions_refuse_a_polynomial_from_another_ring(question, gens):
+    # an m-primary germ and a curve germ; the second once failed inside the
+    # saturation's ring and the first answered 2
+    with pytest.raises(ValidationError, match="^polynomial lives in the wrong ring$"):
+        question(p("z", ZWV), ideal(*gens))
+
+
+# m-primary, with points of V(I) off the origin; its germ report once built a
+# global basis and a truncation beside the LOCAL standard basis, in seconds
+OFF_ORIGIN_CLIFF = (
+    "z^3",
+    "(-1 + i)*z*w^3 - w^4 + (1 - i)*z*w^2 + w^3 + (2 + i)*z*w + (-2 - i)*z",
+    "-3*z^2*w - 2*z*w*v + 3*w^2*v - 3*z*w - 2*z*v + 3*w + v",
+)
+
+
+def test_germ_answers_on_an_m_primary_ideal_build_no_global_basis(monkeypatch):
+    orders = []
+    raw = ideals._groebner_raw
+
+    def recording(gens, order):
+        orders.append(order)
+        return raw(gens, order)
+
+    def forbidden(*args):
+        raise AssertionError("germ answers take no truncation")
+
+    monkeypatch.setattr(ideals, "_groebner_raw", recording)
+    monkeypatch.setattr(ideals, "truncated_basis", forbidden)
+    assert tuple(germ_colength(ideal(*OFF_ORIGIN_CLIFF, variables=ZWV))) == (9, 9)
+    I = ideal(*OFF_ORIGIN_CLIFF, variables=ZWV)
+    assert [root_order(p(x, ZWV), I) for x in ZWV] == [3, 9, 9]
+    for text in ("z^2", "w*v", "z*w^2*v"):
+        assert not germ_member(p(text, ZWV), ideal(*OFF_ORIGIN_CLIFF, variables=ZWV)), text
+    assert orders and set(orders) == {ideals._homogenized}
 
 
 def _homogeneous_ideals(rng, count):
