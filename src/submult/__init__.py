@@ -39,8 +39,8 @@ _LAZY = {
             "radical_step", "root_order",
         ),
         "kohn": (
-            "FiniteTypeReport", "KohnOptions", "KohnState", "KohnTrace", "SpecialDomain",
-            "check_finite_type", "curve_annihilation_check", "init_state", "run", "step",
+            "KohnOptions", "KohnState", "KohnTrace", "SpecialDomain", "check_finite_type",
+            "curve_annihilation_check", "init_state", "run", "step",
         ),
         "triangular": (
             "EffectiveTrace", "TriangularSystem", "certify", "multiplicity", "random_system",

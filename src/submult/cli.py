@@ -4,16 +4,17 @@ Scalar inputs arrive as flags; polynomial and curve data arrive through a
 single JSON config document: {variables: [...], h: [...], curve?: {...},
 family?: {...}}.  Output is a JSON document (sorted keys,
 byte-stable) or a plain-text rendering.  Exit codes: 0 success, 1 usage, domain
-or validation errors, 2 resource-cap exhaustion.  Each command imports the
-engine modules it runs, so a request compiles no other layer.  No request
-imports ``inspect``, nor the standard data-class module that would load it:
-the engine's records are NamedTuples.
+or validation errors or a closed stdout, 2 resource-cap exhaustion.  Each
+command imports the engine modules it runs, so a request compiles no other
+layer.  No request imports ``inspect``, nor the standard data-class module
+that would load it: the engine's records are NamedTuples.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .errors import CapExceededError, ParseError, SubmultError, ValidationError
@@ -373,16 +374,25 @@ def _words(argv) -> list[str]:
 
 def main(argv=None) -> int:
     try:
-        args, extra = _parser().parse_known_args(_words(sys.argv[1:] if argv is None else argv))
-        if extra:
-            word = extra[0].partition("=")[0]
-            raise ValidationError(f"no such {'option' if word[:1] == '-' else 'argument'}: {word}")
-        return args.run(args) or EXIT_OK
-    except SystemExit as exc:  # --help has printed the usage text
-        return exc.code
+        try:
+            args, extra = _parser().parse_known_args(_words(sys.argv[1:] if argv is None else argv))
+            if extra:
+                word = extra[0].partition("=")[0]
+                raise ValidationError(f"no such {'option' if word[:1] == '-' else 'argument'}: {word}")
+            code = args.run(args) or EXIT_OK
+        except SystemExit as exc:  # --help has printed the usage text
+            code = exc.code
+        sys.stdout.flush()  # a closed stdout raises here, not at the exit's flush
+        return code
     except (SubmultError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP if isinstance(exc, CapExceededError) else EXIT_DOMAIN
+    except BrokenPipeError:
+        # The reader has gone.  Stdout points at the null device from here on,
+        # so the exit's flush of what is left has nowhere to fail (the "Note on
+        # SIGPIPE" in the Python signal docs).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_DOMAIN
 
 
 if __name__ == "__main__":

@@ -161,7 +161,7 @@ def _run_effectiveness(M, N, K):
 
 def _run_finite_type(variables, h):
     doc = _kohn.check_finite_type(_domain(variables, h)).to_dict()
-    return {"colength": doc["colength"], "verdict": doc["verdict"]}
+    return {"colength": doc["colength"], "verdict": doc["m_primary"]}
 
 
 def _run_curve_annihilation(variables, h, curve, radical_mode="full"):

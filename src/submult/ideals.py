@@ -568,7 +568,9 @@ def radical_step(ideal: Ideal) -> RadicalOutcome:
     ideal is enriched by the squarefree part of any generator g, whose
     global root order is at most deg g, and by any variable with a power in
     the ideal; no qualifying candidate is a stall, which is reported as data
-    rather than raised.
+    rather than raised.  These global orders, the least s with f^s in I,
+    bound the germ orders from above and can exceed them: a factor that is a
+    unit at the origin, such as 1 - w, counts globally but not in the germ.
     """
     n = ideal.ring_dim
     if is_germ_unit(ideal):

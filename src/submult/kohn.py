@@ -16,6 +16,7 @@ from typing import NamedTuple
 
 from .errors import ConsistencyError, ValidationError, checked
 from .ideals import (
+    GermReport,
     Ideal,
     RadicalOutcome,
     germ_colength,
@@ -23,7 +24,6 @@ from .ideals import (
     radical_step,
     root_order,
     same_germ,
-    variable_root_order,
 )
 from .poly import Polynomial, PolyMatrix, format_poly, minor_dets, parse
 
@@ -224,52 +224,19 @@ def run(domain: SpecialDomain, options: KohnOptions = KohnOptions()) -> KohnTrac
     return KohnTrace(domain, tuple(steps), status)
 
 
-class FiniteTypeReport(NamedTuple):
-    """Agreement of the three algebraic finite-type conditions.
+def check_finite_type(domain: SpecialDomain) -> GermReport:
+    """The germ report of (h), cross-checked by germ root orders.
 
-    ``colength`` is the germ colength, None when it is infinite; ``to_dict``
-    renders that as "infinite".
-    """
-
-    colength: int | None
-    stabilization_degree: int | None
-    radical_is_m: bool
-
-    @property
-    def verdict(self) -> bool:
-        return self.radical_is_m
-
-    def to_dict(self) -> dict:
-        return {
-            "colength": "infinite" if self.colength is None else self.colength,
-            "stabilization_degree": self.stabilization_degree,
-            "radical_is_m": self.radical_is_m,
-            "verdict": self.verdict,
-        }
-
-
-def check_finite_type(domain: SpecialDomain) -> FiniteTypeReport:
-    """Check finite colength, radical equal to m, and point variety together.
-
-    An m-primary germ decides the radical by germ root orders, and any other
-    by the global ones, which the eliminants give exactly; either way the
-    conditions must agree.
+    Finite colength, radical equal to m and the origin isolated in V(h) are
+    one fact: the germ is m-primary exactly when every variable has a power
+    in the germ ideal, and the two answers must agree.
     """
     ideal = Ideal(domain.n, domain.h)
     report = germ_colength(ideal)
-    if report.m_primary:
-        variables = [Polynomial.variable(domain.n, i) for i in range(domain.n)]
-        orders = [root_order(v, ideal) for v in variables]
-    else:
-        orders = [variable_root_order(ideal, i) for i in range(domain.n)]
-    radical_is_m = all(s is not None for s in orders)
-    if radical_is_m != report.m_primary:
+    variables = [Polynomial.variable(domain.n, i) for i in range(domain.n)]
+    if all(root_order(v, ideal) is not None for v in variables) != report.m_primary:
         raise ConsistencyError("finite-type conditions disagree")
-    return FiniteTypeReport(
-        colength=report.colength,
-        stabilization_degree=report.stabilization_degree,
-        radical_is_m=radical_is_m,
-    )
+    return report
 
 
 def curve_annihilation_check(trace: KohnTrace, curve) -> bool:

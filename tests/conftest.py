@@ -29,6 +29,14 @@ CLIFFS = {
     ),
 }
 
+# m-primary, with points of V(I) off the origin; its germ report once built a
+# global basis and a truncation beside the LOCAL standard basis, in seconds
+OFF_ORIGIN_CLIFF = (
+    "z^3",
+    "(-1 + i)*z*w^3 - w^4 + (1 - i)*z*w^2 + w^3 + (2 + i)*z*w + (-2 - i)*z",
+    "-3*z^2*w - 2*z*w*v + 3*w^2*v - 3*z*w - 2*z*v + 3*w + v",
+)
+
 
 def coefficients():
     rational = st.fractions(min_value=-4, max_value=4, max_denominator=3)

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import submult
 from submult import corpus
 from submult.cli import main
 
@@ -56,6 +60,25 @@ def test_usage_error_is_an_error_line(tmp_path, capsys, argv):
     assert out == ""
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_closed_stdout_exits_one_without_a_traceback(tmp_path, fmt):
+    cfg = write_config(tmp_path, {**ZW_CONFIG, "h": ["z^2", "w^3 + w*z^4"]})
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(submult.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = ["--format", fmt, "ideal", "colength", "--config", cfg]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "submult.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()  # the reader goes before the request writes
+    err = proc.stderr.read().decode()
+    assert proc.wait() == 1, err
+    assert "Traceback" not in err and "Exception ignored" not in err
 
 
 def test_missing_config_names_its_flag(capsys):

@@ -7,7 +7,14 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import CLIFFS, nonzero_polynomials, polynomials, sympy_local_colength, to_sympy
+from conftest import (
+    CLIFFS,
+    OFF_ORIGIN_CLIFF,
+    nonzero_polynomials,
+    polynomials,
+    sympy_local_colength,
+    to_sympy,
+)
 from submult import ideals
 from submult.errors import ValidationError
 from submult.ideals import (
@@ -816,15 +823,6 @@ def test_germ_questions_refuse_a_polynomial_from_another_ring(question, gens):
     # saturation's ring and the first answered 2
     with pytest.raises(ValidationError, match="^polynomial lives in the wrong ring$"):
         question(p("z", ZWV), ideal(*gens))
-
-
-# m-primary, with points of V(I) off the origin; its germ report once built a
-# global basis and a truncation beside the LOCAL standard basis, in seconds
-OFF_ORIGIN_CLIFF = (
-    "z^3",
-    "(-1 + i)*z*w^3 - w^4 + (1 - i)*z*w^2 + w^3 + (2 + i)*z*w + (-2 - i)*z",
-    "-3*z^2*w - 2*z*w*v + 3*w^2*v - 3*z*w - 2*z*v + 3*w + v",
-)
 
 
 def test_germ_answers_on_an_m_primary_ideal_build_no_global_basis(monkeypatch):

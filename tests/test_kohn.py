@@ -2,10 +2,19 @@ import itertools
 
 import pytest
 
-from conftest import sympy_local_colength, to_sympy
+from conftest import OFF_ORIGIN_CLIFF, sympy_local_colength, to_sympy
+from make_golden_outputs import STALL_AND_CURVE
 from submult import corpus, ideals, kohn
 from submult.errors import ConsistencyError, ValidationError
-from submult.ideals import GermReport, Ideal, germ_colength, germ_member, is_germ_unit, member
+from submult.ideals import (
+    GermReport,
+    Ideal,
+    germ_colength,
+    germ_member,
+    is_germ_unit,
+    member,
+    root_order,
+)
 from submult.kohn import (
     KohnOptions,
     SpecialDomain,
@@ -511,40 +520,107 @@ def test_unit_shortcut_takes_no_minors(monkeypatch):
     assert calls == [3]  # the stage (v) adds the constant row dv
 
 
+# -- partial root orders -------------------------------------------------------------
+
+# Runs through the partial radical branch: the kohn-3d panel, the 3-variable
+# runs, the stall and curve domains, and two domains whose partial steps
+# record global root orders above the germ orders.
+PARTIAL_ORDER_DOMAINS = dict.fromkeys(
+    UNIT_SHORTCUT_SETS["kohn-3d panel"]
+    + [(ZWV, h) for h, _, _ in THREE_VARIABLE_RUNS]
+    + [(ZW, h) for h in STALL_AND_CURVE]
+    + [(ZWV, ("z^2*w + z^2", "w^3 + z*v", "v^2")), (ZWV, ("-z^2*w + z^2", "z*w^2", "v^3"))]
+)
+
+
+def test_partial_root_orders_are_global_and_bound_the_germ_orders():
+    sympy = pytest.importorskip("sympy")
+    strict = []
+    for variables, h in PARTIAL_ORDER_DOMAINS:
+        for k, record in enumerate(run(domain(*h, variables=variables)).steps, 1):
+            if record.radical_method != "partial":
+                continue
+            J = Ideal(len(variables), record.J_gens)
+            for f, s in record.root_orders:
+                assert member(f**s, J) and not member(f ** (s - 1), J), (h, k)
+                germ = root_order(f, J)
+                assert germ <= s, (h, k)
+                if germ < s:
+                    strict.append((h[0], k, format_poly(f, variables), s, germ))
+                    # the germ order, confirmed in sympy's local ring
+                    ring = sympy.QQ.old_poly_ring(*sympy.symbols(variables), order="igrevlex")
+                    local = ring.ideal(*[to_sympy(sympy, g, variables).as_expr() for g in J.generators])
+                    below, at = (to_sympy(sympy, f**e, variables).as_expr() for e in (germ - 1, germ))
+                    assert local.contains(at) and not local.contains(below)
+    assert strict == [
+        ("z^2*w + z^2", 2, "z^2*v^2 + 72/49*z*w*v", 3, 2),
+        ("-z^2*w + z^2", 2, "z*w*v", 3, 1),
+        ("-z^2*w + z^2", 3, "z*w", 2, 1),
+    ]
+
+
 # -- finite type ----------------------------------------------------------------------
 
 
 def test_finite_type_product_family():
     report = check_finite_type(domain("z^2", "w^3 + w*z^4"))
-    assert report.verdict and report.radical_is_m
+    assert report.m_primary
     assert report.colength == 6
 
 
 def test_finite_type_fails_on_curve_domain():
     report = check_finite_type(domain("z^3", "z*w"))
-    assert not report.verdict and not report.radical_is_m
+    assert not report.m_primary
     assert report.colength is None
 
 
 def test_finite_type_point():
     report = check_finite_type(domain("z", "w"))
-    assert report.verdict
+    assert report.m_primary
     assert report.colength == 1
 
 
 def test_finite_type_conditions_agree_when_uncapped():
     for h in [("z^2", "w^2"), ("z^3", "w^4 + w*z^5"), ("z", "w"), ("z^2", "z*w", "w^2")]:
         report = check_finite_type(domain(*h))
-        assert report.verdict == report.radical_is_m == (report.colength is not None)
+        assert report.m_primary == (report.colength is not None)
 
 
 def test_finite_type_cross_check_runs_on_every_germ(monkeypatch):
     from submult import kohn
 
-    # a germ oracle that misses an isolated origin is caught by the eliminants
+    # a germ oracle that misses an isolated origin is caught by the germ root orders
     monkeypatch.setattr(kohn, "germ_colength", lambda ideal: GermReport(None, None))
     with pytest.raises(ConsistencyError):
         check_finite_type(domain("z^2", "w^3 + w*z^4"))
+
+
+# Germs whose global answers are not the local ones: V(z^2 - z, w^2) also holds
+# (1, 0), the CI ideal's V(h) has points off the origin too, and the last two
+# are curve germs along z = 0 with the factors 1 - w and w - 1, units at 0
+FINITE_TYPE_OFF_ORIGIN = [
+    (("z^2 - z", "w^2"), ZW, (2, 2)),
+    (OFF_ORIGIN_CLIFF, ZWV, (9, 9)),
+    (("z^2*(1 - w)", "z*w^3"), ZW, (None, None)),
+    (("z*(w - 1)", "z^2"), ZW, (None, None)),
+]
+
+
+@pytest.mark.parametrize("h, variables, report", FINITE_TYPE_OFF_ORIGIN)
+def test_finite_type_beside_points_off_the_origin_takes_no_eliminant(monkeypatch, h, variables, report):
+    def forbidden(*args):
+        raise AssertionError("finite type is a germ question")
+
+    monkeypatch.setattr(ideals, "eliminant", forbidden)
+    assert tuple(check_finite_type(domain(*h, variables=variables))) == report
+
+
+def test_finite_type_beside_a_point_off_the_origin_counts_the_germ():
+    sympy = pytest.importorskip("sympy")
+    d = domain("z^2 - z", "w^2")
+    # the global eliminant of z is z^2 - z, which also vanishes at (1, 0)
+    assert format_poly(ideals.eliminant(Ideal(2, d.h), 0), ZW) == "z^2 - z"
+    assert check_finite_type(d).colength == sympy_local_colength(sympy, d.h) == 2
 
 
 # -- curve annihilation ------------------------------------------------------------------

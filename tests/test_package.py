@@ -30,8 +30,8 @@ PUBLIC = {
         "germ_member", "is_germ_unit", "member", "normal_form", "radical_step", "root_order",
     ),
     "kohn": (
-        "FiniteTypeReport", "KohnOptions", "KohnState", "KohnTrace", "SpecialDomain",
-        "check_finite_type", "curve_annihilation_check", "init_state", "run", "step",
+        "KohnOptions", "KohnState", "KohnTrace", "SpecialDomain", "check_finite_type",
+        "curve_annihilation_check", "init_state", "run", "step",
     ),
     "triangular": (
         "EffectiveTrace", "TriangularSystem", "certify", "multiplicity", "random_system",
